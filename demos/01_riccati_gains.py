@@ -29,11 +29,11 @@ print("mean-field gains Kz_t: ", np.round(solution.Kz[:, 0, 0], 4))
 print("terminal gains:", solution.Kx[-1, 0, 0], solution.Kz[-1, 0, 0])
 
 # the gains do not depend on the population size or on any noise
-# covariance; re-solving a modified model reproduces them bit for bit
+# covariance; re-solving a modified model (replace validates it again)
+# reproduces them bit for bit
 from dataclasses import replace
-from mflqg import validate_model
 
-bigger = validate_model(replace(model, n_agents=5000, Sigma_W=np.array([[7.0]])))
+bigger = replace(model, n_agents=5000, Sigma_W=np.array([[7.0]]))
 again = solve_control_riccati(bigger)
 print("same gains for n=5000 and different noise:",
       np.array_equal(solution.Kx, again.Kx) and np.array_equal(solution.Kz, again.Kz))

@@ -11,23 +11,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .control import GainSchedule
 from .errors import MeanFieldLqgError, ModelFormatError, ValidationError
 from .model import LqMeanFieldModel, load_model, save_model
 from .oracle import check_equivalence
 from .presets import heater_model
 from .riccati import solve_control_riccati, solve_filter_riccati
 from .sim import (
-    LinearStrategy,
     exact_policy_cost,
     export_summary_json,
     export_trace_csv,
     monte_carlo_cost,
+    optimal_strategy,
     simulate,
 )
 
@@ -38,17 +37,6 @@ EXIT_VERIFY = 3
 
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_RUNS = 10_000
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    model: Path | None
-    seed: int
-    runs: int
-    n: int | None
-    out: Path
-    tol: float | None
 
 
 def _seed_type(text: str) -> int:
@@ -81,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="population size override")
         cmd.add_argument("--out", type=Path, default=Path("."),
                          help="output directory (default: current directory)")
-        cmd.add_argument("--tol", type=float, default=None,
+        cmd.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
                          help=f"verification tolerance (default {DEFAULT_TOLERANCE})")
         return cmd
 
@@ -93,29 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        model=args.model,
-        seed=args.seed,
-        runs=args.runs,
-        n=args.n,
-        out=args.out,
-        tol=args.tol,
-    )
+def _with_population(model: LqMeanFieldModel, n: int | None) -> LqMeanFieldModel:
+    return model if n is None else replace(model, n_agents=int(n))
 
 
-def _load(config: RunConfig) -> LqMeanFieldModel:
-    if config.model is None:
+def _load(args: argparse.Namespace) -> LqMeanFieldModel:
+    if args.model is None:
         raise ModelFormatError("this command requires --model")
-    model = load_model(config.model)
-    if config.n is not None:
-        from dataclasses import replace
-
-        from .model import validate_model
-
-        model = validate_model(replace(model, n_agents=int(config.n)))
-    return model
+    return _with_population(load_model(args.model), args.n)
 
 
 def _write_json(data: dict, path: Path) -> None:
@@ -125,18 +98,12 @@ def _write_json(data: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _solve_schedule(model: LqMeanFieldModel):
+def cmd_solve(args: argparse.Namespace) -> int:
+    model = _load(args)
     solution = solve_control_riccati(model)
-    filter_solution = None
-    if model.observation_mode == "noisy":
-        filter_solution = solve_filter_riccati(model)
-    return solution, solution.gain_schedule(filter_solution)
-
-
-def cmd_solve(config: RunConfig) -> int:
-    model = _load(config)
-    solution, schedule = _solve_schedule(model)
-    path = config.out / "gains.json"
+    noisy = model.observation_mode == "noisy"
+    schedule = solution.gain_schedule(solve_filter_riccati(model) if noisy else None)
+    path = args.out / "gains.json"
     _write_json(schedule.to_dict(), path)
     T = model.horizon
     terminal_gain = max(
@@ -154,19 +121,11 @@ def cmd_solve(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _strategy_for(model: LqMeanFieldModel):
-    solution, schedule = _solve_schedule(model)
-    if model.observation_mode == "noisy":
-        return schedule
-    return LinearStrategy.from_gains(schedule)
-
-
-def cmd_simulate(config: RunConfig) -> int:
-    model = _load(config)
-    strategy = _strategy_for(model)
-    trace = simulate(model, strategy, config.seed)
-    agents_path, meanfield_path = export_trace_csv(trace, config.out)
-    summary_path = export_summary_json(trace, config.out)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    model = _load(args)
+    trace = simulate(model, optimal_strategy(model), args.seed)
+    agents_path, meanfield_path = export_trace_csv(trace, args.out)
+    summary_path = export_summary_json(trace, args.out)
     print(f"wrote {agents_path}")
     print(f"wrote {meanfield_path}")
     print(f"wrote {summary_path}")
@@ -174,22 +133,22 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(config: RunConfig) -> int:
-    model = _load(config)
-    strategy = _strategy_for(model)
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    model = _load(args)
+    policy = optimal_strategy(model)
     exact_total = None
     if model.observation_mode == "full":
-        exact_total = exact_policy_cost(model, strategy).total
-    mc = monte_carlo_cost(model, strategy, runs=config.runs, seed=config.seed)
+        exact_total = exact_policy_cost(model, policy).total
+    mc = monte_carlo_cost(model, policy, runs=args.runs, seed=args.seed)
     report = {
         "model_fingerprint": model.fingerprint(),
-        "seed": config.seed,
+        "seed": args.seed,
         "runs": mc.runs,
         "exact_cost": exact_total,
         "monte_carlo_mean": mc.mean,
         "monte_carlo_stderr": mc.stderr,
     }
-    path = config.out / "evaluate.json"
+    path = args.out / "evaluate.json"
     _write_json(report, path)
     print(f"wrote {path}")
     if exact_total is not None:
@@ -198,41 +157,34 @@ def cmd_evaluate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    model = _load(config)
-    tolerance = DEFAULT_TOLERANCE if config.tol is None else config.tol
-    report = check_equivalence(model, tolerance=tolerance)
-    path = config.out / "verify.json"
+def cmd_verify(args: argparse.Namespace) -> int:
+    model = _load(args)
+    report = check_equivalence(model, tolerance=args.tol)
+    path = args.out / "verify.json"
     _write_json(report.to_dict(), path)
     print(f"wrote {path}")
     print(f"max gain residual = {report.max_gain_residual:.3e}")
     print(f"cost gap = {report.cost_gap:.3e} "
           f"(centralized {report.cost_centralized:.12g}, "
           f"decentralized {report.cost_decentralized:.12g})")
-    print(f"verdict: {'pass' if report.passed else 'FAIL'} at tolerance {tolerance:g}")
+    print(f"verdict: {'pass' if report.passed else 'FAIL'} at tolerance {args.tol:g}")
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def cmd_preset_heater(config: RunConfig) -> int:
-    model = heater_model()
-    if config.n is not None:
-        from dataclasses import replace
-
-        from .model import validate_model
-
-        model = validate_model(replace(model, n_agents=int(config.n)))
-    config.out.mkdir(parents=True, exist_ok=True)
-    model_path = config.out / "model.json"
+def cmd_preset_heater(args: argparse.Namespace) -> int:
+    model = _with_population(heater_model(), args.n)
+    args.out.mkdir(parents=True, exist_ok=True)
+    model_path = args.out / "model.json"
     save_model(model, model_path)
     print(f"wrote {model_path}")
 
-    _, schedule = _solve_schedule(model)
-    _write_json(schedule.to_dict(), config.out / "gains.json")
-    print(f"wrote {config.out / 'gains.json'}")
+    policy = optimal_strategy(model)
+    _write_json(policy.to_dict(), args.out / "gains.json")
+    print(f"wrote {args.out / 'gains.json'}")
 
-    trace = simulate(model, LinearStrategy.from_gains(schedule), config.seed)
-    agents_path, meanfield_path = export_trace_csv(trace, config.out)
-    summary_path = export_summary_json(trace, config.out)
+    trace = simulate(model, policy, args.seed)
+    agents_path, meanfield_path = export_trace_csv(trace, args.out)
+    summary_path = export_summary_json(trace, args.out)
     print(f"wrote {agents_path}")
     print(f"wrote {meanfield_path}")
     print(f"wrote {summary_path}")
@@ -256,11 +208,10 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from_args(args)
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except json.JSONDecodeError as exc:
-        print(f"error: cannot parse {config.model}: line {exc.lineno} column {exc.colno}: "
+        print(f"error: cannot parse {args.model}: line {exc.lineno} column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:

@@ -1,10 +1,11 @@
-"""Per-subsystem control laws for both observation models.
+"""The linear policy and the per-subsystem control laws for both observation models.
 
-Every subsystem applies the same time-varying law: under full observation
-the control is a fixed linear function of the local state and the
-mean-field; under noisy observation the local state is replaced by a local
-conditional-mean estimate maintained by a Kalman update. The controller
-keeps no other history.
+Every subsystem applies the same time-varying law u = Kx_t b + (Kz_t - Kx_t) z,
+where z is the mean-field and b is the local state under full observation
+or, under noisy observation, a local conditional-mean estimate maintained by
+a Kalman update with known inputs. The controller keeps no other history.
+`GainSchedule` holds one such law; the per-agent functions here are the
+specification the vectorized closed loop in `sim` is tested against.
 """
 from __future__ import annotations
 
@@ -18,41 +19,55 @@ from .model import LqMeanFieldModel
 
 @dataclass(frozen=True, eq=False)
 class GainSchedule:
-    """Control gains for t = 1..T plus optional filter gains for t = 1..T-1.
+    """A linear policy: control gains for t = 1..T, plus filter gains for
+    t = 1..T-1 under noisy observation.
 
-    The control at step t is Kx_t x + (Kz_t - Kx_t) z. Terminal gains are
-    zero: there is no state left to influence at t = T.
+    The control at step t is Kx_t b + (Kz_t - Kx_t) z. Any gains are
+    accepted, so perturbed laws can be evaluated; the optimal schedule has
+    zero terminal gains because there is no state left to influence at t = T.
     """
 
-    horizon: int
-    d_x: int
-    d_u: int
-    d_y: int | None
-    Kx: np.ndarray            # (T, d_u, d_x)
-    Kz: np.ndarray            # (T, d_u, d_x)
+    Kx: np.ndarray                # (T, d_u, d_x)
+    Kz: np.ndarray                # (T, d_u, d_x)
     Kf: np.ndarray | None = None  # (T-1, d_x, d_y)
 
     def __post_init__(self):
-        T, d_x, d_u = self.horizon, self.d_x, self.d_u
-        if self.Kx.shape != (T, d_u, d_x) or self.Kz.shape != (T, d_u, d_x):
+        if self.Kx.ndim != 3 or self.Kz.shape != self.Kx.shape:
             raise DimensionMismatch(
                 f"gain stacks have shapes {self.Kx.shape}, {self.Kz.shape}, "
-                f"expected ({T}, {d_u}, {d_x})"
+                "expected two equal (T, d_u, d_x) stacks"
             )
-        if np.any(self.Kx[T - 1]) or np.any(self.Kz[T - 1]):
-            raise ValidationError("terminal control gains must be zero")
-        if self.Kf is not None:
-            if self.d_y is None:
-                raise DimensionMismatch("filter gains present but d_y is not set")
-            if self.Kf.shape != (T - 1, d_x, self.d_y):
-                raise DimensionMismatch(
-                    f"filter gain stack has shape {self.Kf.shape}, "
-                    f"expected ({T - 1}, {d_x}, {self.d_y})"
-                )
+        if self.Kf is not None and (
+            self.Kf.ndim != 3 or self.Kf.shape[:2] != (self.horizon - 1, self.d_x)
+        ):
+            raise DimensionMismatch(
+                f"filter gain stack has shape {self.Kf.shape}, "
+                f"expected ({self.horizon - 1}, {self.d_x}, d_y)"
+            )
 
     @property
-    def has_filter(self) -> bool:
-        return self.Kf is not None
+    def horizon(self) -> int:
+        return self.Kx.shape[0]
+
+    @property
+    def d_u(self) -> int:
+        return self.Kx.shape[1]
+
+    @property
+    def d_x(self) -> int:
+        return self.Kx.shape[2]
+
+    @property
+    def d_y(self) -> int | None:
+        return None if self.Kf is None else self.Kf.shape[2]
+
+    @classmethod
+    def from_gains(cls, gains: "GainSchedule") -> "GainSchedule":
+        """A copy of `gains`."""
+        return cls(
+            Kx=gains.Kx.copy(), Kz=gains.Kz.copy(),
+            Kf=None if gains.Kf is None else gains.Kf.copy(),
+        )
 
     def to_dict(self) -> dict:
         gains: dict[str, dict] = {}
@@ -91,11 +106,7 @@ class GainSchedule:
                     Kf[t - 1] = np.asarray(entry["Kf"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"gain document is malformed: {exc!r}") from None
-        return cls(
-            horizon=T, d_x=d_x, d_u=d_u,
-            d_y=None if d_y is None else int(d_y),
-            Kx=Kx, Kz=Kz, Kf=Kf,
-        )
+        return cls(Kx=Kx, Kz=Kz, Kf=Kf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +151,9 @@ def filter_update(
 ) -> LocalFilterState:
     """Advance one subsystem's estimate from step t to t+1.
 
-    Applies x' = A_t x_hat + B_t u + Kf_t (y - Cx_t x_hat - Cz_t z), where
-    u is the control applied at step t. Deterministic given its inputs.
+    Applies x' = A_t x_hat + B_t u + D_t z + Kf_t (y - Cx_t x_hat - Cz_t z),
+    the Kalman predictor with the known inputs u (the control applied at
+    step t) and D_t z. Deterministic given its inputs.
     """
     if model.observation_mode != "noisy":
         raise ValidationError("filter updates require observation_mode = noisy")
@@ -162,7 +174,10 @@ def filter_update(
         raise DimensionMismatch(f"control has shape {u_prev.shape}, expected ({model.d_u},)")
     k = t - 1
     innovation = y - model.Cx[k] @ state.x_hat - model.Cz[k] @ z
-    x_next = model.A[k] @ state.x_hat + model.B[k] @ u_prev + gains.Kf[k] @ innovation
+    x_next = (
+        model.A[k] @ state.x_hat + model.B[k] @ u_prev + model.D[k] @ z
+        + gains.Kf[k] @ innovation
+    )
     return LocalFilterState(x_hat=x_next, time=t + 1)
 
 

@@ -40,7 +40,7 @@ class NumericalFailure(MeanFieldLqgError):
 
 
 class IncompatibleStrategy(MeanFieldLqgError):
-    """A strategy or gain schedule does not match the model it was applied to."""
+    """A policy does not match the model it was applied to."""
 
 
 class OutOfOrderUpdate(MeanFieldLqgError):

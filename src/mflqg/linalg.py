@@ -8,7 +8,6 @@ uniformly tiny but well-conditioned matrices still pass.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotPositiveDefinite, NotPositiveSemidefinite, NotSymmetric, NumericalFailure
 
@@ -72,16 +71,16 @@ def spd_solve(mat: np.ndarray, rhs: np.ndarray, context: str = "linear solve") -
     mat = np.asarray(mat, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     try:
-        factor = scipy.linalg.cho_factor(mat, lower=True, check_finite=False)
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        lower = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"{context}: Cholesky failed ({exc})") from None
-    pivots = np.abs(np.diag(factor[0]))
+    pivots = np.abs(np.diag(lower))
     lo, hi = float(pivots.min()), float(pivots.max())
     if lo <= 0.0 or (lo / hi) ** 2 <= PIVOT_TOL:
         raise NumericalFailure(
             f"{context}: matrix numerically singular, relative pivot {(lo / hi) ** 2:.3e}"
         )
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
 
 def psd_factor(cov: np.ndarray, name: str = "covariance") -> np.ndarray:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +74,14 @@ def _square(value, dim: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LqMeanFieldModel:
-    """A validated-or-raw problem instance. Use build_model to construct."""
+    """A validated problem instance; build_model assembles one from loosely
+    shaped inputs.
+
+    Construction, `dataclasses.replace` included, checks every structural,
+    finiteness and definiteness invariant and stores normalized arrays:
+    symmetric matrices are exactly symmetrized and a missing state_offset
+    becomes zero. Normalizing a normalized model changes nothing.
+    """
 
     horizon: int
     n_agents: int
@@ -96,6 +103,10 @@ class LqMeanFieldModel:
     Sigma_V: np.ndarray | None = None   # (d_y, d_y), noisy mode
     # reporting-only additive shift: exported states are x + state_offset
     state_offset: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name, value in _normalized_fields(self).items():
+            object.__setattr__(self, name, value)
 
     def fingerprint(self) -> str:
         """Stable 16-hex-digit digest of the model content."""
@@ -122,18 +133,15 @@ def build_model(
     observation_mode: str = "full",
     state_offset=None,
 ) -> LqMeanFieldModel:
-    """Assemble and validate a model from loosely shaped inputs.
+    """Assemble a model from loosely shaped inputs; the model validates itself.
 
     Dimensions are inferred from A (state), B (control), and Cx
     (observation; defaults to the state dimension). Omitted optional
     matrices default to zero.
     """
     horizon = int(horizon)
-    n_agents = int(n_agents)
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    if n_agents < 1:
-        raise ValidationError(f"n_agents must be >= 1, got {n_agents}")
 
     d_x = _infer_square_dim(A, "A")
     arr_b = np.asarray(B, dtype=float)
@@ -159,9 +167,9 @@ def build_model(
         d_y = d_x
 
     zero_x = np.zeros((d_x, d_x))
-    model = LqMeanFieldModel(
+    return LqMeanFieldModel(
         horizon=horizon,
-        n_agents=n_agents,
+        n_agents=int(n_agents),
         d_x=d_x,
         d_u=d_u,
         d_y=d_y,
@@ -180,7 +188,6 @@ def build_model(
         Sigma_V=None if Sigma_V is None else _square(Sigma_V, d_y, "Sigma_V"),
         state_offset=None if state_offset is None else _vector(state_offset, d_x, "state_offset"),
     )
-    return validate_model(model)
 
 
 def _infer_square_dim(value, name: str) -> int:
@@ -195,11 +202,13 @@ def _infer_square_dim(value, name: str) -> int:
 
 
 def validate_model(model: LqMeanFieldModel) -> LqMeanFieldModel:
-    """Check every structural and definiteness invariant.
+    """Return `model`, which was validated and normalized when it was built."""
+    return model
 
-    Returns a normalized copy with all symmetric matrices exactly
-    symmetrized. Idempotent: validating the result changes nothing.
-    """
+
+def _normalized_fields(model: LqMeanFieldModel) -> dict:
+    """The model's arrays after every structural, finiteness and definiteness
+    check, with all symmetric matrices exactly symmetrized."""
     T, d_x, d_u, d_y = model.horizon, model.d_x, model.d_u, model.d_y
     if T < 1 or model.n_agents < 1 or min(d_x, d_u, d_y) < 1:
         raise ValidationError(
@@ -210,8 +219,14 @@ def validate_model(model: LqMeanFieldModel) -> LqMeanFieldModel:
         raise ValidationError(
             f"observation_mode must be one of {OBSERVATION_MODES}, got {model.observation_mode!r}"
         )
+    if model.observation_mode == "noisy":
+        if model.Cx is None or model.Cz is None or model.Sigma_V is None:
+            raise ValidationError("noisy observation_mode requires Cx, Cz, and Sigma_V")
 
-    def check_stack(arr, rows, cols, name):
+    def check_stack(name, rows, cols):
+        arr = getattr(model, name)
+        if arr is None:
+            return None
         arr = np.asarray(arr, dtype=float)
         if arr.shape != (T, rows, cols):
             raise DimensionMismatch(
@@ -219,48 +234,37 @@ def validate_model(model: LqMeanFieldModel) -> LqMeanFieldModel:
             )
         return arr
 
-    A = check_stack(model.A, d_x, d_x, "A")
-    B = check_stack(model.B, d_x, d_u, "B")
-    D = check_stack(model.D, d_x, d_x, "D")
-    Q = check_stack(model.Q, d_x, d_x, "Q")
-    R = check_stack(model.R, d_u, d_u, "R")
-    P = check_stack(model.P, d_x, d_x, "P")
-
-    Q = np.stack([symmetrize(Q[t], f"Q_{t + 1}") for t in range(T)])
-    P = np.stack([symmetrize(P[t], f"P_{t + 1}") for t in range(T)])
-    R = np.stack([symmetrize(R[t], f"R_{t + 1}") for t in range(T)])
-    for t in range(T):
-        assert_psd(Q[t], f"Q_{t + 1}")
-        assert_psd(P[t], f"P_{t + 1}")
-        assert_pd(R[t], f"R_{t + 1}")
-
-    Sigma_X = symmetrize(_square(model.Sigma_X, d_x, "Sigma_X"), "Sigma_X")
-    Sigma_W = symmetrize(_square(model.Sigma_W, d_x, "Sigma_W"), "Sigma_W")
-    assert_psd(Sigma_X, "Sigma_X")
-    assert_psd(Sigma_W, "Sigma_W")
-    mu_X = _vector(model.mu_X, d_x, "initial_mean")
-
-    Cx, Cz, Sigma_V = model.Cx, model.Cz, model.Sigma_V
-    if model.observation_mode == "noisy":
-        if Cx is None or Cz is None or Sigma_V is None:
-            raise ValidationError("noisy observation_mode requires Cx, Cz, and Sigma_V")
-    if Cx is not None:
-        Cx = check_stack(Cx, d_y, d_x, "Cx")
-    if Cz is not None:
-        Cz = check_stack(Cz, d_y, d_x, "Cz")
-    if Sigma_V is not None:
-        Sigma_V = symmetrize(_square(Sigma_V, d_y, "Sigma_V"), "Sigma_V")
-        assert_psd(Sigma_V, "Sigma_V")
-
     offset = model.state_offset
-    offset = np.zeros(d_x) if offset is None else _vector(offset, d_x, "state_offset")
+    fields = {
+        "A": check_stack("A", d_x, d_x),
+        "B": check_stack("B", d_x, d_u),
+        "D": check_stack("D", d_x, d_x),
+        "Q": check_stack("Q", d_x, d_x),
+        "R": check_stack("R", d_u, d_u),
+        "P": check_stack("P", d_x, d_x),
+        "Sigma_X": _square(model.Sigma_X, d_x, "Sigma_X"),
+        "Sigma_W": _square(model.Sigma_W, d_x, "Sigma_W"),
+        "mu_X": _vector(model.mu_X, d_x, "initial_mean"),
+        "Cx": check_stack("Cx", d_y, d_x),
+        "Cz": check_stack("Cz", d_y, d_x),
+        "Sigma_V": None if model.Sigma_V is None else _square(model.Sigma_V, d_y, "Sigma_V"),
+        "state_offset": np.zeros(d_x) if offset is None else _vector(offset, d_x, "state_offset"),
+    }
+    for name, arr in fields.items():
+        if arr is not None and not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{name} has a non-finite entry")
 
-    return replace(
-        model,
-        A=A, B=B, D=D, Q=Q, R=R, P=P,
-        Sigma_X=Sigma_X, Sigma_W=Sigma_W, mu_X=mu_X,
-        Cx=Cx, Cz=Cz, Sigma_V=Sigma_V, state_offset=offset,
-    )
+    for name in ("Q", "P", "R"):
+        fields[name] = np.stack([symmetrize(fields[name][t], f"{name}_{t + 1}") for t in range(T)])
+    for t in range(T):
+        assert_psd(fields["Q"][t], f"Q_{t + 1}")
+        assert_psd(fields["P"][t], f"P_{t + 1}")
+        assert_pd(fields["R"][t], f"R_{t + 1}")
+    for name in ("Sigma_X", "Sigma_W", "Sigma_V"):
+        if fields[name] is not None:
+            fields[name] = symmetrize(fields[name], name)
+            assert_psd(fields[name], name)
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +300,9 @@ def model_to_dict(model: LqMeanFieldModel) -> dict:
 def model_from_dict(data: dict) -> LqMeanFieldModel:
     """Parse the dict form back into a validated model.
 
-    Structural problems (missing keys, wrong types) raise ModelFormatError;
-    semantic problems (shapes, definiteness) raise validation errors.
+    Structural problems (missing keys, wrong types, values that are not
+    numbers or not rectangular) raise ModelFormatError; semantic problems
+    (shapes, non-finite entries, definiteness) raise validation errors.
     """
     try:
         dims = data["dims"]
@@ -324,7 +329,7 @@ def model_from_dict(data: dict) -> LqMeanFieldModel:
             state_offset=data.get("state_offset"),
         )
         declared = (int(dims["d_x"]), int(dims["d_u"]), int(dims["d_y"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"model document is malformed: {exc!r}") from None
     actual = (model.d_x, model.d_u, model.d_y)
     if declared != actual:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CapExceeded, NumericalFailure
-from .model import LqMeanFieldModel, validate_model
+from .model import LqMeanFieldModel
 from .riccati import ControlRiccatiSolution, solve_control_riccati
 from .sim import exact_policy_cost, optimal_strategy
 
@@ -82,7 +82,6 @@ def build_stacked_model(
     The mean-field coupling becomes a rank-one-in-blocks term: every block
     row of the stacked dynamics sees the average of all subsystem states.
     """
-    model = validate_model(model)
     n = model.n_agents if n is None else int(n)
     if n < 1:
         raise CapExceeded(f"population size must be >= 1, got {n}")
@@ -175,9 +174,8 @@ def check_equivalence(
     equals the centralized optimal cost in relative terms. Passes iff both
     maxima are within tolerance.
     """
-    model = validate_model(model)
     if n is not None and int(n) != model.n_agents:
-        model = validate_model(replace(model, n_agents=int(n)))
+        model = replace(model, n_agents=int(n))
     n = model.n_agents
 
     decentralized = solve_control_riccati(model)

@@ -16,7 +16,7 @@ import numpy as np
 from .control import GainSchedule
 from .errors import ValidationError
 from .linalg import spd_solve, symmetrize
-from .model import LqMeanFieldModel, validate_model
+from .model import LqMeanFieldModel
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,20 +35,14 @@ class ControlRiccatiSolution:
     def gain_schedule(self, filter_solution: FilterRiccatiSolution | None = None) -> GainSchedule:
         """Package the gains, optionally together with filter gains."""
         Kf = None
-        d_y = None
         if filter_solution is not None:
             if filter_solution.horizon != self.horizon:
                 raise ValidationError(
                     f"filter horizon {filter_solution.horizon} does not match "
                     f"control horizon {self.horizon}"
                 )
-            Kf = filter_solution.Kf
-            d_y = filter_solution.d_y
-        return GainSchedule(
-            horizon=self.horizon, d_x=self.d_x, d_u=self.d_u, d_y=d_y,
-            Kx=self.Kx.copy(), Kz=self.Kz.copy(),
-            Kf=None if Kf is None else Kf.copy(),
-        )
+            Kf = filter_solution.Kf.copy()
+        return GainSchedule(Kx=self.Kx.copy(), Kz=self.Kz.copy(), Kf=Kf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +64,6 @@ def solve_control_riccati(model: LqMeanFieldModel) -> ControlRiccatiSolution:
     (B' M B + R) and every iterate is re-symmetrized. The output is
     independent of n_agents and of every noise covariance.
     """
-    model = validate_model(model)
     T, d_x, d_u = model.horizon, model.d_x, model.d_u
 
     Mx = np.zeros((T, d_x, d_x))
@@ -116,7 +109,6 @@ def solve_filter_riccati(model: LqMeanFieldModel) -> FilterRiccatiSolution:
     result does not depend on Cz or on n_agents. A singular innovation
     covariance is reported as NumericalFailure, not regularized.
     """
-    model = validate_model(model)
     if model.observation_mode != "noisy":
         raise ValidationError("filter recursion requires observation_mode = noisy")
     T, d_x, d_y = model.horizon, model.d_x, model.d_y

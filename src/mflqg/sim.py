@@ -8,12 +8,15 @@ substreams, so full- and noisy-observation simulations of the same model
 and seed share identical state noise (common random numbers), and traces
 are bit-reproducible regardless of scheduling or concurrency.
 
-Cost evaluation: `simulate` records realized costs; `exact_policy_cost`
+Every policy is a `GainSchedule` (filter gains present exactly when the
+model is noisy), and one batched closed-loop kernel steps a block of runs
+together: `simulate` is its batch of one with every step recorded, and
+`monte_carlo_cost` runs it per chunk for the realized costs only, so Monte
+Carlo run r equals simulate(run=r) bit for bit. `exact_policy_cost`
 propagates means and covariances of the pair (per-agent deviation from the
 mean-field, mean-field) through the closed loop, which has fixed dimension
-2*d_x regardless of the population size; `monte_carlo_cost` estimates the
-same objective by sampling, with the runs split into fixed-size chunks so
-the result is independent of the worker count.
+2*d_x regardless of the population size; Monte Carlo chunks have a fixed
+size so the result is independent of the worker count.
 """
 from __future__ import annotations
 
@@ -28,8 +31,8 @@ import numpy as np
 from .control import GainSchedule
 from .errors import IncompatibleStrategy, ValidationError
 from .linalg import psd_factor, symmetrize
-from .model import LqMeanFieldModel, validate_model
-from .riccati import solve_control_riccati
+from .model import LqMeanFieldModel
+from .riccati import solve_control_riccati, solve_filter_riccati
 
 RNG_SCHEME = "philox4x64-runkind-v1"
 _KEY_SALT = 0x9E3779B97F4A7C15
@@ -58,10 +61,11 @@ def _noise_factors(model: LqMeanFieldModel):
     )
 
 
-def _draw_run_noise(model: LqMeanFieldModel, seed: int, run: int, factors=None):
-    """All randomness for one run, in the fixed (step, agent, component) layout."""
+def _draw_run_noise(model: LqMeanFieldModel, seed: int, run: int, factors):
+    """All randomness for one run, in the fixed (step, agent, component) layout,
+    given the `_noise_factors` of the model."""
     T, n = model.horizon, model.n_agents
-    Lx, Lw, Lv = _noise_factors(model) if factors is None else factors
+    Lx, Lw, Lv = factors
     init = _substream(seed, run, _KIND_INIT).standard_normal((n, model.d_x))
     x1 = model.mu_X + init @ Lx.T
     proc = _substream(seed, run, _KIND_PROCESS).standard_normal((T - 1, n, model.d_x))
@@ -95,78 +99,118 @@ def step_cost(
 
 
 # ---------------------------------------------------------------------------
-# strategies
+# policies
 
-@dataclass(frozen=True, eq=False)
-class LinearStrategy:
-    """Full-observation control law u^i = Fx_t x^i + Fz_t z.
+# perfbench names the policy type LinearStrategy
+LinearStrategy = GainSchedule
 
-    The optimal law is the special case Fx = Kx, Fz = Kz - Kx; arbitrary
-    values support perturbation testing.
+
+def optimal_strategy(model: LqMeanFieldModel) -> GainSchedule:
+    """Solve the control recursions (and, under noisy observation, the
+    filter recursion) and package the team-optimal policy."""
+    filter_solution = solve_filter_riccati(model) if model.observation_mode == "noisy" else None
+    return solve_control_riccati(model).gain_schedule(filter_solution)
+
+
+def _check_policy(model: LqMeanFieldModel, policy) -> GainSchedule:
+    if not isinstance(policy, GainSchedule):
+        raise IncompatibleStrategy(f"policy must be a GainSchedule, got {type(policy).__name__}")
+    if (policy.horizon, policy.d_x, policy.d_u) != (model.horizon, model.d_x, model.d_u):
+        raise IncompatibleStrategy(
+            f"policy (T={policy.horizon}, d_x={policy.d_x}, d_u={policy.d_u}) does not "
+            f"match model (T={model.horizon}, d_x={model.d_x}, d_u={model.d_u})"
+        )
+    noisy = model.observation_mode == "noisy"
+    if noisy != (policy.Kf is not None):
+        raise IncompatibleStrategy(
+            "filter gains are required under noisy observation and only there; "
+            f"model is {model.observation_mode}, policy has "
+            f"{'no ' if policy.Kf is None else ''}filter gains"
+        )
+    if noisy and policy.d_y != model.d_y:
+        raise IncompatibleStrategy(
+            f"policy d_y={policy.d_y} does not match model d_y={model.d_y}"
+        )
+    return policy
+
+
+# ---------------------------------------------------------------------------
+# closed loop
+
+def _closed_loop(
+    model: LqMeanFieldModel, policy: GainSchedule, seed: int, first_run: int, runs: int,
+    record: bool = False,
+):
+    """Step runs first_run..first_run+runs-1 through the closed loop together.
+
+    Returns the realized per-step costs, shape (T, runs), and, when
+    `record` is set, the trajectory and the drawn noise as a dict keyed by
+    `SimulationTrace` field, each array with a leading run axis. Each run's
+    arithmetic does not depend on the batch it is stepped in.
     """
+    T, n, d_x, d_y = model.horizon, model.n_agents, model.d_x, model.d_y
+    noisy = model.observation_mode == "noisy"
+    Fx, Fz = policy.Kx, policy.Kz - policy.Kx
 
-    horizon: int
-    d_x: int
-    d_u: int
-    Fx: np.ndarray  # (T, d_u, d_x)
-    Fz: np.ndarray  # (T, d_u, d_x)
+    factors = _noise_factors(model)
+    x1 = np.empty((runs, n, d_x))
+    w = np.empty((runs, T - 1, n, d_x))
+    v = np.empty((runs, T, n, d_y)) if noisy else None
+    for i in range(runs):
+        xi, wi, vi = _draw_run_noise(model, seed, first_run + i, factors)
+        x1[i], w[i] = xi, wi
+        if noisy:
+            v[i] = vi
 
-    def __post_init__(self):
-        shape = (self.horizon, self.d_u, self.d_x)
-        if self.Fx.shape != shape or self.Fz.shape != shape:
-            raise IncompatibleStrategy(
-                f"strategy stacks have shapes {self.Fx.shape}, {self.Fz.shape}, "
-                f"expected {shape}"
-            )
+    x = x1
+    xhat = np.broadcast_to(model.mu_X, (runs, n, d_x)).copy() if noisy else None
+    y = None
+    per_step = np.zeros((T, runs))
+    steps = []
+    for k in range(T):
+        # the mean-field keeps a singleton agent axis, so every product with
+        # it is one small matmul per run and a run's digits never depend on
+        # how many runs share the batch
+        z = np.add.reduce(x, axis=1, keepdims=True) / n
+        basis = xhat if noisy else x
+        u = basis @ Fx[k].T + z @ Fz[k].T
+        quad = _quadratic(x, model.Q[k]) + _quadratic(u, model.R[k])
+        per_step[k] = np.add.reduce(quad, axis=1) / n
+        per_step[k] += _quadratic(z, model.P[k])[:, 0]
+        if noisy:
+            z_obs = z @ model.Cz[k].T
+            y = x @ model.Cx[k].T + z_obs + v[:, k]
+        if record:
+            steps.append((x, u, z[:, 0], np.add.reduce(u, axis=1) / n, y, xhat))
+        if k + 1 < T:
+            drift = z @ model.D[k].T
+            if noisy:
+                innovation = y - xhat @ model.Cx[k].T - z_obs
+                xhat = xhat @ model.A[k].T + u @ model.B[k].T + drift + innovation @ policy.Kf[k].T
+            x = x @ model.A[k].T + u @ model.B[k].T + drift + w[:, k]
 
-    @classmethod
-    def from_gains(cls, gains: GainSchedule) -> "LinearStrategy":
-        return cls(
-            horizon=gains.horizon, d_x=gains.d_x, d_u=gains.d_u,
-            Fx=gains.Kx.copy(), Fz=gains.Kz - gains.Kx,
-        )
-
-    @classmethod
-    def zero(cls, horizon: int, d_x: int, d_u: int) -> "LinearStrategy":
-        stack = np.zeros((horizon, d_u, d_x))
-        return cls(horizon=horizon, d_x=d_x, d_u=d_u, Fx=stack, Fz=stack.copy())
-
-
-def optimal_strategy(model: LqMeanFieldModel) -> LinearStrategy:
-    """Solve the control recursions and package the optimal linear law."""
-    return LinearStrategy.from_gains(solve_control_riccati(model).gain_schedule())
-
-
-def _check_linear_strategy(model: LqMeanFieldModel, strategy) -> LinearStrategy:
-    if not isinstance(strategy, LinearStrategy):
-        raise IncompatibleStrategy(
-            f"full observation requires a LinearStrategy, got {type(strategy).__name__}"
-        )
-    if (strategy.horizon, strategy.d_x, strategy.d_u) != (model.horizon, model.d_x, model.d_u):
-        raise IncompatibleStrategy(
-            f"strategy (T={strategy.horizon}, d_x={strategy.d_x}, d_u={strategy.d_u}) does not "
-            f"match model (T={model.horizon}, d_x={model.d_x}, d_u={model.d_u})"
-        )
-    return strategy
+    if not record:
+        return per_step, None
+    names = ("states", "actions", "meanfield", "mean_control", "observations", "estimates")
+    recorded = {
+        name: None if column[0] is None else np.stack(column, axis=1)
+        for name, column in zip(names, zip(*steps))
+    }
+    return per_step, {**recorded, "process_noise": w, "obs_noise": v}
 
 
-def _check_gain_schedule(model: LqMeanFieldModel, strategy) -> GainSchedule:
-    if not isinstance(strategy, GainSchedule):
-        raise IncompatibleStrategy(
-            f"noisy observation requires a GainSchedule, got {type(strategy).__name__}"
-        )
-    if (strategy.horizon, strategy.d_x, strategy.d_u) != (model.horizon, model.d_x, model.d_u):
-        raise IncompatibleStrategy(
-            f"schedule (T={strategy.horizon}, d_x={strategy.d_x}, d_u={strategy.d_u}) does not "
-            f"match model (T={model.horizon}, d_x={model.d_x}, d_u={model.d_u})"
-        )
-    if strategy.Kf is None:
-        raise IncompatibleStrategy("noisy observation requires filter gains in the schedule")
-    if strategy.d_y != model.d_y:
-        raise IncompatibleStrategy(
-            f"schedule d_y={strategy.d_y} does not match model d_y={model.d_y}"
-        )
-    return strategy
+def _quadratic(vectors: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """v' W v over the last axis, with per-run arithmetic (einsum's summation
+    order changes with the batch size for some shapes)."""
+    return np.add.reduce((vectors @ weight) * vectors, axis=-1)
+
+
+def _run_totals(per_step: np.ndarray) -> np.ndarray:
+    """Per-run total cost, summed over steps in step order for every batch size."""
+    totals = per_step[0].copy()
+    for step in per_step[1:]:
+        totals += step
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -193,76 +237,24 @@ class SimulationTrace:
     obs_noise: np.ndarray | None       # (T, n, d_y), noisy mode
 
 
-def simulate(model: LqMeanFieldModel, strategy, seed: int, run: int = 0) -> SimulationTrace:
+def simulate(model: LqMeanFieldModel, policy: GainSchedule, seed: int, run: int = 0) -> SimulationTrace:
     """Run the n-subsystem closed loop once and record everything.
 
-    Under full observation `strategy` is a LinearStrategy; under noisy
-    observation it is a GainSchedule carrying filter gains, and each
-    subsystem runs its own estimator. Bit-reproducible for fixed
-    (model, strategy, seed, run).
+    Under noisy observation each subsystem runs its own estimator with the
+    policy's filter gains. Bit-reproducible for fixed (model, policy, seed,
+    run), and identical to run `run` of `monte_carlo_cost` at that seed.
     """
-    model = validate_model(model)
-    T, n, d_x, d_u = model.horizon, model.n_agents, model.d_x, model.d_u
-    noisy = model.observation_mode == "noisy"
-    if noisy:
-        gains = _check_gain_schedule(model, strategy)
-        Fx, Fz = gains.Kx, gains.Kz - gains.Kx
-    else:
-        lin = _check_linear_strategy(model, strategy)
-        Fx, Fz = lin.Fx, lin.Fz
-
-    x1, w, v = _draw_run_noise(model, seed, run)
-
-    states = np.zeros((T, n, d_x))
-    actions = np.zeros((T, n, d_u))
-    meanfield = np.zeros((T, d_x))
-    mean_control = np.zeros((T, d_u))
-    step_costs = np.zeros(T)
-    observations = np.zeros((T, n, model.d_y)) if noisy else None
-    estimates = np.zeros((T, n, d_x)) if noisy else None
-
-    states[0] = x1
-    if noisy:
-        estimates[0] = np.broadcast_to(model.mu_X, (n, d_x))
-
-    for k in range(T):
-        x = states[k]
-        z = mean_over_agents(x)
-        meanfield[k] = z
-        if noisy:
-            y = x @ model.Cx[k].T + z @ model.Cz[k].T + v[k]
-            observations[k] = y
-            basis = estimates[k]
-        else:
-            basis = x
-        u = basis @ Fx[k].T + z @ Fz[k].T
-        actions[k] = u
-        mean_control[k] = mean_over_agents(u)
-        step_costs[k] = step_cost(x, u, z, model.Q[k], model.R[k], model.P[k])
-        if k + 1 < T:
-            if noisy:
-                innovation = y - estimates[k] @ model.Cx[k].T - z @ model.Cz[k].T
-                estimates[k + 1] = (
-                    estimates[k] @ model.A[k].T + u @ model.B[k].T + innovation @ gains.Kf[k].T
-                )
-            states[k + 1] = x @ model.A[k].T + u @ model.B[k].T + model.D[k] @ z + w[k]
-
+    policy = _check_policy(model, policy)
+    per_step, recorded = _closed_loop(model, policy, seed, run, 1, record=True)
     return SimulationTrace(
         model=model,
         seed=int(seed),
         run=int(run),
         rng_scheme=RNG_SCHEME,
         model_fingerprint=model.fingerprint(),
-        states=states,
-        actions=actions,
-        observations=observations,
-        estimates=estimates,
-        meanfield=meanfield,
-        mean_control=mean_control,
-        step_costs=step_costs,
-        total_cost=float(np.add.reduce(step_costs)),
-        process_noise=w,
-        obs_noise=v,
+        step_costs=per_step[:, 0],
+        total_cost=float(_run_totals(per_step)[0]),
+        **{name: None if arr is None else arr[0] for name, arr in recorded.items()},
     )
 
 
@@ -357,7 +349,7 @@ def cost_identity_check(
 
 @dataclass(frozen=True, eq=False)
 class PolicyEvaluation:
-    """Exact expected cost of a linear strategy, with its per-step split
+    """Exact expected cost of a linear policy, with its per-step split
     into deviation and mean-field parts (the latter split again into the
     deterministic mean part and the noise part)."""
 
@@ -372,8 +364,8 @@ class PolicyEvaluation:
     meanfield_cov: np.ndarray         # (T, d_x, d_x)
 
 
-def exact_policy_cost(model: LqMeanFieldModel, strategy: LinearStrategy) -> PolicyEvaluation:
-    """Expected cost of a full-observation linear strategy, exactly.
+def exact_policy_cost(model: LqMeanFieldModel, policy: GainSchedule) -> PolicyEvaluation:
+    """Expected cost of a full-observation linear policy, exactly.
 
     Propagates the per-agent deviation covariance and the mean-field
     mean/covariance through the closed loop. By exchangeability every agent
@@ -381,12 +373,12 @@ def exact_policy_cost(model: LqMeanFieldModel, strategy: LinearStrategy) -> Poli
     cross-covariance is identically zero, so the propagation is exact in
     dimension 2*d_x. The deviation noise covariance is (1 - 1/n) Sigma_W
     and the mean-field noise covariance is Sigma_W / n, from splitting
-    i.i.d. noise into per-agent deviation and population average.
+    i.i.d. noise into per-agent deviation and population average. A
+    deviation moves under Kx, the mean-field under Kz.
     """
-    model = validate_model(model)
     if model.observation_mode != "full":
         raise IncompatibleStrategy("exact evaluation supports full observation only")
-    strategy = _check_linear_strategy(model, strategy)
+    policy = _check_policy(model, policy)
     T, n, d_x = model.horizon, model.n_agents, model.d_x
 
     dev_frac = 1.0 - 1.0 / n
@@ -398,8 +390,8 @@ def exact_policy_cost(model: LqMeanFieldModel, strategy: LinearStrategy) -> Poli
     mf_cov[0] = model.Sigma_X / n
 
     for k in range(T - 1):
-        closed_dev = model.A[k] + model.B[k] @ strategy.Fx[k]
-        closed_mf = model.A[k] + model.D[k] + model.B[k] @ (strategy.Fx[k] + strategy.Fz[k])
+        closed_dev = model.A[k] + model.B[k] @ policy.Kx[k]
+        closed_mf = model.A[k] + model.D[k] + model.B[k] @ policy.Kz[k]
         cov_dev[k + 1] = symmetrize(
             closed_dev @ cov_dev[k] @ closed_dev.T + dev_frac * model.Sigma_W,
             "deviation covariance",
@@ -414,9 +406,9 @@ def exact_policy_cost(model: LqMeanFieldModel, strategy: LinearStrategy) -> Poli
     mf_mean_costs = np.zeros(T)
     mf_noise_costs = np.zeros(T)
     for k in range(T):
-        G = strategy.Fx[k] + strategy.Fz[k]
-        w_dev = model.Q[k] + strategy.Fx[k].T @ model.R[k] @ strategy.Fx[k]
-        w_mf = model.Q[k] + model.P[k] + G.T @ model.R[k] @ G
+        Kx, Kz = policy.Kx[k], policy.Kz[k]
+        w_dev = model.Q[k] + Kx.T @ model.R[k] @ Kx
+        w_mf = model.Q[k] + model.P[k] + Kz.T @ model.R[k] @ Kz
         dev_costs[k] = float(np.trace(w_dev @ cov_dev[k]))
         mf_mean_costs[k] = float(mf_mean[k] @ w_mf @ mf_mean[k])
         mf_noise_costs[k] = float(np.trace(w_mf @ mf_cov[k]))
@@ -447,20 +439,16 @@ class MonteCarloCost:
 
 
 def monte_carlo_cost(
-    model: LqMeanFieldModel, strategy, runs: int, seed: int, workers: int = 1
+    model: LqMeanFieldModel, policy: GainSchedule, runs: int, seed: int, workers: int = 1
 ) -> MonteCarloCost:
     """Sample mean and standard error of the realized cost over `runs`
-    independent closed-loop runs (run indices 0..runs-1, so run r uses the
-    same noise as simulate(model, strategy, seed, run=r)).
+    independent closed-loop runs (run indices 0..runs-1, so run r is
+    simulate(model, policy, seed, run=r) exactly).
 
     Runs are processed in fixed-size chunks; the chunking, and therefore
     every reported digit, is independent of `workers`.
     """
-    model = validate_model(model)
-    if model.observation_mode == "noisy":
-        strategy = _check_gain_schedule(model, strategy)
-    else:
-        strategy = _check_linear_strategy(model, strategy)
+    policy = _check_policy(model, policy)
     runs = int(runs)
     if runs < 2:
         raise ValidationError(f"monte_carlo_cost needs at least 2 runs, got {runs}")
@@ -470,7 +458,8 @@ def monte_carlo_cost(
 
     def fill(start: int) -> None:
         count = min(_MC_CHUNK, runs - start)
-        costs[start:start + count] = _chunk_costs(model, strategy, seed, start, count)
+        per_step, _ = _closed_loop(model, policy, seed, start, count)
+        costs[start:start + count] = _run_totals(per_step)
 
     if workers <= 1:
         for start in starts:
@@ -482,52 +471,6 @@ def monte_carlo_cost(
     mean = float(np.add.reduce(costs) / runs)
     var = float(np.add.reduce((costs - mean) ** 2) / (runs - 1))
     return MonteCarloCost(mean=mean, stderr=float(np.sqrt(var / runs)), runs=runs)
-
-
-def _chunk_costs(
-    model: LqMeanFieldModel, strategy, seed: int, start: int, count: int
-) -> np.ndarray:
-    """Total realized cost for runs start..start+count-1, stepped together.
-
-    Uses the same substreams and draw layout as `simulate`, vectorized over
-    the run axis.
-    """
-    T, n, d_x, d_y = model.horizon, model.n_agents, model.d_x, model.d_y
-    noisy = model.observation_mode == "noisy"
-    if noisy:
-        Fx, Fz, Kf = strategy.Kx, strategy.Kz - strategy.Kx, strategy.Kf
-    else:
-        Fx, Fz, Kf = strategy.Fx, strategy.Fz, None
-
-    factors = _noise_factors(model)
-    x1 = np.empty((count, n, d_x))
-    w = np.empty((count, T - 1, n, d_x))
-    v = np.empty((count, T, n, d_y)) if noisy else None
-    for i in range(count):
-        xi, wi, vi = _draw_run_noise(model, seed, start + i, factors)
-        x1[i], w[i] = xi, wi
-        if noisy:
-            v[i] = vi
-
-    x = x1
-    xhat = np.broadcast_to(model.mu_X, (count, n, d_x)).copy() if noisy else None
-    per_step = np.zeros((T, count))
-    for k in range(T):
-        z = np.add.reduce(x, axis=1) / n
-        basis = xhat if noisy else x
-        u = basis @ Fx[k].T + (z @ Fz[k].T)[:, np.newaxis, :]
-        quad = np.einsum("rid,de,rie->ri", x, model.Q[k], x)
-        quad = quad + np.einsum("rid,de,rie->ri", u, model.R[k], u)
-        per_step[k] = np.add.reduce(quad, axis=1) / n
-        per_step[k] += np.einsum("rd,de,re->r", z, model.P[k], z)
-        if k + 1 < T:
-            if noisy:
-                y = x @ model.Cx[k].T + (z @ model.Cz[k].T)[:, np.newaxis, :] + v[:, k]
-                innovation = y - xhat @ model.Cx[k].T - (z @ model.Cz[k].T)[:, np.newaxis, :]
-                xhat = xhat @ model.A[k].T + u @ model.B[k].T + innovation @ Kf[k].T
-            x = x @ model.A[k].T + u @ model.B[k].T + (z @ model.D[k].T)[:, np.newaxis, :] + w[:, k]
-
-    return np.add.reduce(per_step, axis=0)
 
 
 # ---------------------------------------------------------------------------

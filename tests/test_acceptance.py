@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from mflqg import (
-    LinearStrategy,
+    GainSchedule,
     build_model,
     check_equivalence,
     cost_identity_check,
@@ -153,27 +153,28 @@ def test_4_cost_identity_and_auxiliary_dynamics():
 
 
 def test_5_filter_consistency():
-    # 1e4 agents on a fixed scalar model: the empirical second moment of
-    # the estimation error tracks the covariance recursion within 5% at
-    # every one of the 20 steps
-    model = build_model(
-        horizon=20, n_agents=10_000,
-        A=0.9, B=1.0, Q=1.0, R=1.0, P=0.5,
-        Cx=1.0, Cz=0.4, Sigma_V=0.5,
-        Sigma_X=1.0, Sigma_W=0.2, initial_mean=1.0,
-        observation_mode="noisy",
-    )
-    filt = solve_filter_riccati(model)
-    schedule = solve_control_riccati(model).gain_schedule(filt)
-    trace = simulate(model, schedule, seed=5)
-    errors = trace.states[:, :, 0] - trace.estimates[:, :, 0]
-    worst = 0.0
-    for k in range(model.horizon):
-        predicted = filt.Sigma_e[k, 0, 0]
-        empirical = float(np.mean(errors[k] ** 2))
-        worst = max(worst, abs(empirical - predicted) / predicted)
-    print(f"error-covariance mismatch over 20 steps: max {worst:.3%} (tolerance 5%)")
-    assert worst <= 0.05
+    # 1e4 agents on a fixed scalar model, without and with the mean-field
+    # drift D z: the empirical second moment of the estimation error tracks
+    # the covariance recursion within 5% at every one of the 20 steps
+    for D in (0.0, 0.5):
+        model = build_model(
+            horizon=20, n_agents=10_000,
+            A=0.9, B=1.0, D=D, Q=1.0, R=1.0, P=0.5,
+            Cx=1.0, Cz=0.4, Sigma_V=0.5,
+            Sigma_X=1.0, Sigma_W=0.2, initial_mean=1.0,
+            observation_mode="noisy",
+        )
+        filt = solve_filter_riccati(model)
+        schedule = solve_control_riccati(model).gain_schedule(filt)
+        trace = simulate(model, schedule, seed=5)
+        errors = trace.states[:, :, 0] - trace.estimates[:, :, 0]
+        worst = 0.0
+        for k in range(model.horizon):
+            predicted = filt.Sigma_e[k, 0, 0]
+            empirical = float(np.mean(errors[k] ** 2))
+            worst = max(worst, abs(empirical - predicted) / predicted)
+        print(f"D={D}: error-covariance mismatch over 20 steps: max {worst:.3%} (tolerance 5%)")
+        assert worst <= 0.05, f"D={D}"
 
     # perfect-observation limit: with C^x = I, Sigma_V = 1e-12, Sigma_X = 0
     # the estimate pins the state and the noisy-observation controller
@@ -204,15 +205,15 @@ def test_6_optimality_probe():
         model = random_model(rng, n_agents=int(rng.integers(2, 5)), horizon=6)
         strategy = optimal_strategy(model)
         base = exact_policy_cost(model, strategy).total
+        # perturb the law u = Fx x + Fz z, with Fx = Kx and Fz = Kz - Kx
         for _ in range(10):
-            dFx = rng.standard_normal(strategy.Fx.shape)
-            dFz = rng.standard_normal(strategy.Fz.shape)
+            dFx = rng.standard_normal(strategy.Kx.shape)
+            dFz = rng.standard_normal(strategy.Kz.shape)
             norm = np.sqrt(np.sum(dFx**2) + np.sum(dFz**2))
             scale = 1e-2 / norm
-            perturbed = LinearStrategy(
-                horizon=strategy.horizon, d_x=strategy.d_x, d_u=strategy.d_u,
-                Fx=strategy.Fx + scale * dFx, Fz=strategy.Fz + scale * dFz,
-            )
+            Fx = strategy.Kx + scale * dFx
+            Fz = strategy.Kz - strategy.Kx + scale * dFz
+            perturbed = GainSchedule(Kx=Fx, Kz=Fx + Fz)
             worse = exact_policy_cost(model, perturbed).total
             assert worse > base, f"perturbation lowered cost: {worse} <= {base}"
             min_excess = min(min_excess, worse - base)

@@ -1,11 +1,26 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mflqg
 from mflqg import build_model, load_model, save_model
 from mflqg.cli import main
 from helpers import random_model
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(mflqg.__file__).resolve().parent.parent
+    code = ("import sys, mflqg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.fixture
@@ -59,6 +74,14 @@ class TestSolve:
         path.write_text(json.dumps(data))
         assert main(["solve", "--model", str(path), "--out", str(tmp_path)]) == 2
 
+    def test_nan_token_exits_2(self, scalar_model_path, tmp_path):
+        data = json.loads(scalar_model_path.read_text())
+        data["dynamics"]["A"] = [[[float("nan")]], [[1.0]]]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        assert "NaN" in path.read_text()
+        assert main(["solve", "--model", str(path), "--out", str(tmp_path)]) == 2
+
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"horizon": 2,,}')
@@ -69,6 +92,15 @@ class TestSolve:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["solve", "--model", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("key, value", [("horizon", float("nan")),
+                                            ("A", [[[1.0]], [[1.0, 2.0]]])])
+    def test_unparseable_entry_exits_1(self, scalar_model_path, tmp_path, key, value):
+        data = json.loads(scalar_model_path.read_text())
+        (data["dynamics"] if key == "A" else data)[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--model", str(path), "--out", str(tmp_path)]) == 1
 
     def test_wrong_schema_exits_1(self, tmp_path):
         path = tmp_path / "schema.json"

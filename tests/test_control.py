@@ -83,9 +83,7 @@ def filter_fixture():
         observation_mode="noisy",
     )
     gains = GainSchedule(
-        horizon=3, d_x=1, d_u=1, d_y=1,
-        Kx=np.zeros((3, 1, 1)), Kz=np.zeros((3, 1, 1)),
-        Kf=np.full((2, 1, 1), 0.5),
+        Kx=np.zeros((3, 1, 1)), Kz=np.zeros((3, 1, 1)), Kf=np.full((2, 1, 1), 0.5),
     )
     return model, gains
 
@@ -107,15 +105,12 @@ class TestFilterUpdate:
         u = rng.uniform(-1, 1, model.d_u)
         y = model.Cx[0] @ state.x_hat + model.Cz[0] @ z
         new = filter_update(model, state, gains, y, z, u, t=1)
-        expected = model.A[0] @ state.x_hat + model.B[0] @ u
+        expected = model.A[0] @ state.x_hat + model.B[0] @ u + model.D[0] @ z
         assert np.allclose(new.x_hat, expected, rtol=0, atol=1e-13)
 
     def test_zero_gain_ignores_observation(self):
         model, gains = filter_fixture()
-        gains = GainSchedule(
-            horizon=3, d_x=1, d_u=1, d_y=1,
-            Kx=gains.Kx, Kz=gains.Kz, Kf=np.zeros((2, 1, 1)),
-        )
+        gains = GainSchedule(Kx=gains.Kx, Kz=gains.Kz, Kf=np.zeros((2, 1, 1)))
         state = LocalFilterState(x_hat=np.array([1.5]), time=1)
         new = filter_update(model, state, gains, y=[99.0], z=[0.0], u_prev=[0.0], t=1)
         assert new.x_hat[0] == 1.5
@@ -168,24 +163,12 @@ class TestNoisyObsAction:
 
 
 class TestGainScheduleType:
-    def test_nonzero_terminal_rejected(self):
-        with pytest.raises(ValidationError):
-            GainSchedule(
-                horizon=2, d_x=1, d_u=1, d_y=None,
-                Kx=np.ones((2, 1, 1)), Kz=np.zeros((2, 1, 1)),
-            )
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            GainSchedule(
-                horizon=2, d_x=2, d_u=1, d_y=None,
-                Kx=np.zeros((2, 1, 1)), Kz=np.zeros((2, 1, 1)),
-            )
+            GainSchedule(Kx=np.zeros((2, 1, 2)), Kz=np.zeros((2, 1, 1)))
 
     def test_filter_gain_shape_checked(self):
         with pytest.raises(DimensionMismatch):
             GainSchedule(
-                horizon=3, d_x=1, d_u=1, d_y=1,
-                Kx=np.zeros((3, 1, 1)), Kz=np.zeros((3, 1, 1)),
-                Kf=np.zeros((3, 1, 1)),
+                Kx=np.zeros((3, 1, 1)), Kz=np.zeros((3, 1, 1)), Kf=np.zeros((3, 1, 1)),
             )

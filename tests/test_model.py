@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,6 +64,19 @@ class TestValidation:
     def test_indefinite_covariance_rejected(self):
         with pytest.raises(NotPositiveSemidefinite):
             scalar_model(Sigma_W=-0.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["A", "R", "Sigma_W", "initial_mean"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValidationError, match="non-finite"):
+            scalar_model(**{field: value})
+
+    def test_replace_validates(self):
+        model = scalar_model()
+        with pytest.raises(NotPositiveDefinite):
+            replace(model, R=-model.R)
+        with pytest.raises(ValidationError):
+            replace(model, n_agents=0)
 
     def test_validate_idempotent(self):
         rng = np.random.default_rng(0)

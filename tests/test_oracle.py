@@ -3,7 +3,7 @@ import pytest
 
 from mflqg import (
     CapExceeded,
-    LinearStrategy,
+    GainSchedule,
     build_model,
     build_stacked_model,
     centralized_cost,
@@ -146,11 +146,9 @@ class TestEquivalence:
         central = centralized_cost(stacked, solve_stacked_riccati(stacked))
         strategy = optimal_strategy(model)
         rng = np.random.default_rng(65)
-        perturbed = LinearStrategy(
-            horizon=strategy.horizon, d_x=strategy.d_x, d_u=strategy.d_u,
-            Fx=strategy.Fx + 0.05 * rng.standard_normal(strategy.Fx.shape),
-            Fz=strategy.Fz + 0.05 * rng.standard_normal(strategy.Fz.shape),
-        )
+        Fx = strategy.Kx + 0.05 * rng.standard_normal(strategy.Kx.shape)
+        Fz = strategy.Kz - strategy.Kx + 0.05 * rng.standard_normal(strategy.Kz.shape)
+        perturbed = GainSchedule(Kx=Fx, Kz=Fx + Fz)
         worse = exact_policy_cost(model, perturbed).total
         assert worse > central
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mflqg import (
+    GainSchedule,
     IncompatibleStrategy,
-    LinearStrategy,
     ValidationError,
     build_model,
     cost_identity_check,
@@ -14,6 +14,7 @@ from mflqg import (
     exact_policy_cost,
     export_trace_csv,
     filter_update,
+    heater_model,
     init_filter_state,
     mean_over_agents,
     monte_carlo_cost,
@@ -28,10 +29,14 @@ from mflqg import (
 from helpers import rand_pd, rand_psd, random_model
 
 
+def zero_policy(horizon, d_x, d_u):
+    return GainSchedule(Kx=np.zeros((horizon, d_u, d_x)), Kz=np.zeros((horizon, d_u, d_x)))
+
+
 class TestSimulate:
     def test_noiseless_zero_start_stays_zero(self):
         model = build_model(horizon=4, n_agents=3, A=1.0, B=1.0, Q=1.0, R=1.0)
-        trace = simulate(model, LinearStrategy.zero(4, 1, 1), seed=1)
+        trace = simulate(model, zero_policy(4, 1, 1), seed=1)
         assert not np.any(trace.states)
         assert not np.any(trace.actions)
         assert trace.total_cost == 0.0
@@ -195,7 +200,7 @@ class TestCostIdentity:
 class TestExactPolicyCost:
     def test_zero_model_zero_cost(self):
         model = build_model(horizon=3, n_agents=2, A=1.0, B=1.0, Q=1.0, R=1.0)
-        evaluation = exact_policy_cost(model, LinearStrategy.zero(3, 1, 1))
+        evaluation = exact_policy_cost(model, zero_policy(3, 1, 1))
         assert evaluation.total == 0.0
 
     def test_nonnegative(self):
@@ -236,7 +241,7 @@ class TestExactPolicyCost:
         rng = np.random.default_rng(42)
         model = random_model(rng, mode="noisy")
         with pytest.raises(IncompatibleStrategy):
-            exact_policy_cost(model, LinearStrategy.zero(model.horizon, model.d_x, model.d_u))
+            exact_policy_cost(model, zero_policy(model.horizon, model.d_x, model.d_u))
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(43)
@@ -251,7 +256,7 @@ class TestMonteCarlo:
     def test_too_few_runs_rejected(self):
         model = build_model(horizon=2, n_agents=2, A=1.0, B=1.0, Q=1.0, R=1.0)
         with pytest.raises(ValidationError):
-            monte_carlo_cost(model, LinearStrategy.zero(2, 1, 1), runs=1, seed=0)
+            monte_carlo_cost(model, zero_policy(2, 1, 1), runs=1, seed=0)
 
     def test_deterministic_model_vanishing_stderr(self):
         model = build_model(
@@ -288,6 +293,22 @@ class TestMonteCarlo:
         other = simulate(model, strategy, seed=4, run=1)
         pooled = 0.5 * (trace.total_cost + other.total_cost)
         assert abs(mc.mean - pooled) <= 1e-10 * max(abs(pooled), 1.0)
+
+    @pytest.mark.parametrize("case", ["heater", "noisy_dx2"])
+    def test_runs_equal_simulate_exactly(self, case):
+        # d_x = 2 is a shape at which einsum's summation order follows the batch size
+        if case == "heater":
+            model = heater_model()
+        else:
+            model = random_model(np.random.default_rng(55), mode="noisy", n_agents=2,
+                                 d_x=2, d_u=2, d_y=1, horizon=30)
+        policy = optimal_strategy(model)
+        mc = monte_carlo_cost(model, policy, runs=8, seed=0)
+        costs = np.array([simulate(model, policy, seed=0, run=r).total_cost for r in range(8)])
+        mean = float(np.add.reduce(costs) / 8)
+        stderr = float(np.sqrt(float(np.add.reduce((costs - mean) ** 2) / 7) / 8))
+        assert mc.mean == mean
+        assert mc.stderr == stderr
 
     def test_noisy_mode_supported(self):
         rng = np.random.default_rng(48)
