@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _with_population(model: LqMeanFieldModel, n: int | None) -> LqMeanFieldModel:
-    return model if n is None else replace(model, n_agents=int(n))
+    return model if n is None else replace(model, n_agents=n)
 
 
 def _load(args: argparse.Namespace) -> LqMeanFieldModel:

@@ -38,7 +38,10 @@ def symmetrize(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def assert_psd(mat: np.ndarray, name: str = "matrix") -> None:
-    """Raise unless the symmetric matrix has no eigenvalue below -PSD_TOL."""
+    """Raise unless the symmetric matrix is finite and has no eigenvalue
+    below -PSD_TOL."""
+    if not np.isfinite(mat).all():
+        raise NotPositiveSemidefinite(f"{name} has a non-finite entry")
     eigs = np.linalg.eigvalsh(mat)
     if eigs.size and float(eigs[0]) < -PSD_TOL:
         raise NotPositiveSemidefinite(
@@ -46,18 +49,27 @@ def assert_psd(mat: np.ndarray, name: str = "matrix") -> None:
         )
 
 
-def assert_pd(mat: np.ndarray, name: str = "matrix") -> None:
-    """Raise unless the symmetric matrix passes a pivot-screened Cholesky."""
+def _cholesky(mat: np.ndarray, name: str, error: type[Exception]) -> np.ndarray:
+    """Lower Cholesky factor of a finite symmetric matrix whose squared
+    relative pivots all exceed PIVOT_TOL; raises `error` otherwise. The
+    screen is written so that a NaN pivot fails it."""
+    if not np.isfinite(mat).all():
+        raise error(f"{name} has a non-finite entry")
     try:
-        chol = np.linalg.cholesky(mat)
+        lower = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{name} is not positive definite: {exc}") from None
-    pivots = np.diag(chol)
+        raise error(f"{name} is not positive definite: {exc}") from None
+    pivots = np.diag(lower)
     lo, hi = float(pivots.min()), float(pivots.max())
-    if lo <= 0.0 or (lo / hi) ** 2 <= PIVOT_TOL:
-        raise NotPositiveDefinite(
-            f"{name} is numerically singular: relative pivot {(lo / hi) ** 2:.3e}"
-        )
+    if not (lo > 0.0 and (lo / hi) ** 2 > PIVOT_TOL):
+        raise error(f"{name} is numerically singular: relative pivot {(lo / hi) ** 2:.3e}")
+    return lower
+
+
+def assert_pd(mat: np.ndarray, name: str = "matrix") -> None:
+    """Raise NotPositiveDefinite unless the symmetric matrix passes the
+    pivot-screened Cholesky."""
+    _cholesky(mat, name, NotPositiveDefinite)
 
 
 def spd_solve(mat: np.ndarray, rhs: np.ndarray, context: str = "linear solve") -> np.ndarray:
@@ -68,19 +80,8 @@ def spd_solve(mat: np.ndarray, rhs: np.ndarray, context: str = "linear solve") -
     curvature terms) where failure means the computation, not the input,
     broke down.
     """
-    mat = np.asarray(mat, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    try:
-        lower = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"{context}: Cholesky failed ({exc})") from None
-    pivots = np.abs(np.diag(lower))
-    lo, hi = float(pivots.min()), float(pivots.max())
-    if lo <= 0.0 or (lo / hi) ** 2 <= PIVOT_TOL:
-        raise NumericalFailure(
-            f"{context}: matrix numerically singular, relative pivot {(lo / hi) ** 2:.3e}"
-        )
-    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
+    lower = _cholesky(np.asarray(mat, dtype=float), context, NumericalFailure)
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, np.asarray(rhs, dtype=float)))
 
 
 def psd_factor(cov: np.ndarray, name: str = "covariance") -> np.ndarray:

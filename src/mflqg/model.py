@@ -10,7 +10,9 @@ with per-step cost
 
 over steps t = 1..T. All per-step matrix stacks are indexed so that step t
 lives at array index t-1. Matrices may be supplied once (constant in t) or
-as length-T sequences; constants are broadcast.
+as length-T sequences; constants are broadcast. `LqMeanFieldModel`
+construction is the one place where such inputs are shaped, read for the
+dimensions and checked; `build_model` is its keyword form.
 
 Also here: costs with a state/mean-field cross term and their reduction to
 the canonical (Q, R, P) form, and the state augmentation that turns a
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,28 +32,48 @@ from .linalg import assert_pd, assert_psd, symmetrize
 OBSERVATION_MODES = ("full", "noisy")
 
 
+def _count(value, name: str) -> int:
+    """A horizon or population size: a whole number >= 1 (30.0 counts as 30).
+
+    NaN and infinite values raise ValueError and OverflowError from int().
+    """
+    count = int(value)
+    if count != value:
+        raise ValidationError(f"{name} must be a whole number, got {value!r}")
+    if count < 1:
+        raise ValidationError(f"{name} must be >= 1, got {count}")
+    return count
+
+
+def _dim(value, axis: int, name: str) -> int:
+    """Size of `axis` (0 rows, 1 columns) of a scalar, a matrix or a
+    per-step sequence of matrices (a vector holds one scalar per step)."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim <= 1:
+        return 1
+    if arr.ndim in (2, 3):
+        return arr.shape[arr.ndim - 2 + axis]
+    raise DimensionMismatch(f"{name} has {arr.ndim} dimensions, expected a matrix or a sequence")
+
+
 def _stack(value, horizon: int, rows: int, cols: int, name: str) -> np.ndarray:
-    """Normalize a matrix input to shape (horizon, rows, cols).
+    """Normalize a finite matrix input to shape (horizon, rows, cols).
 
     Accepts a scalar (1x1 only), a single matrix broadcast over time, or a
-    length-`horizon` sequence of matrices.
+    length-`horizon` sequence of matrices (of scalars, if 1x1).
     """
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     if arr.ndim == 1 and rows == 1 and cols == 1 and arr.shape[0] == horizon:
         arr = arr.reshape(horizon, 1, 1)
-    if arr.ndim == 2:
-        if arr.shape != (rows, cols):
-            raise DimensionMismatch(f"{name} has shape {arr.shape}, expected ({rows}, {cols})")
-        return np.broadcast_to(arr, (horizon, rows, cols)).copy()
-    if arr.ndim == 3:
-        if arr.shape != (horizon, rows, cols):
-            raise DimensionMismatch(
-                f"{name} has shape {arr.shape}, expected ({horizon}, {rows}, {cols})"
-            )
-        return arr.copy()
-    raise DimensionMismatch(f"{name} has {arr.ndim} dimensions, expected a matrix or a sequence")
+    if arr.shape == (rows, cols):
+        arr = np.broadcast_to(arr, (horizon, rows, cols))
+    if arr.shape != (horizon, rows, cols):
+        raise DimensionMismatch(
+            f"{name} has shape {arr.shape}, expected ({rows}, {cols}) or ({horizon}, {rows}, {cols})"
+        )
+    return _finite(arr.copy(), name)
 
 
 def _vector(value, dim: int, name: str) -> np.ndarray:
@@ -60,7 +82,7 @@ def _vector(value, dim: int, name: str) -> np.ndarray:
         arr = np.full(dim, float(arr))
     if arr.shape != (dim,):
         raise DimensionMismatch(f"{name} has shape {arr.shape}, expected ({dim},)")
-    return arr.copy()
+    return _finite(arr.copy(), name)
 
 
 def _square(value, dim: int, name: str) -> np.ndarray:
@@ -69,43 +91,105 @@ def _square(value, dim: int, name: str) -> np.ndarray:
         arr = arr * np.eye(dim)
     if arr.shape != (dim, dim):
         raise DimensionMismatch(f"{name} has shape {arr.shape}, expected ({dim}, {dim})")
-    return arr.copy()
+    return _finite(arr.copy(), name)
+
+
+def _or(value, default):
+    return default if value is None else value
+
+
+def _finite(arr: np.ndarray, name: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} has a non-finite entry")
+    return arr
+
+
+def _definite(arr: np.ndarray, name: str, check=assert_psd) -> np.ndarray:
+    """A weight or covariance, one matrix or a per-step stack, exactly
+    symmetrized, each matrix passing `check` (step t of a stack is named
+    `name_t`)."""
+    if arr.ndim == 2:
+        arr = symmetrize(arr, name)
+        check(arr, name)
+        return arr
+    arr = np.stack([symmetrize(mat, f"{name}_{t}") for t, mat in enumerate(arr, 1)])
+    for t, mat in enumerate(arr, 1):
+        check(mat, f"{name}_{t}")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class LqMeanFieldModel:
-    """A validated problem instance; build_model assembles one from loosely
-    shaped inputs.
+    """A validated problem instance.
 
-    Construction, `dataclasses.replace` included, checks every structural,
-    finiteness and definiteness invariant and stores normalized arrays:
-    symmetric matrices are exactly symmetrized and a missing state_offset
-    becomes zero. Normalizing a normalized model changes nothing.
+    Construction, `build_model` and `dataclasses.replace` included, is the
+    one place where inputs become a model. Each matrix input may be a
+    scalar, a single matrix (constant in t) or a per-step sequence; the
+    stored arrays have the shapes noted below. d_x, d_u and d_y are read
+    from A, B and Cx (d_y = d_x without Cx) and cannot be set. Omitted D,
+    P, covariances, mu_X and state_offset are zero. Every shape,
+    finiteness and definiteness invariant is checked, and symmetric
+    matrices are exactly symmetrized, so rebuilding a model from its own
+    arrays changes nothing.
     """
 
     horizon: int
     n_agents: int
-    d_x: int
-    d_u: int
-    d_y: int
-    A: np.ndarray          # (T, d_x, d_x)
-    B: np.ndarray          # (T, d_x, d_u)
-    D: np.ndarray          # (T, d_x, d_x)
-    Q: np.ndarray          # (T, d_x, d_x)
-    R: np.ndarray          # (T, d_u, d_u)
-    P: np.ndarray          # (T, d_x, d_x)
-    Sigma_X: np.ndarray    # (d_x, d_x)
-    Sigma_W: np.ndarray    # (d_x, d_x)
-    mu_X: np.ndarray       # (d_x,)
+    A: np.ndarray                       # (T, d_x, d_x)
+    B: np.ndarray                       # (T, d_x, d_u)
+    Q: np.ndarray                       # (T, d_x, d_x)
+    R: np.ndarray                       # (T, d_u, d_u)
+    D: np.ndarray | None = None         # (T, d_x, d_x)
+    P: np.ndarray | None = None         # (T, d_x, d_x)
+    Sigma_X: np.ndarray | None = None   # (d_x, d_x)
+    Sigma_W: np.ndarray | None = None   # (d_x, d_x)
+    mu_X: np.ndarray | None = None      # (d_x,)
     observation_mode: str = "full"
     Cx: np.ndarray | None = None        # (T, d_y, d_x), noisy mode
     Cz: np.ndarray | None = None        # (T, d_y, d_x), noisy mode
     Sigma_V: np.ndarray | None = None   # (d_y, d_y), noisy mode
     # reporting-only additive shift: exported states are x + state_offset
     state_offset: np.ndarray | None = None
+    d_x: int = field(init=False)
+    d_u: int = field(init=False)
+    d_y: int = field(init=False)
 
     def __post_init__(self):
-        for name, value in _normalized_fields(self).items():
+        T = _count(self.horizon, "horizon")
+        if self.observation_mode not in OBSERVATION_MODES:
+            raise ValidationError(
+                f"observation_mode must be one of {OBSERVATION_MODES}, got {self.observation_mode!r}"
+            )
+        noisy_inputs = (self.Cx, self.Cz, self.Sigma_V)
+        if self.observation_mode == "noisy" and any(v is None for v in noisy_inputs):
+            raise ValidationError("noisy observation_mode requires Cx, Cz, and Sigma_V")
+        d_x, d_u = _dim(self.A, 0, "A"), _dim(self.B, 1, "B")
+        d_y = d_x if self.Cx is None else _dim(self.Cx, 0, "Cx")
+        zeros = np.zeros((d_x, d_x))
+        fields = {
+            "horizon": T,
+            "n_agents": _count(self.n_agents, "n_agents"),
+            "d_x": d_x,
+            "d_u": d_u,
+            "d_y": d_y,
+            "A": _stack(self.A, T, d_x, d_x, "A"),
+            "B": _stack(self.B, T, d_x, d_u, "B"),
+            "D": _stack(_or(self.D, zeros), T, d_x, d_x, "D"),
+            "Q": _definite(_stack(self.Q, T, d_x, d_x, "Q"), "Q"),
+            "R": _definite(_stack(self.R, T, d_u, d_u, "R"), "R", assert_pd),
+            "P": _definite(_stack(_or(self.P, zeros), T, d_x, d_x, "P"), "P"),
+            "Sigma_X": _definite(_square(_or(self.Sigma_X, 0.0), d_x, "Sigma_X"), "Sigma_X"),
+            "Sigma_W": _definite(_square(_or(self.Sigma_W, 0.0), d_x, "Sigma_W"), "Sigma_W"),
+            "mu_X": _vector(_or(self.mu_X, 0.0), d_x, "initial_mean"),
+            "state_offset": _vector(_or(self.state_offset, 0.0), d_x, "state_offset"),
+        }
+        if self.Cx is not None:
+            fields["Cx"] = _stack(self.Cx, T, d_y, d_x, "Cx")
+        if self.Cz is not None:
+            fields["Cz"] = _stack(self.Cz, T, d_y, d_x, "Cz")
+        if self.Sigma_V is not None:
+            fields["Sigma_V"] = _definite(_square(self.Sigma_V, d_y, "Sigma_V"), "Sigma_V")
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     def fingerprint(self) -> str:
@@ -114,157 +198,19 @@ class LqMeanFieldModel:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def build_model(
-    *,
-    horizon: int,
-    n_agents: int,
-    A,
-    B,
-    Q,
-    R,
-    D=None,
-    P=None,
-    Cx=None,
-    Cz=None,
-    Sigma_X=None,
-    Sigma_W=None,
-    Sigma_V=None,
-    initial_mean=None,
-    observation_mode: str = "full",
-    state_offset=None,
-) -> LqMeanFieldModel:
-    """Assemble a model from loosely shaped inputs; the model validates itself.
+def build_model(*, initial_mean=None, **inputs) -> LqMeanFieldModel:
+    """Keyword form of `LqMeanFieldModel(...)` that names mu_X `initial_mean`.
 
-    Dimensions are inferred from A (state), B (control), and Cx
-    (observation; defaults to the state dimension). Omitted optional
-    matrices default to zero.
+    Takes horizon, n_agents, A, B, Q, R and optionally D, P, Cx, Cz,
+    Sigma_X, Sigma_W, Sigma_V, initial_mean, observation_mode and
+    state_offset, in any shape the model accepts.
     """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
-
-    d_x = _infer_square_dim(A, "A")
-    arr_b = np.asarray(B, dtype=float)
-    if arr_b.ndim == 0:
-        d_u = 1
-    elif arr_b.ndim == 2:
-        d_u = arr_b.shape[1]
-    elif arr_b.ndim == 3:
-        d_u = arr_b.shape[2]
-    else:
-        raise DimensionMismatch(f"B has {arr_b.ndim} dimensions, expected a matrix or a sequence")
-    if Cx is not None:
-        arr_c = np.asarray(Cx, dtype=float)
-        if arr_c.ndim == 0:
-            d_y = 1
-        elif arr_c.ndim == 2:
-            d_y = arr_c.shape[0]
-        elif arr_c.ndim == 3:
-            d_y = arr_c.shape[1]
-        else:
-            raise DimensionMismatch(f"Cx has {arr_c.ndim} dimensions, expected a matrix or a sequence")
-    else:
-        d_y = d_x
-
-    zero_x = np.zeros((d_x, d_x))
-    return LqMeanFieldModel(
-        horizon=horizon,
-        n_agents=int(n_agents),
-        d_x=d_x,
-        d_u=d_u,
-        d_y=d_y,
-        A=_stack(A, horizon, d_x, d_x, "A"),
-        B=_stack(B, horizon, d_x, d_u, "B"),
-        D=_stack(zero_x if D is None else D, horizon, d_x, d_x, "D"),
-        Q=_stack(Q, horizon, d_x, d_x, "Q"),
-        R=_stack(R, horizon, d_u, d_u, "R"),
-        P=_stack(zero_x if P is None else P, horizon, d_x, d_x, "P"),
-        Sigma_X=_square(0.0 if Sigma_X is None else Sigma_X, d_x, "Sigma_X"),
-        Sigma_W=_square(0.0 if Sigma_W is None else Sigma_W, d_x, "Sigma_W"),
-        mu_X=_vector(0.0 if initial_mean is None else initial_mean, d_x, "initial_mean"),
-        observation_mode=observation_mode,
-        Cx=None if Cx is None else _stack(Cx, horizon, d_y, d_x, "Cx"),
-        Cz=None if Cz is None else _stack(Cz, horizon, d_y, d_x, "Cz"),
-        Sigma_V=None if Sigma_V is None else _square(Sigma_V, d_y, "Sigma_V"),
-        state_offset=None if state_offset is None else _vector(state_offset, d_x, "state_offset"),
-    )
-
-
-def _infer_square_dim(value, name: str) -> int:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return 1
-    if arr.ndim == 2:
-        return arr.shape[0]
-    if arr.ndim == 3:
-        return arr.shape[1]
-    raise DimensionMismatch(f"{name} has {arr.ndim} dimensions, expected a matrix or a sequence")
+    return LqMeanFieldModel(mu_X=initial_mean, **inputs)
 
 
 def validate_model(model: LqMeanFieldModel) -> LqMeanFieldModel:
     """Return `model`, which was validated and normalized when it was built."""
     return model
-
-
-def _normalized_fields(model: LqMeanFieldModel) -> dict:
-    """The model's arrays after every structural, finiteness and definiteness
-    check, with all symmetric matrices exactly symmetrized."""
-    T, d_x, d_u, d_y = model.horizon, model.d_x, model.d_u, model.d_y
-    if T < 1 or model.n_agents < 1 or min(d_x, d_u, d_y) < 1:
-        raise ValidationError(
-            f"horizon, n_agents, and dimensions must be >= 1, got "
-            f"T={T}, n={model.n_agents}, d_x={d_x}, d_u={d_u}, d_y={d_y}"
-        )
-    if model.observation_mode not in OBSERVATION_MODES:
-        raise ValidationError(
-            f"observation_mode must be one of {OBSERVATION_MODES}, got {model.observation_mode!r}"
-        )
-    if model.observation_mode == "noisy":
-        if model.Cx is None or model.Cz is None or model.Sigma_V is None:
-            raise ValidationError("noisy observation_mode requires Cx, Cz, and Sigma_V")
-
-    def check_stack(name, rows, cols):
-        arr = getattr(model, name)
-        if arr is None:
-            return None
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (T, rows, cols):
-            raise DimensionMismatch(
-                f"{name} has shape {arr.shape}, expected ({T}, {rows}, {cols})"
-            )
-        return arr
-
-    offset = model.state_offset
-    fields = {
-        "A": check_stack("A", d_x, d_x),
-        "B": check_stack("B", d_x, d_u),
-        "D": check_stack("D", d_x, d_x),
-        "Q": check_stack("Q", d_x, d_x),
-        "R": check_stack("R", d_u, d_u),
-        "P": check_stack("P", d_x, d_x),
-        "Sigma_X": _square(model.Sigma_X, d_x, "Sigma_X"),
-        "Sigma_W": _square(model.Sigma_W, d_x, "Sigma_W"),
-        "mu_X": _vector(model.mu_X, d_x, "initial_mean"),
-        "Cx": check_stack("Cx", d_y, d_x),
-        "Cz": check_stack("Cz", d_y, d_x),
-        "Sigma_V": None if model.Sigma_V is None else _square(model.Sigma_V, d_y, "Sigma_V"),
-        "state_offset": np.zeros(d_x) if offset is None else _vector(offset, d_x, "state_offset"),
-    }
-    for name, arr in fields.items():
-        if arr is not None and not np.all(np.isfinite(arr)):
-            raise ValidationError(f"{name} has a non-finite entry")
-
-    for name in ("Q", "P", "R"):
-        fields[name] = np.stack([symmetrize(fields[name][t], f"{name}_{t + 1}") for t in range(T)])
-    for t in range(T):
-        assert_psd(fields["Q"][t], f"Q_{t + 1}")
-        assert_psd(fields["P"][t], f"P_{t + 1}")
-        assert_pd(fields["R"][t], f"R_{t + 1}")
-    for name in ("Sigma_X", "Sigma_W", "Sigma_V"):
-        if fields[name] is not None:
-            fields[name] = symmetrize(fields[name], name)
-            assert_psd(fields[name], name)
-    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +220,9 @@ def model_to_dict(model: LqMeanFieldModel) -> dict:
     """Plain-dict form of a model, suitable for JSON."""
 
     def stack(arr):
-        return None if arr is None else np.asarray(arr, dtype=float).tolist()
+        return None if arr is None else arr.tolist()
 
     offset = model.state_offset
-    if offset is not None and not np.any(offset):
-        offset = None
     return {
         "horizon": model.horizon,
         "n_agents": model.n_agents,
@@ -293,7 +237,7 @@ def model_to_dict(model: LqMeanFieldModel) -> dict:
         },
         "initial_mean": model.mu_X.tolist(),
         "observation_mode": model.observation_mode,
-        **({} if offset is None else {"state_offset": offset.tolist()}),
+        **({"state_offset": offset.tolist()} if np.any(offset) else {}),
     }
 
 
@@ -329,7 +273,7 @@ def model_from_dict(data: dict) -> LqMeanFieldModel:
             state_offset=data.get("state_offset"),
         )
         declared = (int(dims["d_x"]), int(dims["d_u"]), int(dims["d_y"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"model document is malformed: {exc!r}") from None
     actual = (model.d_x, model.d_u, model.d_y)
     if declared != actual:
@@ -389,24 +333,16 @@ class CrossTermCost:
 
 def build_cross_term_cost(*, horizon: int, Q, S, R, P=None) -> CrossTermCost:
     """Assemble and validate a CrossTermCost (Q PSD, R PD; S unconstrained)."""
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    d_x = _infer_square_dim(Q, "Q")
-    arr_r = np.asarray(R, dtype=float)
-    d_u = 1 if arr_r.ndim == 0 else arr_r.shape[-1]
-    Q = _stack(Q, horizon, d_x, d_x, "Q")
-    S = _stack(S, horizon, d_x, d_x, "S")
-    R = _stack(R, horizon, d_u, d_u, "R")
-    P = _stack(np.zeros((d_x, d_x)) if P is None else P, horizon, d_x, d_x, "P")
-    Q = np.stack([symmetrize(Q[t], f"Q_{t + 1}") for t in range(horizon)])
-    P = np.stack([symmetrize(P[t], f"P_{t + 1}") for t in range(horizon)])
-    R = np.stack([symmetrize(R[t], f"R_{t + 1}") for t in range(horizon)])
-    for t in range(horizon):
-        assert_psd(Q[t], f"Q_{t + 1}")
-        assert_pd(R[t], f"R_{t + 1}")
-        assert_psd(P[t], f"P_{t + 1}")
-    return CrossTermCost(horizon=horizon, d_x=d_x, d_u=d_u, Q=Q, S=S, R=R, P=P)
+    T, d_x, d_u = _count(horizon, "horizon"), _dim(Q, 0, "Q"), _dim(R, 1, "R")
+    return CrossTermCost(
+        horizon=T,
+        d_x=d_x,
+        d_u=d_u,
+        Q=_definite(_stack(Q, T, d_x, d_x, "Q"), "Q"),
+        S=_stack(S, T, d_x, d_x, "S"),
+        R=_definite(_stack(R, T, d_u, d_u, "R"), "R", assert_pd),
+        P=_definite(_stack(_or(P, np.zeros((d_x, d_x))), T, d_x, d_x, "P"), "P"),
+    )
 
 
 def reduce_cross_term(cost: CrossTermCost) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -456,15 +392,10 @@ def build_tracking_spec(
     *, horizon: int, d_x: int, d_u: int, q, r, p, meanfield_reference
 ) -> TrackingSpec:
     """Assemble and validate a TrackingSpec; scalar weights scale identities."""
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    q = symmetrize(_square(q, d_x, "q"), "q")
-    r = symmetrize(_square(r, d_u, "r"), "r")
-    p = symmetrize(_square(p, d_x, "p"), "p")
-    assert_psd(q, "q")
-    assert_pd(r, "r")
-    assert_psd(p, "p")
+    horizon = _count(horizon, "horizon")
+    q = _definite(_square(q, d_x, "q"), "q")
+    r = _definite(_square(r, d_u, "r"), "r", assert_pd)
+    p = _definite(_square(p, d_x, "p"), "p")
     ref = np.asarray(meanfield_reference, dtype=float)
     if ref.ndim == 0:
         ref = np.full((horizon, d_x), float(ref))
@@ -475,7 +406,8 @@ def build_tracking_spec(
             f"meanfield_reference has shape {ref.shape}, expected ({horizon}, {d_x})"
         )
     return TrackingSpec(
-        horizon=horizon, d_x=d_x, d_u=d_u, q=q, r=r, p=p, meanfield_reference=ref
+        horizon=horizon, d_x=d_x, d_u=d_u, q=q, r=r, p=p,
+        meanfield_reference=_finite(ref, "meanfield_reference"),
     )
 
 
@@ -534,7 +466,7 @@ def augment_for_tracking(model: LqMeanFieldModel, spec: TrackingSpec) -> LqMeanF
     Sigma_W_aug[:d, :d] = model.Sigma_W
 
     mu_aug = np.concatenate([model.mu_X, model.mu_X, [1.0]])
-    offset = model.state_offset if model.state_offset is not None else np.zeros(d)
+    offset = model.state_offset
     offset_aug = np.concatenate([offset, offset, [0.0]])
 
     return build_model(
@@ -544,7 +476,7 @@ def augment_for_tracking(model: LqMeanFieldModel, spec: TrackingSpec) -> LqMeanF
         B=B_aug,
         D=D_aug,
         Q=Q_aug,
-        R=_stack(spec.r, T, d_u, d_u, "r"),
+        R=spec.r,
         P=P_aug,
         Sigma_X=Sigma_X_aug,
         Sigma_W=Sigma_W_aug,

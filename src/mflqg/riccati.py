@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import GainSchedule
-from .errors import ValidationError
+from .errors import NumericalFailure, ValidationError
 from .linalg import spd_solve, symmetrize
 from .model import LqMeanFieldModel
 
@@ -62,7 +62,8 @@ def solve_control_riccati(model: LqMeanFieldModel) -> ControlRiccatiSolution:
     Terminal values are Mx_T = Q_T and Mz_T = Q_T + P_T with zero terminal
     gains. Interior steps use a symmetric factorization of
     (B' M B + R) and every iterate is re-symmetrized. The output is
-    independent of n_agents and of every noise covariance.
+    independent of n_agents and of every noise covariance. A recursion
+    that overflows to inf or NaN raises NumericalFailure.
     """
     T, d_x, d_u = model.horizon, model.d_x, model.d_u
 
@@ -83,6 +84,7 @@ def solve_control_riccati(model: LqMeanFieldModel) -> ControlRiccatiSolution:
             Abar[k], model.B[k], model.Q[k] + model.P[k], model.R[k], Mz[k + 1]
         )
 
+    _check_finite("control recursion", Mx=Mx, Mz=Mz, Kx=Kx, Kz=Kz)
     return ControlRiccatiSolution(
         horizon=T, d_x=d_x, d_u=d_u, Mx=Mx, Mz=Mz, Kx=Kx, Kz=Kz, Abar=Abar
     )
@@ -98,6 +100,13 @@ def _riccati_step(A, B, Qeff, R, M_next):
     return K, symmetrize(M, "value matrix")
 
 
+def _check_finite(context: str, **arrays: np.ndarray) -> None:
+    """Raise NumericalFailure if a recursion output overflowed to inf or NaN."""
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise NumericalFailure(f"{context}: {name} has a non-finite entry (overflow)")
+
+
 def solve_filter_riccati(model: LqMeanFieldModel) -> FilterRiccatiSolution:
     """Run the forward error-covariance recursion for the local estimator.
 
@@ -107,7 +116,8 @@ def solve_filter_riccati(model: LqMeanFieldModel) -> FilterRiccatiSolution:
     S' = A_t S A_t' + Sigma_W - A_t S Cx' (innovation)^{-1} Cx S A_t'.
     The mean-field observation term cancels in the innovation, so the
     result does not depend on Cz or on n_agents. A singular innovation
-    covariance is reported as NumericalFailure, not regularized.
+    covariance or an overflow is reported as NumericalFailure, not
+    regularized.
     """
     if model.observation_mode != "noisy":
         raise ValidationError("filter recursion requires observation_mode = noisy")
@@ -127,4 +137,5 @@ def solve_filter_riccati(model: LqMeanFieldModel) -> FilterRiccatiSolution:
         S_next = A @ S @ A.T + model.Sigma_W - CSA.T @ gain_t
         Sigma_e[k + 1] = symmetrize(S_next, "error covariance")
 
+    _check_finite("filter recursion", Sigma_e=Sigma_e, Kf=Kf)
     return FilterRiccatiSolution(horizon=T, d_x=d_x, d_y=d_y, Sigma_e=Sigma_e, Kf=Kf)

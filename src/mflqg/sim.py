@@ -489,7 +489,7 @@ def export_trace_csv(trace: SimulationTrace, out_dir) -> tuple[Path, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = trace.model
-    offset = model.state_offset if model.state_offset is not None else np.zeros(model.d_x)
+    offset = model.state_offset
     noisy = trace.observations is not None
 
     agents_path = out_dir / "trace_agents.csv"

@@ -94,13 +94,24 @@ class TestSolve:
                      "--out", str(tmp_path)]) == 1
 
     @pytest.mark.parametrize("key, value", [("horizon", float("nan")),
-                                            ("A", [[[1.0]], [[1.0, 2.0]]])])
+                                            ("A", [[[1.0]], [[1.0, 2.0]]]),
+                                            ("horizon", float("inf")),
+                                            ("n_agents", float("nan"))])
     def test_unparseable_entry_exits_1(self, scalar_model_path, tmp_path, key, value):
         data = json.loads(scalar_model_path.read_text())
         (data["dynamics"] if key == "A" else data)[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert main(["solve", "--model", str(path), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("key, value, code", [("n_agents", 2.5, 2), ("horizon", 2.7, 2),
+                                                  ("horizon", 2.0, 0), ("n_agents", 5.0, 0)])
+    def test_counts_must_be_whole(self, scalar_model_path, tmp_path, key, value, code):
+        data = json.loads(scalar_model_path.read_text())
+        data[key] = value
+        path = tmp_path / "count.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--model", str(path), "--out", str(tmp_path)]) == code
 
     def test_wrong_schema_exits_1(self, tmp_path):
         path = tmp_path / "schema.json"

@@ -106,6 +106,44 @@ class TestValidation:
         with pytest.raises(ValidationError):
             scalar_model(horizon=0)
 
+    def test_dimensions_read_from_arrays(self):
+        model = build_model(horizon=3, n_agents=2, A=np.eye(3), B=np.ones((3, 2)), Q=0.0 * np.eye(3),
+                            R=np.eye(2), Cx=np.ones((3, 1, 3)), Cz=np.zeros((1, 3)), Sigma_V=1.0,
+                            observation_mode="noisy")
+        assert (model.d_x, model.d_u, model.d_y) == (3, 2, 1)
+        assert scalar_model().d_y == 1
+        with pytest.raises(TypeError):
+            build_model(horizon=2, n_agents=2, A=1.0, B=1.0, Q=1.0, R=1.0, d_x=1)
+        with pytest.raises(ValueError, match="init=False"):
+            replace(scalar_model(), d_x=2)
+
+
+class TestCounts:
+    """horizon and n_agents are whole numbers >= 1, however they arrive."""
+
+    @pytest.mark.parametrize("key, value", [("horizon", 2.7), ("n_agents", 2.5),
+                                            ("n_agents", "3")])
+    def test_fractional_count_rejected(self, key, value):
+        with pytest.raises(ValidationError, match="whole number"):
+            scalar_model(**{key: value})
+        with pytest.raises(ValidationError, match="whole number"):
+            replace(scalar_model(), **{key: value})
+
+    @pytest.mark.parametrize("value, error", [(float("nan"), ValueError),
+                                              (float("inf"), OverflowError)])
+    @pytest.mark.parametrize("key", ["horizon", "n_agents"])
+    def test_non_finite_count_is_not_a_number(self, key, value, error):
+        with pytest.raises(error):
+            scalar_model(**{key: value})
+        with pytest.raises(error):
+            replace(scalar_model(), **{key: value})
+
+    def test_integral_float_accepted(self):
+        model = scalar_model(horizon=30.0, n_agents=np.float64(4.0))
+        assert (model.horizon, model.n_agents) == (30, 4)
+        assert type(model.horizon) is int and type(model.n_agents) is int
+        assert replace(model, n_agents=5.0).n_agents == 5
+
 
 class TestSerialization:
     def test_round_trip_bitwise(self):
@@ -129,6 +167,14 @@ class TestSerialization:
         with pytest.raises(DimensionMismatch):
             model_from_dict(data)
 
+    @pytest.mark.parametrize("key", ["horizon", "n_agents"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_count_is_format_error(self, key, value):
+        data = model_to_dict(scalar_model())
+        data[key] = value
+        with pytest.raises(ModelFormatError):
+            model_from_dict(data)
+
     def test_missing_key_is_format_error(self):
         data = model_to_dict(scalar_model())
         del data["dynamics"]
@@ -143,6 +189,19 @@ class TestSerialization:
 
 
 class TestCrossTerm:
+    @pytest.mark.parametrize("build", [
+        lambda v: build_cross_term_cost(horizon=2, Q=1.0, S=v, R=1.0),
+        lambda v: build_cross_term_cost(horizon=2, Q=1.0, S=0.0, R=1.0, P=[v, 1.0]),
+        lambda v: build_tracking_spec(horizon=2, d_x=1, d_u=1, q=1.0, r=1.0, p=1.0,
+                                      meanfield_reference=v),
+        lambda v: build_tracking_spec(horizon=2, d_x=1, d_u=1, q=1.0, r=v, p=1.0,
+                                      meanfield_reference=0.0),
+    ], ids=["cross-S", "cross-P", "tracking-reference", "tracking-r"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_sibling_builders_reject_non_finite(self, build, value):
+        with pytest.raises(ValidationError, match="non-finite"):
+            build(value)
+
     def test_zero_cross_term_id(self):
         cost = build_cross_term_cost(horizon=2, Q=1.0, S=0.0, R=1.0, P=3.0)
         _, _, p_prime = reduce_cross_term(cost)

@@ -1,0 +1,134 @@
+"""Property sweep over model construction: small random models in both
+observation modes, each input given as a scalar, a single matrix or a
+per-step sequence."""
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from mflqg import build_model, model_from_dict, model_to_dict
+
+ARRAYS = ("A", "B", "D", "Q", "R", "P", "Sigma_X", "Sigma_W", "mu_X", "Cx", "Cz", "Sigma_V",
+          "state_offset")
+SWEEP = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def assert_same_model(m1, m2):
+    for name in ("horizon", "n_agents", "d_x", "d_u", "d_y", "observation_mode"):
+        assert getattr(m1, name) == getattr(m2, name), name
+    for name in ARRAYS:
+        a1, a2 = getattr(m1, name), getattr(m2, name)
+        assert (a1 is None) == (a2 is None), name
+        if a1 is not None:
+            assert a1.dtype == a2.dtype and np.array_equal(a1, a2), name
+    assert m1.fingerprint() == m2.fingerprint()
+
+
+@st.composite
+def stack_input(draw, steps):
+    """(loose, stacked): one per-step stack given in a form drawn at random,
+    and the same input as a (T, rows, cols) array."""
+    forms = ["sequence", "list", "matrix"]
+    if steps.shape[1:] == (1, 1):
+        forms += ["scalar", "per-step scalars"]
+    form = draw(st.sampled_from(forms))
+    const = np.broadcast_to(steps[0], steps.shape).copy()
+    return {
+        "sequence": (steps, steps),
+        "list": (steps.tolist(), steps),
+        "matrix": (steps[0], const),
+        "scalar": (float(steps[0, 0, 0]), const),
+        "per-step scalars": (steps[:, 0, 0], steps),
+    }[form]
+
+
+@st.composite
+def square_input(draw, mat):
+    """(loose, dense) for a covariance: a scalar times the identity or a matrix."""
+    if draw(st.booleans()):
+        scale = float(mat[0, 0])
+        return scale, scale * np.eye(len(mat))
+    return mat, mat
+
+
+@st.composite
+def models(draw):
+    """(loose, stacked): build_model keyword inputs for one random model."""
+    T = draw(st.integers(1, 5))
+    d_x, d_u, d_y = (draw(st.integers(1, 3)) for _ in range(3))
+    noisy = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def psd(d, floor=0.0):
+        G = rng.uniform(-1.0, 1.0, (T, d, d))
+        return G @ np.swapaxes(G, 1, 2) + floor * np.eye(d)
+
+    stacks = {
+        "A": rng.uniform(-1.0, 1.0, (T, d_x, d_x)),
+        "B": rng.uniform(-1.0, 1.0, (T, d_x, d_u)),
+        "Q": psd(d_x),
+        "R": psd(d_u, floor=0.3),
+        "D": rng.uniform(-0.5, 0.5, (T, d_x, d_x)),
+        "P": psd(d_x),
+    }
+    covariances = {"Sigma_X": psd(d_x)[0], "Sigma_W": psd(d_x)[0]}
+    vectors = {"initial_mean": rng.uniform(-1.0, 1.0, d_x),
+               "state_offset": rng.uniform(-1.0, 1.0, d_x)}
+    if noisy:
+        stacks["Cx"] = rng.uniform(-1.0, 1.0, (T, d_y, d_x))
+        stacks["Cz"] = rng.uniform(-0.5, 0.5, (T, d_y, d_x))
+        covariances["Sigma_V"] = psd(d_y)[0]
+    loose = {"horizon": T, "n_agents": draw(st.integers(1, 4)),
+             "observation_mode": "noisy" if noisy else "full"}
+    stacked = dict(loose)
+    for name, steps in stacks.items():
+        loose[name], stacked[name] = draw(stack_input(steps))
+    for name, mat in covariances.items():
+        loose[name], stacked[name] = draw(square_input(mat))
+    for name, vec in vectors.items():
+        if draw(st.booleans()):
+            loose[name], stacked[name] = float(vec[0]), np.full(d_x, vec[0])
+        else:
+            loose[name], stacked[name] = vec, vec
+    # omitted optional inputs are zero
+    for name in ("D", "P", "Sigma_X", "Sigma_W", "initial_mean", "state_offset"):
+        if draw(st.booleans()):
+            loose[name] = None
+            stacked[name] = np.zeros_like(stacked[name])
+    return loose, stacked
+
+
+@SWEEP
+@given(models())
+def test_replace_reproduces_model(inputs):
+    model = build_model(**inputs[0])
+    assert_same_model(replace(model), model)
+
+
+@SWEEP
+@given(models())
+def test_json_round_trip_keeps_fingerprint(inputs):
+    model = build_model(**inputs[0])
+    back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    assert_same_model(back, model)
+
+
+@SWEEP
+@given(models())
+def test_loose_and_stacked_inputs_agree(inputs):
+    loose, stacked = inputs
+    assert_same_model(build_model(**loose), build_model(**stacked))
+
+
+@SWEEP
+@given(models(), st.data())
+def test_replace_normalizes_like_build_model(inputs, data):
+    loose = inputs[0]
+    model = build_model(**loose)
+    d = model.d_x
+    D = data.draw(st.sampled_from([0.25, np.full((d, d), 0.25)] if d == 1 else [np.full((d, d), 0.25)]))
+    assert_same_model(replace(model, D=D), build_model(**dict(loose, D=D)))

@@ -3,6 +3,8 @@ import pytest
 from dataclasses import replace
 
 from mflqg import (
+    NotPositiveDefinite,
+    NotPositiveSemidefinite,
     NumericalFailure,
     ValidationError,
     build_model,
@@ -10,6 +12,7 @@ from mflqg import (
     solve_filter_riccati,
     validate_model,
 )
+from mflqg.linalg import assert_pd, assert_psd, spd_solve
 from helpers import rand_pd, random_model
 
 
@@ -143,6 +146,34 @@ def noisy_scalar(**overrides):
     )
     kwargs.update(overrides)
     return build_model(**kwargs)
+
+
+class TestOverflow:
+    """A finite, valid model whose recursion overflows raises NumericalFailure."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("horizon", [4, 12])
+    def test_control_overflow(self, horizon):
+        # T=4: the gains stay finite but Mx[0] is inf; T=12: B'MB + R turns NaN
+        model = build_model(horizon=horizon, n_agents=2, A=1e60, B=1.0, Q=1.0, R=1.0)
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            solve_control_riccati(model)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_filter_overflow(self):
+        # unobserved, so Sigma_e grows by A^2 per step and its last entry is inf
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            solve_filter_riccati(noisy_scalar(A=1e60, Cx=0.0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_linalg_screens_reject_non_finite(self, value):
+        mat = np.array([[1.0, 0.0], [0.0, value]])
+        with pytest.raises(NumericalFailure):
+            spd_solve(mat, np.ones(2))
+        with pytest.raises(NotPositiveDefinite):
+            assert_pd(mat)
+        with pytest.raises(NotPositiveSemidefinite):
+            assert_psd(mat)
 
 
 class TestFilterRecursion:
