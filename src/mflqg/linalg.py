@@ -89,8 +89,11 @@ def psd_factor(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
 
     Uses an eigendecomposition and zeroes eigenvalues below FACTOR_CLIP
     times the largest, so exactly singular covariances (including the zero
-    matrix) factor cleanly for sampling.
+    matrix) factor cleanly for sampling. Non-finite input raises
+    NotPositiveSemidefinite.
     """
+    if not np.isfinite(cov).all():
+        raise NotPositiveSemidefinite(f"{name} has a non-finite entry")
     cov = symmetrize(cov, name)
     eigvals, eigvecs = np.linalg.eigh(cov)
     if eigvals.size and float(eigvals[0]) < -PSD_TOL:

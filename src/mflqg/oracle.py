@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CapExceeded, NumericalFailure
-from .model import LqMeanFieldModel
+from .model import LqMeanFieldModel, _count
 from .riccati import ControlRiccatiSolution, solve_control_riccati
 from .sim import exact_policy_cost, optimal_strategy
 
@@ -82,9 +82,11 @@ def build_stacked_model(
     The mean-field coupling becomes a rank-one-in-blocks term: every block
     row of the stacked dynamics sees the average of all subsystem states.
     """
-    n = model.n_agents if n is None else int(n)
+    if n is None:
+        n = model.n_agents
     if n < 1:
         raise CapExceeded(f"population size must be >= 1, got {n}")
+    n = _count(n, "population size")
     if n * model.d_x > cap:
         raise CapExceeded(
             f"stacked dimension n*d_x = {n * model.d_x} exceeds the cap {cap}; "
@@ -174,8 +176,8 @@ def check_equivalence(
     equals the centralized optimal cost in relative terms. Passes iff both
     maxima are within tolerance.
     """
-    if n is not None and int(n) != model.n_agents:
-        model = replace(model, n_agents=int(n))
+    if n is not None and n != model.n_agents:
+        model = replace(model, n_agents=n)
     n = model.n_agents
 
     decentralized = solve_control_riccati(model)

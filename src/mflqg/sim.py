@@ -15,12 +15,11 @@ together: `simulate` is its batch of one with every step recorded, and
 Carlo run r equals simulate(run=r) bit for bit. `exact_policy_cost`
 propagates means and covariances of the pair (per-agent deviation from the
 mean-field, mean-field) through the closed loop, which has fixed dimension
-2*d_x regardless of the population size; Monte Carlo chunks have a fixed
-size so the result is independent of the worker count.
+2*d_x regardless of the population size; Monte Carlo chunk sizes depend on
+the model only, so the result is independent of the worker count.
 """
 from __future__ import annotations
 
-import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,7 +38,10 @@ _KEY_SALT = 0x9E3779B97F4A7C15
 _KIND_INIT = 0
 _KIND_PROCESS = 1
 _KIND_OBS = 2
+# a Monte Carlo chunk holds at most _MC_CHUNK runs and, unless one run alone
+# is larger, at most _MC_CHUNK_BYTES of pre-drawn noise
 _MC_CHUNK = 4096
+_MC_CHUNK_BYTES = 16 * 2**20
 
 
 def _substream(seed: int, run: int, kind: int) -> np.random.Generator:
@@ -445,7 +447,8 @@ def monte_carlo_cost(
     independent closed-loop runs (run indices 0..runs-1, so run r is
     simulate(model, policy, seed, run=r) exactly).
 
-    Runs are processed in fixed-size chunks; the chunking, and therefore
+    Runs are processed in chunks whose size depends only on the model (each
+    chunk's pre-drawn noise is bounded in bytes); the chunking, and therefore
     every reported digit, is independent of `workers`.
     """
     policy = _check_policy(model, policy)
@@ -453,11 +456,15 @@ def monte_carlo_cost(
     if runs < 2:
         raise ValidationError(f"monte_carlo_cost needs at least 2 runs, got {runs}")
 
-    starts = list(range(0, runs, _MC_CHUNK))
+    # initial states and process noise, T * n * d_x floats, plus observation noise
+    d_noise = model.d_x + (model.d_y if model.observation_mode == "noisy" else 0)
+    noise_bytes = 8 * model.horizon * model.n_agents * d_noise
+    chunk = max(1, min(_MC_CHUNK, _MC_CHUNK_BYTES // noise_bytes))
+    starts = list(range(0, runs, chunk))
     costs = np.empty(runs)
 
     def fill(start: int) -> None:
-        count = min(_MC_CHUNK, runs - start)
+        count = min(chunk, runs - start)
         per_step, _ = _closed_loop(model, policy, seed, start, count)
         costs[start:start + count] = _run_totals(per_step)
 
@@ -476,8 +483,21 @@ def monte_carlo_cost(
 # ---------------------------------------------------------------------------
 # export
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _labels(columns: dict) -> list[str]:
+    return [f"{prefix}_{j}" for prefix, values in columns.items() for j in range(values.shape[-1])]
+
+
+def _write_csv(path: Path, header: list[str], index_columns: int, blocks) -> None:
+    """Write the header, then each block (rows, columns) of floats as CRLF
+    rows: the first `index_columns` columns with %d, the rest with %.17g
+    (round-trip exact). These are the bytes a default `csv.writer` writes
+    for the fields `str(int(v))` and `format(v, ".17g")`; each block is one
+    format call."""
+    row = ",".join(["%d"] * index_columns + ["%.17g"] * (len(header) - index_columns)) + "\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for block in blocks:
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def export_trace_csv(trace: SimulationTrace, out_dir) -> tuple[Path, Path]:
@@ -490,43 +510,20 @@ def export_trace_csv(trace: SimulationTrace, out_dir) -> tuple[Path, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     model = trace.model
     offset = model.state_offset
-    noisy = trace.observations is not None
+    steps = np.arange(1.0, model.horizon + 1)
 
+    columns = {"x": trace.states + offset, "u": trace.actions}
+    if trace.observations is not None:
+        columns["y"] = trace.observations
+    t_agent = np.broadcast_arrays(steps[:, np.newaxis], np.arange(float(model.n_agents)))
+    agents = np.concatenate([np.stack(t_agent, axis=2), *columns.values()], axis=2)
     agents_path = out_dir / "trace_agents.csv"
-    header = (
-        ["t", "agent"]
-        + [f"x_{j}" for j in range(model.d_x)]
-        + [f"u_{j}" for j in range(model.d_u)]
-        + ([f"y_{j}" for j in range(model.d_y)] if noisy else [])
-    )
-    with open(agents_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(model.horizon):
-            for i in range(model.n_agents):
-                row = [str(k + 1), str(i)]
-                row += [_fmt(val) for val in trace.states[k, i] + offset]
-                row += [_fmt(val) for val in trace.actions[k, i]]
-                if noisy:
-                    row += [_fmt(val) for val in trace.observations[k, i]]
-                writer.writerow(row)
+    _write_csv(agents_path, ["t", "agent", *_labels(columns)], 2, agents)
 
+    columns = {"z": trace.meanfield + offset, "uz": trace.mean_control}
+    meanfield = np.column_stack([steps, *columns.values(), trace.step_costs])
     meanfield_path = out_dir / "trace_meanfield.csv"
-    header = (
-        ["t"]
-        + [f"z_{j}" for j in range(model.d_x)]
-        + [f"uz_{j}" for j in range(model.d_u)]
-        + ["step_cost"]
-    )
-    with open(meanfield_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(model.horizon):
-            row = [str(k + 1)]
-            row += [_fmt(val) for val in trace.meanfield[k] + offset]
-            row += [_fmt(val) for val in trace.mean_control[k]]
-            row.append(_fmt(trace.step_costs[k]))
-            writer.writerow(row)
+    _write_csv(meanfield_path, ["t", *_labels(columns), "step_cost"], 1, [meanfield])
 
     return agents_path, meanfield_path
 

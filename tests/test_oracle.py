@@ -3,6 +3,7 @@ import pytest
 
 from mflqg import (
     CapExceeded,
+    ValidationError,
     GainSchedule,
     build_model,
     build_stacked_model,
@@ -84,6 +85,15 @@ class TestStackedConstruction:
             build_stacked_model(small_model, n=0)
 
 
+    def test_population_must_be_whole(self, small_model):
+        with pytest.raises(ValidationError):
+            build_stacked_model(small_model, n=2.5)
+        stacked = build_stacked_model(small_model, n=2.0)
+        assert stacked.n_agents == 2 and type(stacked.n_agents) is int
+        assert stacked.dim_x == 2 * small_model.d_x
+        assert np.array_equal(stacked.A, build_stacked_model(small_model, n=2).A)
+
+
 class TestStackedSolution:
     def test_single_agent_gain_is_meanfield_gain(self):
         rng = np.random.default_rng(63)
@@ -139,6 +149,13 @@ class TestEquivalence:
         report = check_equivalence(small_model, n=5)
         assert report.n_agents == 5
         assert report.passed
+
+    def test_population_override_must_be_whole(self, small_model):
+        with pytest.raises(ValidationError):
+            check_equivalence(small_model, n=2.5)
+        report = check_equivalence(small_model, n=2.0)
+        assert report.n_agents == 2 and type(report.n_agents) is int
+        assert report.to_dict() == check_equivalence(small_model, n=2).to_dict()
 
     def test_centralized_cost_is_a_lower_bound(self, small_model):
         model = small_model

@@ -12,7 +12,7 @@ from mflqg import (
     solve_filter_riccati,
     validate_model,
 )
-from mflqg.linalg import assert_pd, assert_psd, spd_solve
+from mflqg.linalg import assert_pd, assert_psd, psd_factor, spd_solve
 from helpers import rand_pd, random_model
 
 
@@ -174,6 +174,8 @@ class TestOverflow:
             assert_pd(mat)
         with pytest.raises(NotPositiveSemidefinite):
             assert_psd(mat)
+        with pytest.raises(NotPositiveSemidefinite, match="non-finite"):
+            psd_factor(mat)
 
 
 class TestFilterRecursion:

@@ -1,5 +1,6 @@
 import csv
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from mflqg import (
     step_cost,
     validate_model,
 )
+from mflqg import sim
 from helpers import rand_pd, rand_psd, random_model
 
 
@@ -318,7 +320,122 @@ class TestMonteCarlo:
         assert np.isfinite(mc.mean) and mc.stderr > 0.0
 
 
+    @pytest.mark.parametrize("case", ["heater", "noisy_dx2"])
+    def test_chunking_does_not_change_result(self, case, monkeypatch):
+        if case == "heater":
+            model = heater_model()
+        else:
+            model = random_model(np.random.default_rng(56), mode="noisy", n_agents=2,
+                                 d_x=2, d_u=2, d_y=1, horizon=30)
+        policy = optimal_strategy(model)
+        reference = monte_carlo_cost(model, policy, runs=8, seed=1)
+        d_noise = model.d_x + (model.d_y if model.observation_mode == "noisy" else 0)
+        run_bytes = 8 * model.horizon * model.n_agents * d_noise
+        chunks = []
+        kernel = sim._closed_loop
+
+        def spy(model, policy, seed, first_run, runs, record=False):
+            chunks.append(runs)
+            return kernel(model, policy, seed, first_run, runs, record)
+
+        monkeypatch.setattr(sim, "_closed_loop", spy)
+        # a budget below one run still steps one run per chunk
+        for budget, sizes in [
+            (run_bytes // 2, [1] * 8), (run_bytes, [1] * 8), (3 * run_bytes + 7, [3, 3, 2]),
+        ]:
+            monkeypatch.setattr(sim, "_MC_CHUNK_BYTES", budget)
+            for workers in (1, 2):
+                chunks.clear()
+                assert monte_carlo_cost(model, policy, runs=8, seed=1, workers=workers) == reference
+                assert sorted(chunks, reverse=True) == sizes
+                assert all(count * run_bytes <= budget or count == 1 for count in chunks)
+
+
+def reference_export(trace, out_dir):
+    """The per-value `csv.writer` exporter that `export_trace_csv` must match
+    byte for byte."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    model = trace.model
+    offset = model.state_offset
+    noisy = trace.observations is not None
+
+    def _fmt(value):
+        return format(float(value), ".17g")
+
+    agents_path = out_dir / "trace_agents.csv"
+    header = (
+        ["t", "agent"]
+        + [f"x_{j}" for j in range(model.d_x)]
+        + [f"u_{j}" for j in range(model.d_u)]
+        + ([f"y_{j}" for j in range(model.d_y)] if noisy else [])
+    )
+    with open(agents_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(model.horizon):
+            for i in range(model.n_agents):
+                row = [str(k + 1), str(i)]
+                row += [_fmt(val) for val in trace.states[k, i] + offset]
+                row += [_fmt(val) for val in trace.actions[k, i]]
+                if noisy:
+                    row += [_fmt(val) for val in trace.observations[k, i]]
+                writer.writerow(row)
+
+    meanfield_path = out_dir / "trace_meanfield.csv"
+    header = (
+        ["t"]
+        + [f"z_{j}" for j in range(model.d_x)]
+        + [f"uz_{j}" for j in range(model.d_u)]
+        + ["step_cost"]
+    )
+    with open(meanfield_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(model.horizon):
+            row = [str(k + 1)]
+            row += [_fmt(val) for val in trace.meanfield[k] + offset]
+            row += [_fmt(val) for val in trace.mean_control[k]]
+            row.append(_fmt(trace.step_costs[k]))
+            writer.writerow(row)
+
+    return agents_path, meanfield_path
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e-5, 1e16, 1 / 3, 1.7976931348623157e308]
+
+
+def with_edge_values(trace):
+    """The trace with EDGE_VALUES written over the first entries of every
+    exported array."""
+    fields = ("states", "actions", "observations", "meanfield", "mean_control", "step_costs")
+    edited = {}
+    for name in fields:
+        values = getattr(trace, name)
+        if values is not None:
+            values = values.copy()
+            values.flat[:len(EDGE_VALUES)] = EDGE_VALUES
+            edited[name] = values
+    return replace(trace, **edited)
+
+
 class TestExport:
+    @pytest.mark.parametrize("case", ["heater", "noisy"])
+    def test_bytes_match_reference_writer(self, case, tmp_path):
+        if case == "heater":
+            model = heater_model()
+            assert np.any(model.state_offset != 0.0)
+        else:
+            model = random_model(np.random.default_rng(57), mode="noisy", n_agents=4,
+                                 d_x=3, d_u=2, d_y=2, horizon=7)
+        trace = simulate(model, optimal_strategy(model), seed=8)
+        for candidate in (trace, with_edge_values(trace)):
+            got = export_trace_csv(candidate, tmp_path / "got")
+            want = reference_export(candidate, tmp_path / "want")
+            for got_path, want_path in zip(got, want):
+                assert got_path.name == want_path.name
+                assert got_path.read_bytes() == want_path.read_bytes()
+
     def test_csv_round_trip_precision(self, tmp_path):
         rng = np.random.default_rng(49)
         model = random_model(rng, n_agents=3, horizon=4)
