@@ -32,14 +32,20 @@ from .linalg import assert_pd, assert_psd, symmetrize
 OBSERVATION_MODES = ("full", "noisy")
 
 
-def _count(value, name: str) -> int:
-    """A horizon or population size: a whole number >= 1 (30.0 counts as 30).
+def _whole(value, name: str) -> int:
+    """A whole number as an int (30.0 counts as 30; 2.5 and "3" do not).
 
     NaN and infinite values raise ValueError and OverflowError from int().
     """
     count = int(value)
     if count != value:
         raise ValidationError(f"{name} must be a whole number, got {value!r}")
+    return count
+
+
+def _count(value, name: str) -> int:
+    """A horizon or population size: a whole number >= 1."""
+    count = _whole(value, name)
     if count < 1:
         raise ValidationError(f"{name} must be >= 1, got {count}")
     return count

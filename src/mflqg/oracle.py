@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CapExceeded, NumericalFailure
-from .model import LqMeanFieldModel, _count
+from .model import LqMeanFieldModel, _whole
 from .riccati import ControlRiccatiSolution, solve_control_riccati
 from .sim import exact_policy_cost, optimal_strategy
 
@@ -25,25 +25,44 @@ STACKED_DIM_CAP = 400
 
 @dataclass(frozen=True, eq=False)
 class StackedModel:
-    """The n-subsystem problem as one centralized system of size n*d_x."""
+    """The n-subsystem problem as one centralized system of size n*d_x.
+
+    Only the step-invariant parts are held; `step(k)` forms step k's dense
+    matrices from the subsystem model, so memory does not grow with T.
+    """
 
     n_agents: int
     horizon: int
     dim_x: int            # n * d_x
     dim_u: int            # n * d_u
-    A: np.ndarray         # (T, dim_x, dim_x)
-    B: np.ndarray         # (T, dim_x, dim_u)
-    Q: np.ndarray         # (T, dim_x, dim_x)
-    R: np.ndarray         # (T, dim_u, dim_u)
     Sigma_X: np.ndarray   # (dim_x, dim_x)
     Sigma_W: np.ndarray   # (dim_x, dim_x)
     mu: np.ndarray        # (dim_x,)
+    model: LqMeanFieldModel  # the subsystem problem that is stacked
+
+    def step(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Dense (A, B, Q, R) of step k: (dim_x, dim_x), (dim_x, dim_u),
+        (dim_x, dim_x), (dim_u, dim_u).
+
+        The mean-field coupling becomes a rank-one-in-blocks term: every
+        block row of the stacked dynamics sees the average of all subsystem
+        states.
+        """
+        m, n = self.model, self.n_agents
+        eye = np.eye(n)
+        ones = np.ones((n, n))
+        A = np.kron(eye, m.A[k]) + np.kron(ones / n, m.D[k])
+        B = np.kron(eye, m.B[k])
+        Q = np.kron(eye, m.Q[k]) / n + np.kron(ones, m.P[k]) / n**2
+        R = np.kron(eye, m.R[k]) / n
+        return A, B, Q, R
 
 
 @dataclass(frozen=True, eq=False)
 class StackedRiccatiSolution:
-    M: np.ndarray  # (T, dim_x, dim_x)
-    K: np.ndarray  # (T, dim_u, dim_x)
+    K: np.ndarray             # (T, dim_u, dim_x)
+    M1: np.ndarray            # (dim_x, dim_x), the value matrix of step 1
+    noise_traces: np.ndarray  # (T-1,), trace(M_{k+1} Sigma_W) for k = 0..T-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,44 +96,27 @@ class EquivalenceReport:
 def build_stacked_model(
     model: LqMeanFieldModel, n: int | None = None, cap: int = STACKED_DIM_CAP
 ) -> StackedModel:
-    """Stack n copies of the subsystem problem into one centralized problem.
-
-    The mean-field coupling becomes a rank-one-in-blocks term: every block
-    row of the stacked dynamics sees the average of all subsystem states.
-    """
+    """Stack n copies of the subsystem problem into one centralized problem."""
     if n is None:
         n = model.n_agents
+    n = _whole(n, "population size")
     if n < 1:
         raise CapExceeded(f"population size must be >= 1, got {n}")
-    n = _count(n, "population size")
     if n * model.d_x > cap:
         raise CapExceeded(
             f"stacked dimension n*d_x = {n * model.d_x} exceeds the cap {cap}; "
             "the stacked solve is a desk-scale verification oracle"
         )
-    T = model.horizon
     eye = np.eye(n)
-    ones = np.ones((n, n))
-
-    A = np.stack([np.kron(eye, model.A[k]) + np.kron(ones / n, model.D[k]) for k in range(T)])
-    B = np.stack([np.kron(eye, model.B[k]) for k in range(T)])
-    Q = np.stack(
-        [np.kron(eye, model.Q[k]) / n + np.kron(ones, model.P[k]) / n**2 for k in range(T)]
-    )
-    R = np.stack([np.kron(eye, model.R[k]) / n for k in range(T)])
-
     return StackedModel(
         n_agents=n,
-        horizon=T,
+        horizon=model.horizon,
         dim_x=n * model.d_x,
         dim_u=n * model.d_u,
-        A=A,
-        B=B,
-        Q=Q,
-        R=R,
         Sigma_X=np.kron(eye, model.Sigma_X),
         Sigma_W=np.kron(eye, model.Sigma_W),
         mu=np.tile(model.mu_X, n),
+        model=model,
     )
 
 
@@ -122,47 +124,50 @@ def solve_stacked_riccati(stacked: StackedModel) -> StackedRiccatiSolution:
     """Textbook finite-horizon backward recursion on the stacked problem.
 
     Kept independent of the production solver: plain LU solves, plain
-    symmetrization, no shared helpers.
+    symmetrization, no shared helpers. One value matrix is held at a time;
+    the gains are kept for every step, because they are the answer.
     """
     T = stacked.horizon
-    M = np.zeros((T, stacked.dim_x, stacked.dim_x))
     K = np.zeros((T, stacked.dim_u, stacked.dim_x))
-    M[T - 1] = (stacked.Q[T - 1] + stacked.Q[T - 1].T) / 2.0
+    noise_traces = np.zeros(T - 1)
+    Q = stacked.step(T - 1)[2]
+    M = (Q + Q.T) / 2.0
     for k in range(T - 2, -1, -1):
-        A, B = stacked.A[k], stacked.B[k]
-        MB = M[k + 1] @ B
-        H = B.T @ MB + stacked.R[k]
+        noise_traces[k] = np.trace(M @ stacked.Sigma_W)
+        A, B, Q, R = stacked.step(k)
+        MB = M @ B
+        H = B.T @ MB + R
         G = MB.T @ A
         try:
             K[k] = -np.linalg.solve(H, G)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"stacked recursion at step {k + 1}: {exc}") from None
-        Mk = stacked.Q[k] + A.T @ M[k + 1] @ A + G.T @ K[k]
-        M[k] = (Mk + Mk.T) / 2.0
-    return StackedRiccatiSolution(M=M, K=K)
+        Mk = Q + A.T @ M @ A + G.T @ K[k]
+        M = (Mk + Mk.T) / 2.0
+    return StackedRiccatiSolution(K=K, M1=M, noise_traces=noise_traces)
 
 
 def centralized_cost(stacked: StackedModel, solution: StackedRiccatiSolution) -> float:
     """Optimal expected cost of the stacked problem: the initial value
     function plus the accumulated process-noise trace terms."""
-    M1 = solution.M[0]
+    M1 = solution.M1
     cost = float(stacked.mu @ M1 @ stacked.mu + np.trace(M1 @ stacked.Sigma_X))
-    for k in range(stacked.horizon - 1):
-        cost += float(np.trace(solution.M[k + 1] @ stacked.Sigma_W))
+    for term in solution.noise_traces:
+        cost += float(term)
     return cost
 
 
-def structured_gains(solution: ControlRiccatiSolution, n: int) -> np.ndarray:
-    """Stacked gains implied by the mean-field solution:
+def _structured_gain(solution: ControlRiccatiSolution, n: int, k: int) -> np.ndarray:
+    """Stacked gain of step k implied by the mean-field solution:
     identical diagonal blocks Kx plus uniform coupling (Kz - Kx)/n."""
     eye = np.eye(n)
     ones = np.ones((n, n))
-    return np.stack(
-        [
-            np.kron(eye, solution.Kx[k]) + np.kron(ones / n, solution.Kz[k] - solution.Kx[k])
-            for k in range(solution.horizon)
-        ]
-    )
+    return np.kron(eye, solution.Kx[k]) + np.kron(ones / n, solution.Kz[k] - solution.Kx[k])
+
+
+def structured_gains(solution: ControlRiccatiSolution, n: int) -> np.ndarray:
+    """`_structured_gain` of every step, stacked: (T, n*d_u, n*d_x)."""
+    return np.stack([_structured_gain(solution, n, k) for k in range(solution.horizon)])
 
 
 def check_equivalence(
@@ -183,11 +188,10 @@ def check_equivalence(
     decentralized = solve_control_riccati(model)
     stacked = build_stacked_model(model, n)
     central = solve_stacked_riccati(stacked)
-    implied = structured_gains(decentralized, n)
 
     residuals = np.zeros(model.horizon)
     for k in range(model.horizon):
-        diff = float(np.linalg.norm(central.K[k] - implied[k]))
+        diff = float(np.linalg.norm(central.K[k] - _structured_gain(decentralized, n, k)))
         scale = float(np.linalg.norm(central.K[k]))
         residuals[k] = diff / scale if scale > 0.0 else diff
 

@@ -30,7 +30,7 @@ import numpy as np
 from .control import GainSchedule
 from .errors import IncompatibleStrategy, ValidationError
 from .linalg import psd_factor, symmetrize
-from .model import LqMeanFieldModel
+from .model import LqMeanFieldModel, _whole
 from .riccati import solve_control_riccati, solve_filter_riccati
 
 RNG_SCHEME = "philox4x64-runkind-v1"
@@ -452,7 +452,7 @@ def monte_carlo_cost(
     every reported digit, is independent of `workers`.
     """
     policy = _check_policy(model, policy)
-    runs = int(runs)
+    runs = _whole(runs, "runs")
     if runs < 2:
         raise ValidationError(f"monte_carlo_cost needs at least 2 runs, got {runs}")
 

@@ -1,9 +1,13 @@
+import tracemalloc
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 
 from mflqg import (
     CapExceeded,
     ValidationError,
+    NumericalFailure,
     GainSchedule,
     build_model,
     build_stacked_model,
@@ -17,6 +21,10 @@ from mflqg import (
     step_cost,
     structured_gains,
 )
+from mflqg.model import LqMeanFieldModel, _count
+from mflqg.oracle import STACKED_DIM_CAP, EquivalenceReport
+from mflqg.presets import heater_model
+from mflqg.riccati import ControlRiccatiSolution
 from helpers import rand_pd, rand_psd, random_model
 
 
@@ -31,10 +39,12 @@ class TestStackedConstruction:
         rng = np.random.default_rng(61)
         model = random_model(rng, n_agents=1, d_x=2, d_u=2)
         stacked = build_stacked_model(model)
-        assert np.allclose(stacked.A, model.A + model.D, rtol=0, atol=1e-15)
-        assert np.allclose(stacked.Q, model.Q + model.P, rtol=0, atol=1e-15)
-        assert np.array_equal(stacked.R, model.R)
-        assert np.array_equal(stacked.B, model.B)
+        for k in range(model.horizon):
+            A, B, Q, R = stacked.step(k)
+            assert np.allclose(A, model.A[k] + model.D[k], rtol=0, atol=1e-15)
+            assert np.allclose(Q, model.Q[k] + model.P[k], rtol=0, atol=1e-15)
+            assert np.array_equal(R, model.R[k])
+            assert np.array_equal(B, model.B[k])
 
     def test_uncoupled_dynamics_block_diagonal(self):
         rng = np.random.default_rng(62)
@@ -42,9 +52,10 @@ class TestStackedConstruction:
         stacked = build_stacked_model(model)
         d = model.d_x
         for k in range(model.horizon):
+            A = stacked.step(k)[0]
             for i in range(3):
                 for j in range(3):
-                    block = stacked.A[k, i * d:(i + 1) * d, j * d:(j + 1) * d]
+                    block = A[i * d:(i + 1) * d, j * d:(j + 1) * d]
                     if i == j:
                         assert np.array_equal(block, model.A[k])
                     else:
@@ -58,7 +69,8 @@ class TestStackedConstruction:
             xs = trace.states[k].ravel()
             us = trace.actions[k].ravel()
             ws = trace.process_noise[k].ravel()
-            nxt = stacked.A[k] @ xs + stacked.B[k] @ us + ws
+            A, B, _, _ = stacked.step(k)
+            nxt = A @ xs + B @ us + ws
             assert np.allclose(nxt, trace.states[k + 1].ravel(), rtol=0, atol=1e-14)
 
     def test_quadratic_form_matches_population_cost(self, small_model):
@@ -72,7 +84,8 @@ class TestStackedConstruction:
                 trace.states[k], trace.actions[k], trace.meanfield[k],
                 model.Q[k], model.R[k], model.P[k],
             )
-            quad = xs @ stacked.Q[k] @ xs + us @ stacked.R[k] @ us
+            _, _, Q, R = stacked.step(k)
+            quad = xs @ Q @ xs + us @ R @ us
             assert abs(quad - direct) <= 1e-12 * max(abs(direct), 1.0)
 
     def test_population_override_and_cap(self, small_model):
@@ -86,12 +99,16 @@ class TestStackedConstruction:
 
 
     def test_population_must_be_whole(self, small_model):
-        with pytest.raises(ValidationError):
-            build_stacked_model(small_model, n=2.5)
+        for bad in (2.5, "3"):
+            with pytest.raises(ValidationError):
+                build_stacked_model(small_model, n=bad)
         stacked = build_stacked_model(small_model, n=2.0)
         assert stacked.n_agents == 2 and type(stacked.n_agents) is int
         assert stacked.dim_x == 2 * small_model.d_x
-        assert np.array_equal(stacked.A, build_stacked_model(small_model, n=2).A)
+        whole = build_stacked_model(small_model, n=2)
+        for k in range(small_model.horizon):
+            for got, want in zip(stacked.step(k), whole.step(k)):
+                assert np.array_equal(got, want)
 
 
 class TestStackedSolution:
@@ -176,3 +193,216 @@ class TestEquivalence:
         assert data["n_agents"] == small_model.n_agents
         assert len(data["gain_residuals"]) == small_model.horizon
         assert data["cost_gap"] == report.cost_gap
+
+
+# ---------------------------------------------------------------------------
+# A dense stacked oracle that holds every step's stacked matrices and value
+# matrices as (T, ., .) arrays: the reference that `mflqg.oracle`, which
+# forms them one step at a time, must reproduce digit for digit.
+
+@dataclass(frozen=True, eq=False)
+class DenseStackedModel:
+    """The n-subsystem problem as one centralized system of size n*d_x."""
+
+    n_agents: int
+    horizon: int
+    dim_x: int            # n * d_x
+    dim_u: int            # n * d_u
+    A: np.ndarray         # (T, dim_x, dim_x)
+    B: np.ndarray         # (T, dim_x, dim_u)
+    Q: np.ndarray         # (T, dim_x, dim_x)
+    R: np.ndarray         # (T, dim_u, dim_u)
+    Sigma_X: np.ndarray   # (dim_x, dim_x)
+    Sigma_W: np.ndarray   # (dim_x, dim_x)
+    mu: np.ndarray        # (dim_x,)
+
+
+@dataclass(frozen=True, eq=False)
+class DenseRiccatiSolution:
+    M: np.ndarray  # (T, dim_x, dim_x)
+    K: np.ndarray  # (T, dim_u, dim_x)
+
+
+def dense_build_stacked_model(
+    model: LqMeanFieldModel, n: int | None = None, cap: int = STACKED_DIM_CAP
+) -> DenseStackedModel:
+    """Stack n copies of the subsystem problem into one centralized problem.
+
+    The mean-field coupling becomes a rank-one-in-blocks term: every block
+    row of the stacked dynamics sees the average of all subsystem states.
+    """
+    if n is None:
+        n = model.n_agents
+    if n < 1:
+        raise CapExceeded(f"population size must be >= 1, got {n}")
+    n = _count(n, "population size")
+    if n * model.d_x > cap:
+        raise CapExceeded(
+            f"stacked dimension n*d_x = {n * model.d_x} exceeds the cap {cap}; "
+            "the stacked solve is a desk-scale verification oracle"
+        )
+    T = model.horizon
+    eye = np.eye(n)
+    ones = np.ones((n, n))
+
+    A = np.stack([np.kron(eye, model.A[k]) + np.kron(ones / n, model.D[k]) for k in range(T)])
+    B = np.stack([np.kron(eye, model.B[k]) for k in range(T)])
+    Q = np.stack(
+        [np.kron(eye, model.Q[k]) / n + np.kron(ones, model.P[k]) / n**2 for k in range(T)]
+    )
+    R = np.stack([np.kron(eye, model.R[k]) / n for k in range(T)])
+
+    return DenseStackedModel(
+        n_agents=n,
+        horizon=T,
+        dim_x=n * model.d_x,
+        dim_u=n * model.d_u,
+        A=A,
+        B=B,
+        Q=Q,
+        R=R,
+        Sigma_X=np.kron(eye, model.Sigma_X),
+        Sigma_W=np.kron(eye, model.Sigma_W),
+        mu=np.tile(model.mu_X, n),
+    )
+
+
+def dense_solve_stacked_riccati(stacked: DenseStackedModel) -> DenseRiccatiSolution:
+    """Textbook finite-horizon backward recursion on the stacked problem.
+
+    Kept independent of the production solver: plain LU solves, plain
+    symmetrization, no shared helpers.
+    """
+    T = stacked.horizon
+    M = np.zeros((T, stacked.dim_x, stacked.dim_x))
+    K = np.zeros((T, stacked.dim_u, stacked.dim_x))
+    M[T - 1] = (stacked.Q[T - 1] + stacked.Q[T - 1].T) / 2.0
+    for k in range(T - 2, -1, -1):
+        A, B = stacked.A[k], stacked.B[k]
+        MB = M[k + 1] @ B
+        H = B.T @ MB + stacked.R[k]
+        G = MB.T @ A
+        try:
+            K[k] = -np.linalg.solve(H, G)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"stacked recursion at step {k + 1}: {exc}") from None
+        Mk = stacked.Q[k] + A.T @ M[k + 1] @ A + G.T @ K[k]
+        M[k] = (Mk + Mk.T) / 2.0
+    return DenseRiccatiSolution(M=M, K=K)
+
+
+def dense_centralized_cost(stacked: DenseStackedModel, solution: DenseRiccatiSolution) -> float:
+    """Optimal expected cost of the stacked problem: the initial value
+    function plus the accumulated process-noise trace terms."""
+    M1 = solution.M[0]
+    cost = float(stacked.mu @ M1 @ stacked.mu + np.trace(M1 @ stacked.Sigma_X))
+    for k in range(stacked.horizon - 1):
+        cost += float(np.trace(solution.M[k + 1] @ stacked.Sigma_W))
+    return cost
+
+
+def dense_structured_gains(solution: ControlRiccatiSolution, n: int) -> np.ndarray:
+    """Stacked gains implied by the mean-field solution:
+    identical diagonal blocks Kx plus uniform coupling (Kz - Kx)/n."""
+    eye = np.eye(n)
+    ones = np.ones((n, n))
+    return np.stack(
+        [
+            np.kron(eye, solution.Kx[k]) + np.kron(ones / n, solution.Kz[k] - solution.Kx[k])
+            for k in range(solution.horizon)
+        ]
+    )
+
+
+def dense_check_equivalence(
+    model: LqMeanFieldModel, n: int | None = None, tolerance: float = 1e-8
+) -> EquivalenceReport:
+    """Compare the mean-field answer against the stacked oracle.
+
+    Checks two things at population size n: (1) every stacked-optimal gain
+    matrix equals its mean-field-structured counterpart in relative
+    Frobenius norm; (2) the decentralized controller's exact expected cost
+    equals the centralized optimal cost in relative terms. Passes iff both
+    maxima are within tolerance.
+    """
+    if n is not None and n != model.n_agents:
+        model = replace(model, n_agents=n)
+    n = model.n_agents
+
+    decentralized = solve_control_riccati(model)
+    stacked = dense_build_stacked_model(model, n)
+    central = dense_solve_stacked_riccati(stacked)
+    implied = dense_structured_gains(decentralized, n)
+
+    residuals = np.zeros(model.horizon)
+    for k in range(model.horizon):
+        diff = float(np.linalg.norm(central.K[k] - implied[k]))
+        scale = float(np.linalg.norm(central.K[k]))
+        residuals[k] = diff / scale if scale > 0.0 else diff
+
+    cost_central = dense_centralized_cost(stacked, central)
+    cost_decentral = exact_policy_cost(model, optimal_strategy(model)).total
+    gap = abs(cost_central - cost_decentral)
+    if cost_central != 0.0:
+        gap /= abs(cost_central)
+
+    max_residual = float(residuals.max()) if residuals.size else 0.0
+    return EquivalenceReport(
+        n_agents=n,
+        horizon=model.horizon,
+        tolerance=float(tolerance),
+        gain_residuals=residuals,
+        max_gain_residual=max_residual,
+        cost_centralized=cost_central,
+        cost_decentralized=cost_decentral,
+        cost_gap=float(gap),
+        passed=bool(max_residual <= tolerance and gap <= tolerance),
+    )
+
+
+def coupled_model(seed, n_agents, d_x=2, d_u=1, horizon=5):
+    return random_model(np.random.default_rng(seed), n_agents=n_agents, horizon=horizon,
+                        d_x=d_x, d_u=d_u)
+
+
+class TestMatchesDenseReference:
+    @pytest.mark.parametrize("model", [
+        coupled_model(70, 3),
+        coupled_model(71, 4, d_x=3, d_u=2, horizon=7),
+        coupled_model(72, 2, d_x=1, d_u=2, horizon=1),
+        coupled_model(73, 1, d_x=3, d_u=2),
+    ], ids=["n3", "n4_dx3", "T1", "n1"])
+    def test_random_models(self, model):
+        self.assert_same(model, model.n_agents)
+
+    def test_heater_n30(self):
+        self.assert_same(heater_model(), 30)
+
+    @staticmethod
+    def assert_same(model, n):
+        assert check_equivalence(model, n=n).to_dict() == dense_check_equivalence(model, n=n).to_dict()
+        model = replace(model, n_agents=n)
+        stacked, dense = build_stacked_model(model), dense_build_stacked_model(model)
+        central, reference = solve_stacked_riccati(stacked), dense_solve_stacked_riccati(dense)
+        assert np.array_equal(central.K, reference.K)
+        assert np.array_equal(central.M1, reference.M[0])
+        assert centralized_cost(stacked, central) == dense_centralized_cost(dense, reference)
+        mf = solve_control_riccati(model)
+        assert np.array_equal(structured_gains(mf, n), dense_structured_gains(mf, n))
+        for k in range(model.horizon):
+            for got, want in zip(stacked.step(k), (dense.A[k], dense.B[k], dense.Q[k], dense.R[k])):
+                assert np.array_equal(got, want)
+
+
+def test_memory_does_not_grow_with_the_horizon():
+    # the heater at n=50 (stacked dimension 150, T=90): the dense oracle
+    # peaks at about 73 MB, one step's matrices plus the gain stack at 8 MB
+    model = heater_model()
+    tracemalloc.start()
+    try:
+        report = check_equivalence(model, n=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 12e6, f"tracemalloc peak {peak / 1e6:.1f} MB"

@@ -1,6 +1,6 @@
-"""Property sweep over model construction: small random models in both
-observation modes, each input given as a scalar, a single matrix or a
-per-step sequence."""
+"""Property sweep over small random models in both observation modes, each
+input given as a scalar, a single matrix or a per-step sequence: model
+construction, and the stacked oracle on full-observation models."""
 import json
 from dataclasses import replace
 
@@ -10,7 +10,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from mflqg import build_model, model_from_dict, model_to_dict
+from mflqg import build_model, check_equivalence, model_from_dict, model_to_dict
 
 ARRAYS = ("A", "B", "D", "Q", "R", "P", "Sigma_X", "Sigma_W", "mu_X", "Cx", "Cz", "Sigma_V",
           "state_offset")
@@ -56,11 +56,13 @@ def square_input(draw, mat):
 
 
 @st.composite
-def models(draw):
-    """(loose, stacked): build_model keyword inputs for one random model."""
+def models(draw, noisy=None):
+    """(loose, stacked): build_model keyword inputs for one random model
+    (n <= 4, d_x <= 3, T <= 5), noisy or not at random unless `noisy` is given."""
     T = draw(st.integers(1, 5))
     d_x, d_u, d_y = (draw(st.integers(1, 3)) for _ in range(3))
-    noisy = draw(st.booleans())
+    if noisy is None:
+        noisy = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def psd(d, floor=0.0):
@@ -132,3 +134,10 @@ def test_replace_normalizes_like_build_model(inputs, data):
     d = model.d_x
     D = data.draw(st.sampled_from([0.25, np.full((d, d), 0.25)] if d == 1 else [np.full((d, d), 0.25)]))
     assert_same_model(replace(model, D=D), build_model(**dict(loose, D=D)))
+
+
+@SWEEP
+@given(models(noisy=False))
+def test_stacked_oracle_confirms_meanfield_solution(inputs):
+    report = check_equivalence(build_model(**inputs[0]), tolerance=1e-8)
+    assert report.passed, report.to_dict()

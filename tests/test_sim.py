@@ -260,6 +260,15 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             monte_carlo_cost(model, zero_policy(2, 1, 1), runs=1, seed=0)
 
+    def test_run_count_must_be_whole(self):
+        model = build_model(horizon=3, n_agents=2, A=0.9, B=1.0, Q=1.0, R=1.0, Sigma_W=1.0)
+        policy = optimal_strategy(model)
+        with pytest.raises(ValidationError):
+            monte_carlo_cost(model, policy, runs=2.5, seed=0)
+        whole = monte_carlo_cost(model, policy, runs=4.0, seed=0)
+        assert type(whole.runs) is int
+        assert whole == monte_carlo_cost(model, policy, runs=4, seed=0)
+
     def test_deterministic_model_vanishing_stderr(self):
         model = build_model(
             horizon=3, n_agents=2, A=0.9, B=1.0, Q=1.0, R=1.0, initial_mean=1.0
