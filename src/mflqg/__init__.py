@@ -32,11 +32,8 @@ from .errors import (
 from .model import (
     CrossTermCost,
     LqMeanFieldModel,
-    TrackingSpec,
     augment_for_tracking,
-    build_cross_term_cost,
     build_model,
-    build_tracking_spec,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -107,13 +104,10 @@ __all__ = [
     "RNG_SCHEME",
     "SimulationTrace",
     "AuxiliaryTrace",
-    "TrackingSpec",
     "ValidationError",
     "augment_for_tracking",
-    "build_cross_term_cost",
     "build_model",
     "build_stacked_model",
-    "build_tracking_spec",
     "centralized_cost",
     "check_equivalence",
     "cost_identity_check",

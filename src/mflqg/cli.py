@@ -57,27 +57,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, model_required: bool) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, model: bool = True) -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--model", type=Path, required=model_required,
-                         help="path to a model JSON file")
+        if model:
+            cmd.add_argument("--model", type=Path, required=True,
+                             help="path to a model JSON file")
         cmd.add_argument("--seed", type=_seed_type, default=0,
                          help="unsigned 64-bit seed (default 0)")
-        cmd.add_argument("--runs", type=int, default=DEFAULT_RUNS,
-                         help=f"Monte Carlo run count (default {DEFAULT_RUNS})")
         cmd.add_argument("--n", type=int, default=None,
                          help="population size override")
         cmd.add_argument("--out", type=Path, default=Path("."),
                          help="output directory (default: current directory)")
-        cmd.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
-                         help=f"verification tolerance (default {DEFAULT_TOLERANCE})")
         return cmd
 
-    add("solve", "solve the control (and filter) recursions, write gains.json", True)
-    add("simulate", "run one closed-loop simulation, write trace CSVs and summary.json", True)
-    add("evaluate", "exact and Monte Carlo cost of the optimal strategy, write evaluate.json", True)
-    add("verify", "check centralized equivalence, write verify.json", True)
-    add("preset-heater", "materialize and run the built-in heater tracking example", False)
+    add("solve", "solve the control (and filter) recursions, write gains.json")
+    add("simulate", "run one closed-loop simulation, write trace CSVs and summary.json")
+    evaluate = add("evaluate",
+                   "exact and Monte Carlo cost of the optimal strategy, write evaluate.json")
+    evaluate.add_argument("--runs", type=int, default=DEFAULT_RUNS,
+                          help=f"Monte Carlo run count (default {DEFAULT_RUNS})")
+    verify = add("verify", "check centralized equivalence, write verify.json")
+    verify.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
+                        help=f"verification tolerance (default {DEFAULT_TOLERANCE})")
+    add("preset-heater", "materialize and run the built-in heater tracking example", model=False)
     return parser
 
 
@@ -86,8 +88,6 @@ def _with_population(model: LqMeanFieldModel, n: int | None) -> LqMeanFieldModel
 
 
 def _load(args: argparse.Namespace) -> LqMeanFieldModel:
-    if args.model is None:
-        raise ModelFormatError("this command requires --model")
     return _with_population(load_model(args.model), args.n)
 
 

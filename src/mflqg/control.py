@@ -2,8 +2,10 @@
 
 Every subsystem applies the same time-varying law u = Kx_t b + (Kz_t - Kx_t) z,
 where z is the mean-field and b is the local state under full observation
-or, under noisy observation, a local conditional-mean estimate maintained by
-a Kalman update with known inputs. The controller keeps no other history.
+or, under noisy observation, a local estimate from a Kalman predictor with
+known inputs. That predictor starts at the population mean and does not
+condition on z, so it is not the conditional mean in general, and the noisy
+law is not claimed team-optimal. The controller keeps no other history.
 `GainSchedule` holds one such law; the per-agent functions here are the
 specification the vectorized closed loop in `sim` is tested against.
 """

@@ -315,15 +315,35 @@ class CrossTermCost:
     Because the population average of x^i is z, the cross term equals
     z' S_t z, so the cost reduces exactly to the canonical form with
     P_t replaced by P_t + (S_t + S_t')/2.
+
+    Checked when built, `dataclasses.replace` included, the way a model is:
+    each matrix may be a scalar, a single matrix or a per-step sequence;
+    d_x and d_u are read from Q and R; Q and P must be PSD, R PD, and S may
+    be any finite matrix. Omitted P is zero.
     """
 
     horizon: int
-    d_x: int
-    d_u: int
-    Q: np.ndarray  # (T, d_x, d_x)
-    S: np.ndarray  # (T, d_x, d_x), not required to be symmetric
-    R: np.ndarray  # (T, d_u, d_u)
-    P: np.ndarray  # (T, d_x, d_x)
+    Q: np.ndarray                # (T, d_x, d_x)
+    S: np.ndarray                # (T, d_x, d_x), not required to be symmetric
+    R: np.ndarray                # (T, d_u, d_u)
+    P: np.ndarray | None = None  # (T, d_x, d_x)
+    d_x: int = field(init=False)
+    d_u: int = field(init=False)
+
+    def __post_init__(self):
+        T = _count(self.horizon, "horizon")
+        d_x, d_u = _dim(self.Q, 0, "Q"), _dim(self.R, 1, "R")
+        fields = {
+            "horizon": T,
+            "d_x": d_x,
+            "d_u": d_u,
+            "Q": _definite(_stack(self.Q, T, d_x, d_x, "Q"), "Q"),
+            "S": _stack(self.S, T, d_x, d_x, "S"),
+            "R": _definite(_stack(self.R, T, d_u, d_u, "R"), "R", assert_pd),
+            "P": _definite(_stack(_or(self.P, np.zeros((d_x, d_x))), T, d_x, d_x, "P"), "P"),
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def step_cost(self, states: np.ndarray, actions: np.ndarray, t: int) -> float:
         """Evaluate the cross-term cost on a population snapshot at step t."""
@@ -337,20 +357,6 @@ class CrossTermCost:
         return float(np.add.reduce(quad) / x.shape[0] + z @ self.P[k] @ z)
 
 
-def build_cross_term_cost(*, horizon: int, Q, S, R, P=None) -> CrossTermCost:
-    """Assemble and validate a CrossTermCost (Q PSD, R PD; S unconstrained)."""
-    T, d_x, d_u = _count(horizon, "horizon"), _dim(Q, 0, "Q"), _dim(R, 1, "R")
-    return CrossTermCost(
-        horizon=T,
-        d_x=d_x,
-        d_u=d_u,
-        Q=_definite(_stack(Q, T, d_x, d_x, "Q"), "Q"),
-        S=_stack(S, T, d_x, d_x, "S"),
-        R=_definite(_stack(R, T, d_u, d_u, "R"), "R", assert_pd),
-        P=_definite(_stack(_or(P, np.zeros((d_x, d_x))), T, d_x, d_x, "P"), "P"),
-    )
-
-
 def reduce_cross_term(cost: CrossTermCost) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fold the cross term into the mean-field weight.
 
@@ -359,12 +365,12 @@ def reduce_cross_term(cost: CrossTermCost) -> tuple[np.ndarray, np.ndarray, np.n
     equivalent and is rejected.
     """
     P_prime = cost.P + (cost.S + np.swapaxes(cost.S, 1, 2)) / 2.0
-    for t in range(cost.horizon):
+    for t, mat in enumerate(P_prime, 1):
         try:
-            assert_psd(P_prime[t], f"P'_{t + 1}")
+            assert_psd(mat, f"P'_{t}")
         except NotPositiveSemidefinite:
             raise NotPositiveSemidefinite(
-                f"reduced mean-field weight P'_{t + 1} is not PSD; "
+                f"reduced mean-field weight P'_{t} is not PSD; "
                 "the cross term makes the cost indefinite"
             ) from None
     return cost.Q.copy(), cost.R.copy(), P_prime
@@ -373,52 +379,19 @@ def reduce_cross_term(cost: CrossTermCost) -> tuple[np.ndarray, np.ndarray, np.n
 # ---------------------------------------------------------------------------
 # tracking augmentation
 
-@dataclass(frozen=True, eq=False)
-class TrackingSpec:
-    """Reference-tracking objective for a population:
+def augment_for_tracking(
+    model: LqMeanFieldModel, *, q, r, p, meanfield_reference
+) -> LqMeanFieldModel:
+    """Build the canonical model equivalent to the reference-tracking objective
 
         c_t = (1/n) sum_i [ (x^i - x^i_ref)' q (x^i - x^i_ref) + u^i' r u^i ]
               + (z - z_ref,t)' p (z - z_ref,t),
 
     where each subsystem's reference x^i_ref is frozen at its own initial
-    state and z_ref,t is a deterministic trajectory.
-    """
-
-    horizon: int
-    d_x: int
-    d_u: int
-    q: np.ndarray            # (d_x, d_x)
-    r: np.ndarray            # (d_u, d_u)
-    p: np.ndarray            # (d_x, d_x)
-    meanfield_reference: np.ndarray  # (T, d_x)
-    local_reference: str = "initial_state"
-
-
-def build_tracking_spec(
-    *, horizon: int, d_x: int, d_u: int, q, r, p, meanfield_reference
-) -> TrackingSpec:
-    """Assemble and validate a TrackingSpec; scalar weights scale identities."""
-    horizon = _count(horizon, "horizon")
-    q = _definite(_square(q, d_x, "q"), "q")
-    r = _definite(_square(r, d_u, "r"), "r", assert_pd)
-    p = _definite(_square(p, d_x, "p"), "p")
-    ref = np.asarray(meanfield_reference, dtype=float)
-    if ref.ndim == 0:
-        ref = np.full((horizon, d_x), float(ref))
-    elif ref.ndim == 1 and ref.shape == (d_x,):
-        ref = np.broadcast_to(ref, (horizon, d_x)).copy()
-    if ref.shape != (horizon, d_x):
-        raise DimensionMismatch(
-            f"meanfield_reference has shape {ref.shape}, expected ({horizon}, {d_x})"
-        )
-    return TrackingSpec(
-        horizon=horizon, d_x=d_x, d_u=d_u, q=q, r=r, p=p,
-        meanfield_reference=_finite(ref, "meanfield_reference"),
-    )
-
-
-def augment_for_tracking(model: LqMeanFieldModel, spec: TrackingSpec) -> LqMeanFieldModel:
-    """Build the canonical model equivalent to a tracking objective.
+    state and z_ref,t is a deterministic trajectory. T, d_x and d_u are
+    read from the model. Scalar weights scale identities; q and p must be
+    PSD and r PD. The reference may be a scalar, a (d_x,) vector held at
+    every step or a (T, d_x) array.
 
     The augmented state is (x, x_ref, 1) of dimension 2*d_x + 1: the
     reference block holds the subsystem's initial state (identity dynamics,
@@ -430,14 +403,20 @@ def augment_for_tracking(model: LqMeanFieldModel, spec: TrackingSpec) -> LqMeanF
     The initial covariance places x_ref = x_1 exactly (perfectly correlated
     blocks), so the reference is each subsystem's realized initial state.
     """
-    if spec.horizon != model.horizon or spec.d_x != model.d_x or spec.d_u != model.d_u:
-        raise DimensionMismatch(
-            f"tracking spec (T={spec.horizon}, d_x={spec.d_x}, d_u={spec.d_u}) does not match "
-            f"model (T={model.horizon}, d_x={model.d_x}, d_u={model.d_u})"
-        )
     if model.observation_mode != "full":
         raise ValidationError("tracking augmentation supports full observation only")
     T, d, d_u = model.horizon, model.d_x, model.d_u
+    q = _definite(_square(q, d, "q"), "q")
+    r = _definite(_square(r, d_u, "r"), "r", assert_pd)
+    p = _definite(_square(p, d, "p"), "p")
+    refs = np.asarray(meanfield_reference, dtype=float)
+    if refs.shape in ((), (d,)):
+        refs = np.broadcast_to(refs, (T, d)).copy()
+    if refs.shape != (T, d):
+        raise DimensionMismatch(
+            f"meanfield_reference has shape {refs.shape}, expected (), ({d},) or ({T}, {d})"
+        )
+    refs = _finite(refs, "meanfield_reference")
     da = 2 * d + 1
 
     A_aug = np.zeros((T, da, da))
@@ -452,16 +431,16 @@ def augment_for_tracking(model: LqMeanFieldModel, spec: TrackingSpec) -> LqMeanF
         B_aug[t, :d, :] = model.B[t]
         D_aug[t, :d, :d] = model.D[t]
         # q-weighted (x - x_ref) quadratic
-        Q_aug[t, :d, :d] = spec.q
-        Q_aug[t, :d, d:2 * d] = -spec.q
-        Q_aug[t, d:2 * d, :d] = -spec.q
-        Q_aug[t, d:2 * d, d:2 * d] = spec.q
+        Q_aug[t, :d, :d] = q
+        Q_aug[t, :d, d:2 * d] = -q
+        Q_aug[t, d:2 * d, :d] = -q
+        Q_aug[t, d:2 * d, d:2 * d] = q
         # p-weighted (z - z_ref,t) quadratic via the constant coordinate
-        ref = spec.meanfield_reference[t]
-        P_aug[t, :d, :d] = spec.p
-        P_aug[t, :d, 2 * d] = -spec.p @ ref
-        P_aug[t, 2 * d, :d] = -spec.p @ ref
-        P_aug[t, 2 * d, 2 * d] = ref @ spec.p @ ref
+        ref = refs[t]
+        P_aug[t, :d, :d] = p
+        P_aug[t, :d, 2 * d] = -p @ ref
+        P_aug[t, 2 * d, :d] = -p @ ref
+        P_aug[t, 2 * d, 2 * d] = ref @ p @ ref
 
     Sigma_X_aug = np.zeros((da, da))
     Sigma_X_aug[:d, :d] = model.Sigma_X
@@ -482,7 +461,7 @@ def augment_for_tracking(model: LqMeanFieldModel, spec: TrackingSpec) -> LqMeanF
         B=B_aug,
         D=D_aug,
         Q=Q_aug,
-        R=spec.r,
+        R=r,
         P=P_aug,
         Sigma_X=Sigma_X_aug,
         Sigma_W=Sigma_W_aug,

@@ -11,7 +11,7 @@ temperatures through the model's reporting offset.
 """
 from __future__ import annotations
 
-from .model import LqMeanFieldModel, augment_for_tracking, build_model, build_tracking_spec
+from .model import LqMeanFieldModel, augment_for_tracking, build_model
 
 HEATER = {
     "n_agents": 30,
@@ -50,14 +50,10 @@ def heater_base_model() -> LqMeanFieldModel:
 def heater_model() -> LqMeanFieldModel:
     """The tracking-augmented heater model (state: room temperature, frozen
     initial temperature, constant 1; all in deviation coordinates)."""
-    base = heater_base_model()
-    spec = build_tracking_spec(
-        horizon=HEATER["horizon"],
-        d_x=1,
-        d_u=1,
+    return augment_for_tracking(
+        heater_base_model(),
         q=HEATER["q"],
         r=HEATER["r"],
         p=HEATER["p"],
         meanfield_reference=HEATER["reference"] - HEATER["ambient"],
     )
-    return augment_for_tracking(base, spec)

@@ -23,25 +23,19 @@ from .model import LqMeanFieldModel
 class ControlRiccatiSolution:
     """Value matrices and gains for t = 1..T (step t at index t-1)."""
 
-    horizon: int
-    d_x: int
-    d_u: int
     Mx: np.ndarray     # (T, d_x, d_x), deviation value matrices
     Mz: np.ndarray     # (T, d_x, d_x), mean-field value matrices
     Kx: np.ndarray     # (T, d_u, d_x), deviation gains, Kx[T-1] = 0
     Kz: np.ndarray     # (T, d_u, d_x), mean-field gains, Kz[T-1] = 0
-    Abar: np.ndarray   # (T-1, d_x, d_x), coupled dynamics A_t + D_t
+
+    @property
+    def horizon(self) -> int:
+        return self.Kx.shape[0]
 
     def gain_schedule(self, filter_solution: FilterRiccatiSolution | None = None) -> GainSchedule:
-        """Package the gains, optionally together with filter gains."""
-        Kf = None
-        if filter_solution is not None:
-            if filter_solution.horizon != self.horizon:
-                raise ValidationError(
-                    f"filter horizon {filter_solution.horizon} does not match "
-                    f"control horizon {self.horizon}"
-                )
-            Kf = filter_solution.Kf.copy()
+        """Package the gains, optionally together with filter gains (a filter
+        solution of another horizon is rejected by `GainSchedule`)."""
+        Kf = None if filter_solution is None else filter_solution.Kf.copy()
         return GainSchedule(Kx=self.Kx.copy(), Kz=self.Kz.copy(), Kf=Kf)
 
 
@@ -49,9 +43,6 @@ class ControlRiccatiSolution:
 class FilterRiccatiSolution:
     """Estimation error covariances for t = 1..T and gains for t = 1..T-1."""
 
-    horizon: int
-    d_x: int
-    d_y: int
     Sigma_e: np.ndarray  # (T, d_x, d_x)
     Kf: np.ndarray       # (T-1, d_x, d_y)
 
@@ -85,9 +76,7 @@ def solve_control_riccati(model: LqMeanFieldModel) -> ControlRiccatiSolution:
         )
 
     _check_finite("control recursion", Mx=Mx, Mz=Mz, Kx=Kx, Kz=Kz)
-    return ControlRiccatiSolution(
-        horizon=T, d_x=d_x, d_u=d_u, Mx=Mx, Mz=Mz, Kx=Kx, Kz=Kz, Abar=Abar
-    )
+    return ControlRiccatiSolution(Mx=Mx, Mz=Mz, Kx=Kx, Kz=Kz)
 
 
 def _riccati_step(A, B, Qeff, R, M_next):
@@ -138,4 +127,4 @@ def solve_filter_riccati(model: LqMeanFieldModel) -> FilterRiccatiSolution:
         Sigma_e[k + 1] = symmetrize(S_next, "error covariance")
 
     _check_finite("filter recursion", Sigma_e=Sigma_e, Kf=Kf)
-    return FilterRiccatiSolution(horizon=T, d_x=d_x, d_y=d_y, Sigma_e=Sigma_e, Kf=Kf)
+    return FilterRiccatiSolution(Sigma_e=Sigma_e, Kf=Kf)

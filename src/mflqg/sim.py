@@ -361,9 +361,6 @@ class PolicyEvaluation:
     meanfield_costs: np.ndarray       # (T,)
     meanfield_mean_costs: np.ndarray  # (T,)
     meanfield_noise_costs: np.ndarray # (T,)
-    deviation_cov: np.ndarray         # (T, d_x, d_x), per-agent deviation covariance
-    meanfield_mean: np.ndarray        # (T, d_x)
-    meanfield_cov: np.ndarray         # (T, d_x, d_x)
 
 
 def exact_policy_cost(model: LqMeanFieldModel, policy: GainSchedule) -> PolicyEvaluation:
@@ -381,28 +378,12 @@ def exact_policy_cost(model: LqMeanFieldModel, policy: GainSchedule) -> PolicyEv
     if model.observation_mode != "full":
         raise IncompatibleStrategy("exact evaluation supports full observation only")
     policy = _check_policy(model, policy)
-    T, n, d_x = model.horizon, model.n_agents, model.d_x
+    T, n = model.horizon, model.n_agents
 
     dev_frac = 1.0 - 1.0 / n
-    cov_dev = np.zeros((T, d_x, d_x))
-    mf_mean = np.zeros((T, d_x))
-    mf_cov = np.zeros((T, d_x, d_x))
-    cov_dev[0] = dev_frac * model.Sigma_X
-    mf_mean[0] = model.mu_X
-    mf_cov[0] = model.Sigma_X / n
-
-    for k in range(T - 1):
-        closed_dev = model.A[k] + model.B[k] @ policy.Kx[k]
-        closed_mf = model.A[k] + model.D[k] + model.B[k] @ policy.Kz[k]
-        cov_dev[k + 1] = symmetrize(
-            closed_dev @ cov_dev[k] @ closed_dev.T + dev_frac * model.Sigma_W,
-            "deviation covariance",
-        )
-        mf_mean[k + 1] = closed_mf @ mf_mean[k]
-        mf_cov[k + 1] = symmetrize(
-            closed_mf @ mf_cov[k] @ closed_mf.T + model.Sigma_W / n,
-            "mean-field covariance",
-        )
+    cov_dev = dev_frac * model.Sigma_X
+    mf_mean = model.mu_X
+    mf_cov = model.Sigma_X / n
 
     dev_costs = np.zeros(T)
     mf_mean_costs = np.zeros(T)
@@ -411,9 +392,21 @@ def exact_policy_cost(model: LqMeanFieldModel, policy: GainSchedule) -> PolicyEv
         Kx, Kz = policy.Kx[k], policy.Kz[k]
         w_dev = model.Q[k] + Kx.T @ model.R[k] @ Kx
         w_mf = model.Q[k] + model.P[k] + Kz.T @ model.R[k] @ Kz
-        dev_costs[k] = float(np.trace(w_dev @ cov_dev[k]))
-        mf_mean_costs[k] = float(mf_mean[k] @ w_mf @ mf_mean[k])
-        mf_noise_costs[k] = float(np.trace(w_mf @ mf_cov[k]))
+        dev_costs[k] = float(np.trace(w_dev @ cov_dev))
+        mf_mean_costs[k] = float(mf_mean @ w_mf @ mf_mean)
+        mf_noise_costs[k] = float(np.trace(w_mf @ mf_cov))
+        if k + 1 < T:
+            closed_dev = model.A[k] + model.B[k] @ Kx
+            closed_mf = model.A[k] + model.D[k] + model.B[k] @ Kz
+            cov_dev = symmetrize(
+                closed_dev @ cov_dev @ closed_dev.T + dev_frac * model.Sigma_W,
+                "deviation covariance",
+            )
+            mf_mean = closed_mf @ mf_mean
+            mf_cov = symmetrize(
+                closed_mf @ mf_cov @ closed_mf.T + model.Sigma_W / n,
+                "mean-field covariance",
+            )
 
     mf_costs = mf_mean_costs + mf_noise_costs
     step_costs = dev_costs + mf_costs
@@ -424,9 +417,6 @@ def exact_policy_cost(model: LqMeanFieldModel, policy: GainSchedule) -> PolicyEv
         meanfield_costs=mf_costs,
         meanfield_mean_costs=mf_mean_costs,
         meanfield_noise_costs=mf_noise_costs,
-        deviation_cov=cov_dev,
-        meanfield_mean=mf_mean,
-        meanfield_cov=mf_cov,
     )
 
 

@@ -23,6 +23,24 @@ def test_cli_import_does_not_load_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_public_names_resolve_once():
+    assert len(mflqg.__all__) == len(set(mflqg.__all__))
+    for name in mflqg.__all__:
+        assert hasattr(mflqg, name), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["preset-heater", "--model", "x.json"],
+    ["solve", "--model", "m.json", "--runs", "5"],
+    ["simulate", "--model", "m.json", "--tol", "1"],
+], ids=["preset-heater-model", "solve-runs", "simulate-tol"])
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.fixture
 def scalar_model_path(tmp_path):
     # T=2, A=B=Q=R=1: the unique nonterminal gain is Kx_1 = -0.5

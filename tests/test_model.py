@@ -10,11 +10,10 @@ from mflqg import (
     NotPositiveDefinite,
     NotPositiveSemidefinite,
     NotSymmetric,
+    CrossTermCost,
     ValidationError,
     augment_for_tracking,
-    build_cross_term_cost,
     build_model,
-    build_tracking_spec,
     heater_model,
     model_from_dict,
     model_to_dict,
@@ -190,12 +189,12 @@ class TestSerialization:
 
 class TestCrossTerm:
     @pytest.mark.parametrize("build", [
-        lambda v: build_cross_term_cost(horizon=2, Q=1.0, S=v, R=1.0),
-        lambda v: build_cross_term_cost(horizon=2, Q=1.0, S=0.0, R=1.0, P=[v, 1.0]),
-        lambda v: build_tracking_spec(horizon=2, d_x=1, d_u=1, q=1.0, r=1.0, p=1.0,
-                                      meanfield_reference=v),
-        lambda v: build_tracking_spec(horizon=2, d_x=1, d_u=1, q=1.0, r=v, p=1.0,
-                                      meanfield_reference=0.0),
+        lambda v: CrossTermCost(horizon=2, Q=1.0, S=v, R=1.0),
+        lambda v: CrossTermCost(horizon=2, Q=1.0, S=0.0, R=1.0, P=[v, 1.0]),
+        lambda v: augment_for_tracking(scalar_model(), q=1.0, r=1.0, p=1.0,
+                                       meanfield_reference=v),
+        lambda v: augment_for_tracking(scalar_model(), q=1.0, r=v, p=1.0,
+                                       meanfield_reference=0.0),
     ], ids=["cross-S", "cross-P", "tracking-reference", "tracking-r"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_sibling_builders_reject_non_finite(self, build, value):
@@ -203,26 +202,44 @@ class TestCrossTerm:
             build(value)
 
     def test_zero_cross_term_id(self):
-        cost = build_cross_term_cost(horizon=2, Q=1.0, S=0.0, R=1.0, P=3.0)
+        cost = CrossTermCost(horizon=2, Q=1.0, S=0.0, R=1.0, P=3.0)
         _, _, p_prime = reduce_cross_term(cost)
         assert np.array_equal(p_prime, cost.P)
 
     def test_scalar_reduction(self):
-        cost = build_cross_term_cost(horizon=2, Q=1.0, S=2.0, R=1.0, P=3.0)
+        cost = CrossTermCost(horizon=2, Q=1.0, S=2.0, R=1.0, P=3.0)
         _, _, p_prime = reduce_cross_term(cost)
         assert p_prime[0][0, 0] == 5.0
 
     def test_indefinite_reduction_rejected(self):
-        cost = build_cross_term_cost(
+        cost = CrossTermCost(
             horizon=1, Q=np.eye(2), S=np.array([[0.0, 2.0], [0.0, 0.0]]), R=1.0, P=np.zeros((2, 2))
         )
         with pytest.raises(NotPositiveSemidefinite):
             reduce_cross_term(cost)
 
+    def test_stale_horizon_rejected(self):
+        # 2-step arrays under horizon 1 would hide P'_2 = 1 - 10 = -9 from the reduction
+        cost = CrossTermCost(horizon=2, Q=1.0, S=[0.0, -10.0], R=1.0, P=1.0)
+        assert (cost.d_x, cost.d_u) == (1, 1)
+        with pytest.raises(DimensionMismatch):
+            CrossTermCost(horizon=1, Q=cost.Q, S=cost.S, R=cost.R, P=cost.P)
+        with pytest.raises(DimensionMismatch):
+            replace(cost, horizon=1)
+        with pytest.raises(NotPositiveSemidefinite, match="P'_2"):
+            reduce_cross_term(cost)
+
+    def test_replace_revalidates(self):
+        cost = CrossTermCost(horizon=2, Q=1.0, S=0.0, R=1.0)
+        with pytest.raises(ValidationError, match="non-finite"):
+            replace(cost, S=np.nan)
+        with pytest.raises(NotPositiveDefinite):
+            replace(cost, R=0.0)
+
     def test_scalar_equivalence_on_populations(self):
         # both cost forms agree on random populations
         rng = np.random.default_rng(2)
-        cost = build_cross_term_cost(horizon=1, Q=1.0, S=2.0, R=1.0, P=3.0)
+        cost = CrossTermCost(horizon=1, Q=1.0, S=2.0, R=1.0, P=3.0)
         Q, R, P = reduce_cross_term(cost)
         for _ in range(50):
             x = rng.uniform(-2, 2, (3, 1))
@@ -240,7 +257,7 @@ class TestCrossTerm:
         sym_part = (S + S.T) / 2.0
         lift = max(0.0, -float(np.linalg.eigvalsh(sym_part)[0]))
         P = rand_psd(rng, d_x) + (lift + 0.1) * np.eye(d_x)
-        cost = build_cross_term_cost(horizon=3, Q=rand_psd(rng, d_x), S=S, R=rand_pd(rng, 2), P=P)
+        cost = CrossTermCost(horizon=3, Q=rand_psd(rng, d_x), S=S, R=rand_pd(rng, 2), P=P)
         Q, R, Pp = reduce_cross_term(cost)
         for trial in range(20):
             x = rng.uniform(-2, 2, (n_agents, d_x))
@@ -260,24 +277,18 @@ class TestTracking:
         )
 
     def test_zero_weights_leave_pure_control_penalty(self):
-        spec = build_tracking_spec(horizon=5, d_x=1, d_u=1, q=0.0, r=1.0, p=0.0,
-                                   meanfield_reference=3.0)
-        aug = augment_for_tracking(self.base(), spec)
+        aug = augment_for_tracking(self.base(), q=0.0, r=1.0, p=0.0, meanfield_reference=3.0)
         assert not np.any(aug.Q)
         assert not np.any(aug.P)
         assert np.array_equal(aug.R[0], [[1.0]])
 
     def test_scalar_q_block(self):
-        spec = build_tracking_spec(horizon=5, d_x=1, d_u=1, q=1.0, r=1.0, p=0.0,
-                                   meanfield_reference=0.0)
-        aug = augment_for_tracking(self.base(), spec)
+        aug = augment_for_tracking(self.base(), q=1.0, r=1.0, p=0.0, meanfield_reference=0.0)
         expected = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         assert np.array_equal(aug.Q[0], expected)
 
     def test_augmented_dimensions_and_blocks(self):
-        spec = build_tracking_spec(horizon=5, d_x=1, d_u=1, q=0.5, r=1.0, p=1.0,
-                                   meanfield_reference=3.0)
-        aug = augment_for_tracking(self.base(), spec)
+        aug = augment_for_tracking(self.base(), q=0.5, r=1.0, p=1.0, meanfield_reference=3.0)
         assert aug.d_x == 3
         # reference block: identity dynamics, no control, no noise
         assert aug.A[0][1, 1] == 1.0 and aug.A[0][2, 2] == 1.0
@@ -290,9 +301,7 @@ class TestTracking:
 
     def test_time_varying_reference_enters_p(self):
         ref = np.arange(5.0).reshape(5, 1)
-        spec = build_tracking_spec(horizon=5, d_x=1, d_u=1, q=0.0, r=1.0, p=2.0,
-                                   meanfield_reference=ref)
-        aug = augment_for_tracking(self.base(), spec)
+        aug = augment_for_tracking(self.base(), q=0.0, r=1.0, p=2.0, meanfield_reference=ref)
         assert aug.P[3][0, 2] == -2.0 * 3.0
         assert aug.P[3][2, 2] == 2.0 * 9.0
 
@@ -303,10 +312,12 @@ class TestTracking:
         assert solution.Kx.shape == (90, 1, 3)
 
     def test_mismatched_spec_rejected(self):
-        spec = build_tracking_spec(horizon=4, d_x=1, d_u=1, q=1.0, r=1.0, p=1.0,
-                                   meanfield_reference=0.0)
-        with pytest.raises(DimensionMismatch):
-            augment_for_tracking(self.base(), spec)
+        # T=5, d_x=1: a reference of another length or width is rejected
+        # before any step reads it
+        for shape in [(3, 1), (4, 1), (6, 1), (5, 2), (2,)]:
+            with pytest.raises(DimensionMismatch, match="meanfield_reference"):
+                augment_for_tracking(self.base(), q=1.0, r=1.0, p=1.0,
+                                     meanfield_reference=np.zeros(shape))
 
     def test_tracking_cost_matches_definition(self):
         # simulated augmented cost equals the tracking objective computed
@@ -315,9 +326,7 @@ class TestTracking:
 
         base = self.base()
         q, r, p, ref = 0.5, 1.0, 1.0, 3.0
-        spec = build_tracking_spec(horizon=5, d_x=1, d_u=1, q=q, r=r, p=p,
-                                   meanfield_reference=ref)
-        aug = augment_for_tracking(base, spec)
+        aug = augment_for_tracking(base, q=q, r=r, p=p, meanfield_reference=ref)
         trace = simulate(aug, optimal_strategy(aug), seed=8)
         x = trace.states[:, :, 0]
         x_ref = trace.states[:, :, 1]

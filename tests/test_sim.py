@@ -1,5 +1,5 @@
 import csv
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from mflqg import (
     validate_model,
 )
 from mflqg import sim
+from mflqg.linalg import symmetrize
 from helpers import rand_pd, rand_psd, random_model
 
 
@@ -252,6 +253,120 @@ class TestExactPolicyCost:
         exact = exact_policy_cost(model, strategy).total
         mc = monte_carlo_cost(model, strategy, runs=20000, seed=44)
         assert abs(mc.mean - exact) <= 3.0 * mc.stderr
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation: exact evaluation with every step's covariances
+# kept as (T, ., .) stacks and the costs read from them in a second loop. The
+# one-loop `exact_policy_cost` must reproduce it digit for digit.
+
+@dataclass(frozen=True, eq=False)
+class TwoLoopPolicyEvaluation:
+    total: float
+    step_costs: np.ndarray            # (T,)
+    deviation_costs: np.ndarray       # (T,)
+    meanfield_costs: np.ndarray       # (T,)
+    meanfield_mean_costs: np.ndarray  # (T,)
+    meanfield_noise_costs: np.ndarray # (T,)
+    deviation_cov: np.ndarray         # (T, d_x, d_x), per-agent deviation covariance
+    meanfield_mean: np.ndarray        # (T, d_x)
+    meanfield_cov: np.ndarray         # (T, d_x, d_x)
+
+
+def two_loop_exact_policy_cost(model, policy) -> TwoLoopPolicyEvaluation:
+    """Expected cost of a full-observation linear policy, exactly.
+
+    Propagates the per-agent deviation covariance and the mean-field
+    mean/covariance through the closed loop. By exchangeability every agent
+    has the same deviation covariance, and the deviation/mean-field
+    cross-covariance is identically zero, so the propagation is exact in
+    dimension 2*d_x. The deviation noise covariance is (1 - 1/n) Sigma_W
+    and the mean-field noise covariance is Sigma_W / n, from splitting
+    i.i.d. noise into per-agent deviation and population average. A
+    deviation moves under Kx, the mean-field under Kz.
+    """
+    if model.observation_mode != "full":
+        raise IncompatibleStrategy("exact evaluation supports full observation only")
+    policy = sim._check_policy(model, policy)
+    T, n, d_x = model.horizon, model.n_agents, model.d_x
+
+    dev_frac = 1.0 - 1.0 / n
+    cov_dev = np.zeros((T, d_x, d_x))
+    mf_mean = np.zeros((T, d_x))
+    mf_cov = np.zeros((T, d_x, d_x))
+    cov_dev[0] = dev_frac * model.Sigma_X
+    mf_mean[0] = model.mu_X
+    mf_cov[0] = model.Sigma_X / n
+
+    for k in range(T - 1):
+        closed_dev = model.A[k] + model.B[k] @ policy.Kx[k]
+        closed_mf = model.A[k] + model.D[k] + model.B[k] @ policy.Kz[k]
+        cov_dev[k + 1] = symmetrize(
+            closed_dev @ cov_dev[k] @ closed_dev.T + dev_frac * model.Sigma_W,
+            "deviation covariance",
+        )
+        mf_mean[k + 1] = closed_mf @ mf_mean[k]
+        mf_cov[k + 1] = symmetrize(
+            closed_mf @ mf_cov[k] @ closed_mf.T + model.Sigma_W / n,
+            "mean-field covariance",
+        )
+
+    dev_costs = np.zeros(T)
+    mf_mean_costs = np.zeros(T)
+    mf_noise_costs = np.zeros(T)
+    for k in range(T):
+        Kx, Kz = policy.Kx[k], policy.Kz[k]
+        w_dev = model.Q[k] + Kx.T @ model.R[k] @ Kx
+        w_mf = model.Q[k] + model.P[k] + Kz.T @ model.R[k] @ Kz
+        dev_costs[k] = float(np.trace(w_dev @ cov_dev[k]))
+        mf_mean_costs[k] = float(mf_mean[k] @ w_mf @ mf_mean[k])
+        mf_noise_costs[k] = float(np.trace(w_mf @ mf_cov[k]))
+
+    mf_costs = mf_mean_costs + mf_noise_costs
+    step_costs = dev_costs + mf_costs
+    return TwoLoopPolicyEvaluation(
+        total=float(np.add.reduce(step_costs)),
+        step_costs=step_costs,
+        deviation_costs=dev_costs,
+        meanfield_costs=mf_costs,
+        meanfield_mean_costs=mf_mean_costs,
+        meanfield_noise_costs=mf_noise_costs,
+        deviation_cov=cov_dev,
+        meanfield_mean=mf_mean,
+        meanfield_cov=mf_cov,
+    )
+
+
+class TestExactMatchesTwoLoopReference:
+    @pytest.mark.parametrize("model", [
+        random_model(np.random.default_rng(90 + i), n_agents=n, horizon=T, d_x=d_x, d_u=d_u)
+        for i, (n, T, d_x, d_u) in enumerate(
+            [(3, 6, 2, 2), (1, 5, 3, 2), (4, 1, 2, 1), (2, 8, 1, 3), (1, 1, 1, 1)]
+        )
+    ], ids=["n3", "n1", "T1", "dx1_du3", "n1_T1"])
+    @pytest.mark.parametrize("gains", ["optimal", "perturbed"])
+    def test_random_models(self, model, gains):
+        policy = optimal_strategy(model)
+        if gains == "perturbed":
+            rng = np.random.default_rng(99)
+            policy = GainSchedule(Kx=policy.Kx + 0.1 * rng.standard_normal(policy.Kx.shape),
+                                  Kz=policy.Kz + 0.1 * rng.standard_normal(policy.Kz.shape))
+        self.assert_same(model, policy)
+
+    def test_heater(self):
+        model = heater_model()
+        # the tracking augmentation builds the preset's arrays exactly as before
+        assert model.fingerprint() == "846260d59e672fc3"
+        self.assert_same(model, optimal_strategy(model))
+
+    @staticmethod
+    def assert_same(model, policy):
+        got = exact_policy_cost(model, policy)
+        want = two_loop_exact_policy_cost(model, policy)
+        assert got.total == want.total
+        for name in ("step_costs", "deviation_costs", "meanfield_costs",
+                     "meanfield_mean_costs", "meanfield_noise_costs"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestMonteCarlo:
