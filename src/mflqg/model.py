@@ -346,7 +346,10 @@ class CrossTermCost:
             object.__setattr__(self, name, value)
 
     def step_cost(self, states: np.ndarray, actions: np.ndarray, t: int) -> float:
-        """Evaluate the cross-term cost on a population snapshot at step t."""
+        """Evaluate the cross-term cost on a population snapshot at step t
+        (1..T)."""
+        if not 1 <= t <= self.horizon:
+            raise ValidationError(f"step {t} outside 1..{self.horizon}")
         x = np.asarray(states, dtype=float)
         u = np.asarray(actions, dtype=float)
         z = np.add.reduce(x, axis=0) / x.shape[0]

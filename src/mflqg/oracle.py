@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapExceeded, NumericalFailure
+from .errors import CapExceeded, IncompatibleStrategy, NumericalFailure
 from .model import LqMeanFieldModel, _whole
 from .riccati import ControlRiccatiSolution, solve_control_riccati
 from .sim import exact_policy_cost
@@ -49,13 +49,26 @@ class StackedModel:
         states.
         """
         m, n = self.model, self.n_agents
-        eye = np.eye(n)
-        ones = np.ones((n, n))
-        A = np.kron(eye, m.A[k]) + np.kron(ones / n, m.D[k])
-        B = np.kron(eye, m.B[k])
-        Q = np.kron(eye, m.Q[k]) / n + np.kron(ones, m.P[k]) / n**2
-        R = np.kron(eye, m.R[k]) / n
+        A = _exchangeable(m.A[k], m.D[k] * (1.0 / n), n)
+        B = _exchangeable(m.B[k], None, n)
+        Q = _exchangeable(m.Q[k] / n, m.P[k] / n**2, n)
+        R = _exchangeable(m.R[k] / n, None, n)
         return A, B, Q, R
+
+
+def _exchangeable(diagonal: np.ndarray, coupling: np.ndarray | None, n: int) -> np.ndarray:
+    """The (n*r, n*c) matrix whose every (r, c) block is `coupling` (zero
+    when None), plus `diagonal` on the diagonal blocks: the entries of
+    kron(I, diagonal) + kron(ones, coupling), without forming either."""
+    r, c = diagonal.shape
+    if coupling is None:
+        stacked = np.zeros((n * r, n * c))
+    else:
+        stacked = np.tile(coupling, (n, n))
+    blocks = stacked.reshape(n, r, n, c)
+    agents = np.arange(n)
+    blocks[agents, :, agents, :] += diagonal
+    return stacked
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,14 +120,13 @@ def build_stacked_model(
             f"stacked dimension n*d_x = {n * model.d_x} exceeds the cap {cap}; "
             "the stacked solve is a desk-scale verification oracle"
         )
-    eye = np.eye(n)
     return StackedModel(
         n_agents=n,
         horizon=model.horizon,
         dim_x=n * model.d_x,
         dim_u=n * model.d_u,
-        Sigma_X=np.kron(eye, model.Sigma_X),
-        Sigma_W=np.kron(eye, model.Sigma_W),
+        Sigma_X=_exchangeable(model.Sigma_X, None, n),
+        Sigma_W=_exchangeable(model.Sigma_W, None, n),
         mu=np.tile(model.mu_X, n),
         model=model,
     )
@@ -160,9 +172,7 @@ def centralized_cost(stacked: StackedModel, solution: StackedRiccatiSolution) ->
 def _structured_gain(solution: ControlRiccatiSolution, n: int, k: int) -> np.ndarray:
     """Stacked gain of step k implied by the mean-field solution:
     identical diagonal blocks Kx plus uniform coupling (Kz - Kx)/n."""
-    eye = np.eye(n)
-    ones = np.ones((n, n))
-    return np.kron(eye, solution.Kx[k]) + np.kron(ones / n, solution.Kz[k] - solution.Kx[k])
+    return _exchangeable(solution.Kx[k], (solution.Kz[k] - solution.Kx[k]) * (1.0 / n), n)
 
 
 def structured_gains(solution: ControlRiccatiSolution, n: int) -> np.ndarray:
@@ -179,8 +189,11 @@ def check_equivalence(
     matrix equals its mean-field-structured counterpart in relative
     Frobenius norm; (2) the decentralized controller's exact expected cost
     equals the centralized optimal cost in relative terms. Passes iff both
-    maxima are within tolerance.
+    maxima are within tolerance. A noisy-observation model has no exact
+    cost to compare, so it raises `IncompatibleStrategy` before any solve.
     """
+    if model.observation_mode != "full":
+        raise IncompatibleStrategy("exact evaluation supports full observation only")
     if n is not None and n != model.n_agents:
         model = replace(model, n_agents=n)
     n = model.n_agents

@@ -6,17 +6,23 @@ derived from (seed, run, noise-kind), with a fixed in-stream layout of
 Initial states, process noise, and observation noise live in separate
 substreams, so full- and noisy-observation simulations of the same model
 and seed share identical state noise (common random numbers), and traces
-are bit-reproducible regardless of scheduling or concurrency.
+are bit-reproducible regardless of scheduling or concurrency. Each chunk
+of runs builds one generator and re-points it at the (run, kind) counter
+of every run and noise kind, which draws exactly what a new generator
+would, so RNG_SCHEME is unchanged.
 
 Every policy is a `GainSchedule` (filter gains present exactly when the
 model is noisy), and one batched closed-loop kernel steps a block of runs
 together: `simulate` is its batch of one with every step recorded, and
 `monte_carlo_cost` runs it per chunk for the realized costs only, so Monte
-Carlo run r equals simulate(run=r) bit for bit. `exact_policy_cost`
-propagates means and covariances of the pair (per-agent deviation from the
-mean-field, mean-field) through the closed loop, which has fixed dimension
-2*d_x regardless of the population size; Monte Carlo chunk sizes depend on
-the model only, so the result is independent of the worker count.
+Carlo run r equals simulate(run=r) bit for bit. Population and component
+sums run per run in a fixed order (ascending, except numpy's pairwise sum
+along a contiguous axis), never in one that follows the batch size.
+`exact_policy_cost` propagates means and covariances of the pair
+(per-agent deviation from the mean-field, mean-field) through the closed
+loop, which has fixed dimension 2*d_x regardless of the population size;
+Monte Carlo chunk sizes depend on the model only, so the result is
+independent of the worker count.
 """
 from __future__ import annotations
 
@@ -44,11 +50,40 @@ _MC_CHUNK = 4096
 _MC_CHUNK_BYTES = 16 * 2**20
 
 
+def _counter(run: int, kind: int) -> np.ndarray:
+    """Philox counter of one (run, kind), converted as `np.random.Philox`
+    converts the list [0, 0, run, kind]: through float64 once a word
+    reaches 2**63. The streams of RNG_SCHEME are defined by this conversion,
+    rounding included."""
+    return np.asarray([0, 0, run, kind]).astype(np.uint64)
+
+
 def _substream(seed: int, run: int, kind: int) -> np.random.Generator:
     """Philox stream for one (run, kind); the low counter word is left free
     for in-stream consumption, so substreams can never overlap."""
-    bits = np.random.Philox(key=[seed, _KEY_SALT], counter=[0, 0, run, kind])
+    bits = np.random.Philox(key=[seed, _KEY_SALT], counter=_counter(run, kind))
     return np.random.Generator(bits)
+
+
+def _reusable_substream(seed: int):
+    """`_substream(seed, run, kind)` as a function of (run, kind) that
+    re-points one generator instead of building one per call.
+
+    A Philox stream is fully named by its key and counter: setting the
+    counter to [0, 0, run, kind] with an empty buffer gives the state of a
+    new `_substream(seed, run, kind)`, whatever was drawn before. Each call
+    invalidates the generator an earlier call returned.
+    """
+    generator = _substream(seed, 0, _KIND_INIT)
+    bits = generator.bit_generator
+    fresh = bits.state
+
+    def point(run: int, kind: int) -> np.random.Generator:
+        fresh["state"]["counter"] = _counter(run, kind)
+        bits.state = fresh
+        return generator
+
+    return point
 
 
 def _noise_factors(model: LqMeanFieldModel):
@@ -63,20 +98,27 @@ def _noise_factors(model: LqMeanFieldModel):
     )
 
 
-def _draw_run_noise(model: LqMeanFieldModel, seed: int, run: int, factors):
-    """All randomness for one run, in the fixed (step, agent, component) layout,
-    given the `_noise_factors` of the model."""
+def _draw_noise(model: LqMeanFieldModel, seed: int, first_run: int, x1, w, v) -> None:
+    """Fill x1, w (and v, when noisy) with the initial states, process noise
+    (and observation noise) of runs first_run.., one run per leading index,
+    in the fixed (step, agent, component) layout.
+
+    The normals of each (run, kind) go to per-run scratch from one
+    re-pointed generator, and the covariance factor is applied with one
+    matmul written straight into the chunk.
+    """
     T, n = model.horizon, model.n_agents
-    Lx, Lw, Lv = factors
-    init = _substream(seed, run, _KIND_INIT).standard_normal((n, model.d_x))
-    x1 = model.mu_X + init @ Lx.T
-    proc = _substream(seed, run, _KIND_PROCESS).standard_normal((T - 1, n, model.d_x))
-    w = proc @ Lw.T
-    v = None
-    if model.observation_mode == "noisy":
-        obs = _substream(seed, run, _KIND_OBS).standard_normal((T, n, model.d_y))
-        v = obs @ Lv.T
-    return x1, w, v
+    Lx, Lw, Lv = _noise_factors(model)
+    substream = _reusable_substream(seed)
+    kinds = [(_KIND_INIT, np.empty((n, model.d_x)), Lx.T, x1),
+             (_KIND_PROCESS, np.empty((T - 1, n, model.d_x)), Lw.T, w)]
+    if v is not None:
+        kinds.append((_KIND_OBS, np.empty((T, n, model.d_y)), Lv.T, v))
+    for i in range(x1.shape[0]):
+        for kind, normals, factor, out in kinds:
+            substream(first_run + i, kind).standard_normal(out=normals)
+            np.matmul(normals, factor, out=out[i])
+    x1 += model.mu_X
 
 
 def mean_over_agents(values: np.ndarray) -> np.ndarray:
@@ -154,15 +196,10 @@ def _closed_loop(
     noisy = model.observation_mode == "noisy"
     Fx, Fz = policy.Kx, policy.Kz - policy.Kx
 
-    factors = _noise_factors(model)
     x1 = np.empty((runs, n, d_x))
     w = np.empty((runs, T - 1, n, d_x))
     v = np.empty((runs, T, n, d_y)) if noisy else None
-    for i in range(runs):
-        xi, wi, vi = _draw_run_noise(model, seed, first_run + i, factors)
-        x1[i], w[i] = xi, wi
-        if noisy:
-            v[i] = vi
+    _draw_noise(model, seed, first_run, x1, w, v)
 
     x = x1
     xhat = np.broadcast_to(model.mu_X, (runs, n, d_x)).copy() if noisy else None
@@ -173,23 +210,34 @@ def _closed_loop(
         # the mean-field keeps a singleton agent axis, so every product with
         # it is one small matmul per run and a run's digits never depend on
         # how many runs share the batch
-        z = np.add.reduce(x, axis=1, keepdims=True) / n
+        z = _agent_mean(x)
         basis = xhat if noisy else x
-        u = basis @ Fx[k].T + z @ Fz[k].T
-        quad = _quadratic(x, model.Q[k]) + _quadratic(u, model.R[k])
+        u = basis @ Fx[k].T
+        u += z @ Fz[k].T
+        quad = _quadratic(x, model.Q[k])
+        quad += _quadratic(u, model.R[k])
         per_step[k] = np.add.reduce(quad, axis=1) / n
         per_step[k] += _quadratic(z, model.P[k])[:, 0]
         if noisy:
             z_obs = z @ model.Cz[k].T
-            y = x @ model.Cx[k].T + z_obs + v[:, k]
+            y = x @ model.Cx[k].T
+            y += z_obs
+            y += v[:, k]
         if record:
             steps.append((x, u, z[:, 0], np.add.reduce(u, axis=1) / n, y, xhat))
         if k + 1 < T:
             drift = z @ model.D[k].T
             if noisy:
-                innovation = y - xhat @ model.Cx[k].T - z_obs
-                xhat = xhat @ model.A[k].T + u @ model.B[k].T + drift + innovation @ policy.Kf[k].T
-            x = x @ model.A[k].T + u @ model.B[k].T + drift + w[:, k]
+                innovation = y - xhat @ model.Cx[k].T
+                innovation -= z_obs
+                xhat = xhat @ model.A[k].T
+                xhat += u @ model.B[k].T
+                xhat += drift
+                xhat += innovation @ policy.Kf[k].T
+            x = x @ model.A[k].T
+            x += u @ model.B[k].T
+            x += drift
+            x += w[:, k]
 
     if not record:
         return per_step, None
@@ -201,10 +249,39 @@ def _closed_loop(
     return per_step, {**recorded, "process_noise": w, "obs_noise": v}
 
 
+def _agent_mean(x: np.ndarray) -> np.ndarray:
+    """Population average over axis 1, keeping it: the digits of
+    `np.add.reduce(x, axis=1, keepdims=True) / n`, which are per-run.
+
+    Over a strided axis numpy reduces by an ascending fold, which
+    `np.add.accumulate` repeats without the short strided inner loops (the
+    two differ only in the sign of an all -0.0 sum, and no state is -0.0:
+    each is a matmul result plus further terms, and matmul returns +0.0).
+    With one component the agent axis is the contiguous one, which numpy
+    sums pairwise, so the reduce stays there.
+    """
+    n = x.shape[1]
+    if x.shape[-1] == 1:
+        return np.add.reduce(x, axis=1, keepdims=True) / n
+    return np.add.accumulate(x, axis=1)[:, -1:] / n
+
+
 def _quadratic(vectors: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """v' W v over the last axis, with per-run arithmetic (einsum's summation
-    order changes with the batch size for some shapes)."""
-    return np.add.reduce((vectors @ weight) * vectors, axis=-1)
+    order changes with the batch size for some shapes).
+
+    Fewer than 8 components are summed left to right by sliced adds, the
+    digits of `np.add.reduce` there (numpy sums 8 and more pairwise, so the
+    reduce stays for those) without its per-element inner loop.
+    """
+    terms = vectors @ weight
+    terms *= vectors
+    if terms.shape[-1] >= 8:
+        return np.add.reduce(terms, axis=-1)
+    total = terms[..., 0].copy()
+    for j in range(1, terms.shape[-1]):
+        total += terms[..., j]
+    return total
 
 
 def _run_totals(per_step: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mflqg
-from mflqg import build_model, load_model, save_model
+from mflqg import build_model, load_model, oracle, save_model
 from mflqg.cli import main
 from helpers import random_model
 
@@ -225,6 +225,17 @@ class TestVerify:
         assert code == 0
         report = json.loads((out / "verify.json").read_text())
         assert report["n_agents"] == 4
+
+    def test_noisy_model_exits_2_without_stacked_solve(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "noisy.json"
+        save_model(random_model(np.random.default_rng(73), mode="noisy", horizon=4), path)
+        solves = []
+        monkeypatch.setattr(oracle, "solve_stacked_riccati", solves.append)
+        out = tmp_path / "out"
+        assert main(["verify", "--model", str(path), "--out", str(out)]) == 2
+        assert "IncompatibleStrategy" in capsys.readouterr().err
+        assert solves == []
+        assert not (out / "verify.json").exists()
 
 
 class TestPresetHeater:

@@ -236,6 +236,15 @@ class TestCrossTerm:
         with pytest.raises(NotPositiveDefinite):
             replace(cost, R=0.0)
 
+    def test_step_outside_horizon_rejected(self):
+        cost = CrossTermCost(horizon=2, Q=[1.0, 5.0], S=0.0, R=1.0)
+        x, u = np.ones((2, 1)), np.zeros((2, 1))
+        assert cost.step_cost(x, u, 1) == 1.0
+        assert cost.step_cost(x, u, 2) == 5.0
+        for t in (0, 3):
+            with pytest.raises(ValidationError, match="outside 1..2"):
+                cost.step_cost(x, u, t)
+
     def test_scalar_equivalence_on_populations(self):
         # both cost forms agree on random populations
         rng = np.random.default_rng(2)

@@ -6,6 +6,7 @@ import pytest
 
 from mflqg import (
     CapExceeded,
+    IncompatibleStrategy,
     ValidationError,
     NumericalFailure,
     GainSchedule,
@@ -21,6 +22,7 @@ from mflqg import (
     step_cost,
     structured_gains,
 )
+from mflqg import oracle
 from mflqg.model import LqMeanFieldModel, _count
 from mflqg.oracle import STACKED_DIM_CAP, EquivalenceReport
 from mflqg.presets import heater_model
@@ -185,6 +187,15 @@ class TestEquivalence:
         perturbed = GainSchedule(Kx=Fx, Kz=Fx + Fz)
         worse = exact_policy_cost(model, perturbed).total
         assert worse > central
+
+    def test_noisy_model_rejected_before_stacked_solve(self, monkeypatch):
+        model = random_model(np.random.default_rng(66), mode="noisy", n_agents=3, horizon=5)
+        solves = []
+        monkeypatch.setattr(oracle, "solve_stacked_riccati", solves.append)
+        for n in (None, 4):
+            with pytest.raises(IncompatibleStrategy, match="full observation only"):
+                check_equivalence(model, n=n)
+        assert solves == []
 
     def test_report_serialization(self, small_model):
         report = check_equivalence(small_model)

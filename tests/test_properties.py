@@ -1,7 +1,7 @@
 """Property sweep over small random models in both observation modes, each
 input given as a scalar, a single matrix or a per-step sequence: model and
 cross-term cost construction, and the stacked oracle on full-observation
-models."""
+models. Also: a re-pointed noise generator draws its fresh substream."""
 import json
 from dataclasses import replace
 
@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from mflqg import (CrossTermCost, build_model, check_equivalence, model_from_dict,
                    model_to_dict)
+from mflqg import sim
 
 ARRAYS = ("A", "B", "D", "Q", "R", "P", "Sigma_X", "Sigma_W", "mu_X", "Cx", "Cz", "Sigma_V",
           "state_offset")
@@ -176,3 +177,25 @@ def test_replace_normalizes_like_build_model(inputs, data):
 def test_stacked_oracle_confirms_meanfield_solution(inputs):
     report = check_equivalence(build_model(**inputs[0]), tolerance=1e-8)
     assert report.passed, report.to_dict()
+
+
+U64 = st.integers(0, 2**64 - 1)
+KINDS = st.sampled_from([sim._KIND_INIT, sim._KIND_PROCESS, sim._KIND_OBS])
+
+
+# a counter word of 2**64 - 2**10 or more rounds to 2**64 on its way through
+# float64, which numpy warns of when it casts it to uint64
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(U64, U64, KINDS, st.none() | st.tuples(U64, KINDS))
+def test_repointed_generator_draws_the_fresh_substream(seed, run, kind, earlier):
+    substream = sim._reusable_substream(seed)
+    if earlier is not None:
+        # a partial draw leaves the Philox buffer half used
+        substream(*earlier).standard_normal(5)
+    got = np.empty((3, 4))
+    substream(run, kind).standard_normal(out=got)
+    assert np.array_equal(got, sim._substream(seed, run, kind).standard_normal((3, 4)))
+    # the counter given as a list, as the streams were first defined
+    listed = np.random.Philox(key=[seed, sim._KEY_SALT], counter=[0, 0, run, kind])
+    assert np.array_equal(got, np.random.Generator(listed).standard_normal((3, 4)))

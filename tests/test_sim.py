@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from mflqg import (
     validate_model,
 )
 from mflqg import sim
-from mflqg.linalg import symmetrize
+from mflqg.linalg import psd_factor, symmetrize
 from helpers import rand_pd, rand_psd, random_model
 
 
@@ -473,6 +474,170 @@ class TestMonteCarlo:
                 assert monte_carlo_cost(model, policy, runs=8, seed=1, workers=workers) == reference
                 assert sorted(chunks, reverse=True) == sizes
                 assert all(count * run_bytes <= budget or count == 1 for count in chunks)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation: the closed-loop kernel with a new Philox
+# generator built per (run, kind), each run's noise drawn into temporaries
+# and copied into the chunk, and the population and component sums taken by
+# np.add.reduce. The kernel must reproduce it bit for bit, zero signs
+# included.
+
+PARENT_KEY_SALT = 0x9E3779B97F4A7C15
+
+
+def parent_substream(seed: int, run: int, kind: int) -> np.random.Generator:
+    """Philox stream for one (run, kind); the low counter word is left free
+    for in-stream consumption, so substreams can never overlap."""
+    bits = np.random.Philox(key=[seed, PARENT_KEY_SALT], counter=[0, 0, run, kind])
+    return np.random.Generator(bits)
+
+
+def parent_noise_factors(model):
+    """Square factors of the three noise covariances (observation last, or None)."""
+    Lv = None
+    if model.observation_mode == "noisy":
+        Lv = psd_factor(model.Sigma_V, "Sigma_V")
+    return (
+        psd_factor(model.Sigma_X, "Sigma_X"),
+        psd_factor(model.Sigma_W, "Sigma_W"),
+        Lv,
+    )
+
+
+def parent_draw_run_noise(model, seed: int, run: int, factors):
+    """All randomness for one run, in the fixed (step, agent, component) layout,
+    given the `_noise_factors` of the model."""
+    T, n = model.horizon, model.n_agents
+    Lx, Lw, Lv = factors
+    init = parent_substream(seed, run, 0).standard_normal((n, model.d_x))
+    x1 = model.mu_X + init @ Lx.T
+    proc = parent_substream(seed, run, 1).standard_normal((T - 1, n, model.d_x))
+    w = proc @ Lw.T
+    v = None
+    if model.observation_mode == "noisy":
+        obs = parent_substream(seed, run, 2).standard_normal((T, n, model.d_y))
+        v = obs @ Lv.T
+    return x1, w, v
+
+
+def parent_closed_loop(model, policy, seed: int, first_run: int, runs: int, record: bool = False):
+    """Step runs first_run..first_run+runs-1 through the closed loop together."""
+    T, n, d_x, d_y = model.horizon, model.n_agents, model.d_x, model.d_y
+    noisy = model.observation_mode == "noisy"
+    Fx, Fz = policy.Kx, policy.Kz - policy.Kx
+
+    factors = parent_noise_factors(model)
+    x1 = np.empty((runs, n, d_x))
+    w = np.empty((runs, T - 1, n, d_x))
+    v = np.empty((runs, T, n, d_y)) if noisy else None
+    for i in range(runs):
+        xi, wi, vi = parent_draw_run_noise(model, seed, first_run + i, factors)
+        x1[i], w[i] = xi, wi
+        if noisy:
+            v[i] = vi
+
+    x = x1
+    xhat = np.broadcast_to(model.mu_X, (runs, n, d_x)).copy() if noisy else None
+    y = None
+    per_step = np.zeros((T, runs))
+    steps = []
+    for k in range(T):
+        z = np.add.reduce(x, axis=1, keepdims=True) / n
+        basis = xhat if noisy else x
+        u = basis @ Fx[k].T + z @ Fz[k].T
+        quad = parent_quadratic(x, model.Q[k]) + parent_quadratic(u, model.R[k])
+        per_step[k] = np.add.reduce(quad, axis=1) / n
+        per_step[k] += parent_quadratic(z, model.P[k])[:, 0]
+        if noisy:
+            z_obs = z @ model.Cz[k].T
+            y = x @ model.Cx[k].T + z_obs + v[:, k]
+        if record:
+            steps.append((x, u, z[:, 0], np.add.reduce(u, axis=1) / n, y, xhat))
+        if k + 1 < T:
+            drift = z @ model.D[k].T
+            if noisy:
+                innovation = y - xhat @ model.Cx[k].T - z_obs
+                xhat = xhat @ model.A[k].T + u @ model.B[k].T + drift + innovation @ policy.Kf[k].T
+            x = x @ model.A[k].T + u @ model.B[k].T + drift + w[:, k]
+
+    if not record:
+        return per_step, None
+    names = ("states", "actions", "meanfield", "mean_control", "observations", "estimates")
+    recorded = {
+        name: None if column[0] is None else np.stack(column, axis=1)
+        for name, column in zip(names, zip(*steps))
+    }
+    return per_step, {**recorded, "process_noise": w, "obs_noise": v}
+
+
+def parent_quadratic(vectors: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """v' W v over the last axis, with per-run arithmetic."""
+    return np.add.reduce((vectors @ weight) * vectors, axis=-1)
+
+
+def assert_same_bits(got, want, name):
+    assert got.shape == want.shape, name
+    assert np.array_equal(got, want), name
+    assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+KERNEL_MODELS = {
+    "heater": heater_model,
+    "noisy_dx2": lambda: random_model(np.random.default_rng(55), mode="noisy", n_agents=2,
+                                      d_x=2, d_u=2, d_y=1, horizon=30),
+    "noisy_dx4_dy2": lambda: random_model(np.random.default_rng(58), mode="noisy",
+                                          n_agents=5, d_x=4, d_u=2, d_y=2, horizon=9),
+    # 9 state and 8 control components: the component sums numpy takes pairwise
+    "full_dx9_du8": lambda: random_model(np.random.default_rng(59), n_agents=3, d_x=9,
+                                         d_u=8, horizon=4),
+    # one state component: the agent axis is contiguous and summed pairwise
+    "scalar_n12": lambda: random_model(np.random.default_rng(60), n_agents=12, d_x=1,
+                                       d_u=1, horizon=6),
+    "n1": lambda: random_model(np.random.default_rng(61), n_agents=1, horizon=5),
+    "n8": lambda: random_model(np.random.default_rng(62), n_agents=8, horizon=5),
+    "T1": lambda: random_model(np.random.default_rng(63), n_agents=3, horizon=1),
+    "noisy_T1": lambda: random_model(np.random.default_rng(64), mode="noisy", n_agents=3,
+                                     horizon=1),
+    # no noise and a zero start: every value is zero, and zero signs are compared too
+    "zero_noise": lambda: build_model(horizon=4, n_agents=3, A=-np.eye(2), B=-np.ones((2, 1)),
+                                      D=-0.5 * np.eye(2), Q=np.eye(2), R=1.0),
+}
+
+
+class TestKernelMatchesParentReference:
+    @pytest.mark.parametrize("case", sorted(KERNEL_MODELS))
+    @pytest.mark.parametrize("first_run, runs, record", [(5, 7, False), (3, 1, True)])
+    def test_bits_match(self, case, first_run, runs, record):
+        model = KERNEL_MODELS[case]()
+        if case == "noisy_dx4_dy2":
+            assert np.any(model.D) and model.d_y == 2
+        policy = optimal_strategy(model)
+        got_costs, got = sim._closed_loop(model, policy, 11, first_run, runs, record)
+        want_costs, want = parent_closed_loop(model, policy, 11, first_run, runs, record)
+        assert_same_bits(got_costs, want_costs, "per_step")
+        if not record:
+            assert got is None and want is None
+            return
+        assert got.keys() == want.keys()
+        for name in want:
+            assert (got[name] is None) == (want[name] is None), name
+            if want[name] is not None:
+                assert_same_bits(got[name], want[name], name)
+
+
+def test_monte_carlo_memory_bound():
+    # 1,024 heater runs are four chunks of 258; the chunk's pre-drawn noise
+    # is about 16.7 MB of the 17.6 MB peak
+    model = heater_model()
+    policy = optimal_strategy(model)
+    tracemalloc.start()
+    try:
+        monte_carlo_cost(model, policy, 1024, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 def reference_export(trace, out_dir):
