@@ -22,6 +22,7 @@ from .oracle import check_equivalence
 from .presets import heater_model
 from .riccati import solve_control_riccati, solve_filter_riccati
 from .sim import (
+    RNG_SCHEME,
     exact_policy_cost,
     export_summary_json,
     export_trace_csv,
@@ -143,6 +144,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = {
         "model_fingerprint": model.fingerprint(),
         "seed": args.seed,
+        "rng_scheme": RNG_SCHEME,
         "runs": mc.runs,
         "exact_cost": exact_total,
         "monte_carlo_mean": mc.mean,

@@ -85,12 +85,15 @@ def spd_solve(mat: np.ndarray, rhs: np.ndarray, context: str = "linear solve") -
 
 
 def psd_factor(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
-    """Return L with L @ L.T = cov for a possibly singular covariance.
+    """Return the d x r factor L with L @ L.T = cov, r = rank(cov), for a
+    possibly singular covariance.
 
-    Uses an eigendecomposition and zeroes eigenvalues below FACTOR_CLIP
-    times the largest, so exactly singular covariances (including the zero
-    matrix) factor cleanly for sampling. Non-finite input raises
-    NotPositiveSemidefinite.
+    Uses an eigendecomposition, zeroes eigenvalues below FACTOR_CLIP times
+    the largest, and keeps the eigenvector columns, in ascending eigenvalue
+    order, whose clipped eigenvalue is nonzero, each scaled by its square
+    root. A zero matrix factors as d x 0, so sampling through L draws one
+    normal per direction the covariance excites and none for the others.
+    Non-finite input raises NotPositiveSemidefinite.
     """
     if not np.isfinite(cov).all():
         raise NotPositiveSemidefinite(f"{name} has a non-finite entry")
@@ -101,5 +104,8 @@ def psd_factor(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
             f"{name} has smallest eigenvalue {float(eigvals[0]):.3e} < -{PSD_TOL:.0e}"
         )
     top = max(float(eigvals[-1]), 0.0) if eigvals.size else 0.0
-    clipped = np.where(eigvals > FACTOR_CLIP * top, eigvals, 0.0)
-    return eigvecs * np.sqrt(clipped)[np.newaxis, :]
+    # eigh sorts ascending, so the kept eigenvalues are the last ones; a
+    # slice, unlike a mask, keeps the factor C-ordered, and the digits of
+    # the noise's BLAS products depend on that layout
+    kept = slice(eigvals.size - int(np.count_nonzero(eigvals > FACTOR_CLIP * top)), None)
+    return eigvecs[:, kept] * np.sqrt(eigvals[kept])[np.newaxis, :]

@@ -1,15 +1,24 @@
 """Closed-loop population simulation and policy cost evaluation.
 
 Randomness contract: all draws come from counter-based Philox streams
-derived from (seed, run, noise-kind), with a fixed in-stream layout of
-(step, agent, component). The scheme is named and versioned in RNG_SCHEME.
+derived from (seed, run, noise-kind). The scheme is named and versioned in
+RNG_SCHEME. The Philox key is (seed, 0x9E3779B97F4A8000) and the counter
+(0, 0, run, kind), both exact uint64 words, so every seed and run in
+[0, 2**64) names its own stream. A noise kind of covariance rank r draws r
+normals per (step, agent), in (step, agent, direction) order, and maps them
+through the r kept columns of its `psd_factor`: the directions a
+covariance does not excite (such as the noiseless reference components of
+a tracking model) draw nothing. A full-rank covariance keeps every
+column, so for seeds below 2**53 and runs below 2**63 its draws are those
+of scheme v1, which rounded key and counter words through float64 and
+always drew one normal per component.
 Initial states, process noise, and observation noise live in separate
 substreams, so full- and noisy-observation simulations of the same model
 and seed share identical state noise (common random numbers), and traces
 are bit-reproducible regardless of scheduling or concurrency. Each chunk
 of runs builds one generator and re-points it at the (run, kind) counter
 of every run and noise kind, which draws exactly what a new generator
-would, so RNG_SCHEME is unchanged.
+would.
 
 Every policy is a `GainSchedule` (filter gains present exactly when the
 model is noisy), and one batched closed-loop kernel steps a block of runs
@@ -39,8 +48,8 @@ from .linalg import psd_factor, symmetrize
 from .model import LqMeanFieldModel, _whole
 from .riccati import solve_control_riccati, solve_filter_riccati
 
-RNG_SCHEME = "philox4x64-runkind-v1"
-_KEY_SALT = 0x9E3779B97F4A7C15
+RNG_SCHEME = "philox4x64-runkind-v2"
+_KEY_SALT = 0x9E3779B97F4A8000
 _KIND_INIT = 0
 _KIND_PROCESS = 1
 _KIND_OBS = 2
@@ -51,18 +60,15 @@ _MC_CHUNK_BYTES = 16 * 2**20
 
 
 def _counter(run: int, kind: int) -> np.ndarray:
-    """Philox counter of one (run, kind), converted as `np.random.Philox`
-    converts the list [0, 0, run, kind]: through float64 once a word
-    reaches 2**63. The streams of RNG_SCHEME are defined by this conversion,
-    rounding included."""
-    return np.asarray([0, 0, run, kind]).astype(np.uint64)
+    """Philox counter of one (run, kind), exact in every word."""
+    return np.array([0, 0, run, kind], dtype=np.uint64)
 
 
 def _substream(seed: int, run: int, kind: int) -> np.random.Generator:
     """Philox stream for one (run, kind); the low counter word is left free
     for in-stream consumption, so substreams can never overlap."""
-    bits = np.random.Philox(key=[seed, _KEY_SALT], counter=_counter(run, kind))
-    return np.random.Generator(bits)
+    key = np.array([seed, _KEY_SALT], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=_counter(run, kind)))
 
 
 def _reusable_substream(seed: int):
@@ -87,7 +93,8 @@ def _reusable_substream(seed: int):
 
 
 def _noise_factors(model: LqMeanFieldModel):
-    """Square factors of the three noise covariances (observation last, or None)."""
+    """Rank-sized factors of the three noise covariances (observation last,
+    or None)."""
     Lv = None
     if model.observation_mode == "noisy":
         Lv = psd_factor(model.Sigma_V, "Sigma_V")
@@ -100,20 +107,19 @@ def _noise_factors(model: LqMeanFieldModel):
 
 def _draw_noise(model: LqMeanFieldModel, seed: int, first_run: int, x1, w, v) -> None:
     """Fill x1, w (and v, when noisy) with the initial states, process noise
-    (and observation noise) of runs first_run.., one run per leading index,
-    in the fixed (step, agent, component) layout.
+    (and observation noise) of runs first_run.., one run per leading index.
 
-    The normals of each (run, kind) go to per-run scratch from one
-    re-pointed generator, and the covariance factor is applied with one
-    matmul written straight into the chunk.
+    The rank(Sigma) normals per (step, agent) of each (run, kind) go to
+    per-run scratch from one re-pointed generator, and the covariance
+    factor is applied with one matmul written straight into the chunk.
     """
     T, n = model.horizon, model.n_agents
     Lx, Lw, Lv = _noise_factors(model)
     substream = _reusable_substream(seed)
-    kinds = [(_KIND_INIT, np.empty((n, model.d_x)), Lx.T, x1),
-             (_KIND_PROCESS, np.empty((T - 1, n, model.d_x)), Lw.T, w)]
+    kinds = [(_KIND_INIT, np.empty((n, Lx.shape[1])), Lx.T, x1),
+             (_KIND_PROCESS, np.empty((T - 1, n, Lw.shape[1])), Lw.T, w)]
     if v is not None:
-        kinds.append((_KIND_OBS, np.empty((T, n, model.d_y)), Lv.T, v))
+        kinds.append((_KIND_OBS, np.empty((T, n, Lv.shape[1])), Lv.T, v))
     for i in range(x1.shape[0]):
         for kind, normals, factor, out in kinds:
             substream(first_run + i, kind).standard_normal(out=normals)
@@ -209,11 +215,14 @@ def _closed_loop(
     for k in range(T):
         # the mean-field keeps a singleton agent axis, so every product with
         # it is one small matmul per run and a run's digits never depend on
-        # how many runs share the batch
+        # how many runs share the batch. Each such term is repeated over the
+        # agents where it is added: one contiguous add of equal shapes with
+        # the digits of a broadcast add, without its short inner loops, and
+        # no population-sized copy outlives the add
         z = _agent_mean(x)
         basis = xhat if noisy else x
         u = basis @ Fx[k].T
-        u += z @ Fz[k].T
+        u += np.repeat(z @ Fz[k].T, n, axis=1)
         quad = _quadratic(x, model.Q[k])
         quad += _quadratic(u, model.R[k])
         per_step[k] = np.add.reduce(quad, axis=1) / n
@@ -221,7 +230,7 @@ def _closed_loop(
         if noisy:
             z_obs = z @ model.Cz[k].T
             y = x @ model.Cx[k].T
-            y += z_obs
+            y += np.repeat(z_obs, n, axis=1)
             y += v[:, k]
         if record:
             steps.append((x, u, z[:, 0], np.add.reduce(u, axis=1) / n, y, xhat))
@@ -229,14 +238,14 @@ def _closed_loop(
             drift = z @ model.D[k].T
             if noisy:
                 innovation = y - xhat @ model.Cx[k].T
-                innovation -= z_obs
+                innovation -= np.repeat(z_obs, n, axis=1)
                 xhat = xhat @ model.A[k].T
                 xhat += u @ model.B[k].T
-                xhat += drift
+                xhat += np.repeat(drift, n, axis=1)
                 xhat += innovation @ policy.Kf[k].T
             x = x @ model.A[k].T
             x += u @ model.B[k].T
-            x += drift
+            x += np.repeat(drift, n, axis=1)
             x += w[:, k]
 
     if not record:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from mflqg import LqMeanFieldModel, build_model
+from mflqg.linalg import FACTOR_CLIP
 
 
 def rand_psd(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
@@ -58,3 +59,33 @@ def random_model(
 def rel_err(value: float, reference: float) -> float:
     denom = abs(reference)
     return abs(value - reference) / denom if denom > 0 else abs(value - reference)
+
+
+V1_KEY_SALT = 0x9E3779B97F4A7C15
+
+
+def v1_factor(cov: np.ndarray) -> np.ndarray:
+    """The square factor RNG_SCHEME v1 sampled through: eigenvectors scaled
+    by the square roots of the FACTOR_CLIP-clipped eigenvalues, C-ordered."""
+    eigvals, eigvecs = np.linalg.eigh((cov + cov.T) / 2.0)
+    top = max(float(eigvals[-1]), 0.0)
+    return eigvecs * np.sqrt(np.where(eigvals > FACTOR_CLIP * top, eigvals, 0.0))
+
+
+def v1_run_noise(model: LqMeanFieldModel, seed: int, run: int):
+    """(x1, w, v) of one run under RNG_SCHEME philox4x64-runkind-v1: a new
+    Philox per (run, kind) with key and counter given as lists (numpy
+    converts them through float64 once a word reaches 2**63), and d normals
+    per (step, agent) for a d x d covariance, mapped through its `v1_factor`."""
+
+    def normals(kind, shape):
+        bits = np.random.Philox(key=[seed, V1_KEY_SALT], counter=[0, 0, run, kind])
+        return np.random.Generator(bits).standard_normal(shape)
+
+    T, n = model.horizon, model.n_agents
+    x1 = model.mu_X + normals(0, (n, model.d_x)) @ v1_factor(model.Sigma_X).T
+    w = normals(1, (T - 1, n, model.d_x)) @ v1_factor(model.Sigma_W).T
+    v = None
+    if model.observation_mode == "noisy":
+        v = normals(2, (T, n, model.d_y)) @ v1_factor(model.Sigma_V).T
+    return x1, w, v

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mflqg
-from mflqg import build_model, load_model, oracle, save_model
+from mflqg import RNG_SCHEME, build_model, load_model, oracle, save_model
 from mflqg.cli import main
 from helpers import random_model
 
@@ -182,6 +182,7 @@ class TestEvaluate:
                      "--runs", "400", "--seed", "3", "--out", str(out)])
         assert code == 0
         report = json.loads((out / "evaluate.json").read_text())
+        assert report["seed"] == 3 and report["rng_scheme"] == RNG_SCHEME
         assert report["runs"] == 400
         assert report["exact_cost"] > 0.0
         assert abs(report["monte_carlo_mean"] - report["exact_cost"]) \

@@ -1,7 +1,8 @@
 """Property sweep over small random models in both observation modes, each
 input given as a scalar, a single matrix or a per-step sequence: model and
 cross-term cost construction, and the stacked oracle on full-observation
-models. Also: a re-pointed noise generator draws its fresh substream."""
+models. Also: a re-pointed noise generator draws its fresh substream, and
+full-rank noise keeps the bits of RNG_SCHEME v1 where v2 promises them."""
 import json
 from dataclasses import replace
 
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mflqg import (CrossTermCost, build_model, check_equivalence, model_from_dict,
                    model_to_dict)
 from mflqg import sim
+from helpers import V1_KEY_SALT, random_model, v1_run_noise
 
 ARRAYS = ("A", "B", "D", "Q", "R", "P", "Sigma_X", "Sigma_W", "mu_X", "Cx", "Cz", "Sigma_V",
           "state_offset")
@@ -183,19 +185,45 @@ U64 = st.integers(0, 2**64 - 1)
 KINDS = st.sampled_from([sim._KIND_INIT, sim._KIND_PROCESS, sim._KIND_OBS])
 
 
-# a counter word of 2**64 - 2**10 or more rounds to 2**64 on its way through
-# float64, which numpy warns of when it casts it to uint64
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(U64, U64, KINDS, st.none() | st.tuples(U64, KINDS))
+# words that float64 rounds: v1 gave these the streams of 2**60 and of run 0
+@example(seed=2**60 + 1, run=2**64 - 1, kind=1, earlier=None)
+@example(seed=2**60 + 100, run=2**63 + 1, kind=0, earlier=(2**64 - 1, 2))
 def test_repointed_generator_draws_the_fresh_substream(seed, run, kind, earlier):
     substream = sim._reusable_substream(seed)
     if earlier is not None:
         # a partial draw leaves the Philox buffer half used
         substream(*earlier).standard_normal(5)
+    generator = substream(run, kind)
+    state = generator.bit_generator.state["state"]
+    assert state["key"].tolist() == [seed, 0x9E3779B97F4A8000]
+    assert state["counter"].tolist() == [0, 0, run, kind]
     got = np.empty((3, 4))
-    substream(run, kind).standard_normal(out=got)
+    generator.standard_normal(out=got)
     assert np.array_equal(got, sim._substream(seed, run, kind).standard_normal((3, 4)))
-    # the counter given as a list, as the streams were first defined
-    listed = np.random.Philox(key=[seed, sim._KEY_SALT], counter=[0, 0, run, kind])
-    assert np.array_equal(got, np.random.Generator(listed).standard_normal((3, 4)))
+    if seed < 2**53 and run < 2**63:
+        # the key and counter given as lists, as RNG_SCHEME v1 defined them
+        listed = np.random.Philox(key=[seed, V1_KEY_SALT], counter=[0, 0, run, kind])
+        assert np.array_equal(got, np.random.Generator(listed).standard_normal((3, 4)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["full", "noisy"]), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.integers(0, 2**53 - 1), st.integers(0, 2**63 - 2))
+def test_full_rank_noise_keeps_v1_bits(mode, n, T, d_x, d_y, model_seed, seed, run):
+    model = random_model(np.random.default_rng(model_seed), mode=mode, n_agents=n,
+                         horizon=T, d_x=d_x, d_y=d_y)
+    assert all(L.shape[0] == L.shape[1] for L in sim._noise_factors(model) if L is not None)
+    x1 = np.empty((2, n, d_x))
+    w = np.empty((2, T - 1, n, d_x))
+    v = np.empty((2, T, n, d_y)) if mode == "noisy" else None
+    sim._draw_noise(model, seed, run, x1, w, v)
+    for i in range(2):
+        want = v1_run_noise(model, seed, run + i)
+        for got, ref in zip((x1[i], w[i], None if v is None else v[i]), want):
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                assert np.array_equal(got, ref)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))

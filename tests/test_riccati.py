@@ -8,6 +8,7 @@ from mflqg import (
     NumericalFailure,
     ValidationError,
     build_model,
+    heater_model,
     solve_control_riccati,
     solve_filter_riccati,
     validate_model,
@@ -176,6 +177,28 @@ class TestOverflow:
             assert_psd(mat)
         with pytest.raises(NotPositiveSemidefinite, match="non-finite"):
             psd_factor(mat)
+
+
+class TestPsdFactor:
+    @pytest.mark.parametrize("cov, rank", [
+        (np.array([[2.0, 0.5], [0.5, 1.0]]), 2),
+        (np.outer([1.0, -2.0, 0.5], [1.0, -2.0, 0.5]), 1),
+        (np.diag([0.0, 3.0, 0.0, 1e-3]), 2),
+        (np.zeros((3, 3)), 0),
+    ], ids=["full-rank", "rank-1-3x3", "rank-2-diagonal", "zero"])
+    def test_rank_sized(self, cov, rank):
+        factor = psd_factor(cov)
+        assert factor.shape == (len(cov), rank)
+        assert np.allclose(factor @ factor.T, cov, rtol=0.0, atol=1e-12)
+        # columns in ascending eigenvalue order
+        assert np.all(np.diff(np.sum(factor**2, axis=0)) >= 0.0)
+
+    def test_heater_noise_has_rank_one(self):
+        model = heater_model()
+        for cov in (model.Sigma_X, model.Sigma_W):
+            factor = psd_factor(cov)
+            assert factor.shape == (3, 1)
+            assert np.allclose(factor @ factor.T, cov, rtol=0.0, atol=1e-12)
 
 
 class TestFilterRecursion:

@@ -29,8 +29,8 @@ from mflqg import (
     validate_model,
 )
 from mflqg import sim
-from mflqg.linalg import psd_factor, symmetrize
-from helpers import rand_pd, rand_psd, random_model
+from mflqg.linalg import symmetrize
+from helpers import rand_pd, rand_psd, random_model, v1_factor, v1_run_noise
 
 
 def zero_policy(horizon, d_x, d_u):
@@ -480,43 +480,48 @@ class TestMonteCarlo:
 # Reference implementation: the closed-loop kernel with a new Philox
 # generator built per (run, kind), each run's noise drawn into temporaries
 # and copied into the chunk, and the population and component sums taken by
-# np.add.reduce. The kernel must reproduce it bit for bit, zero signs
-# included.
+# np.add.reduce. Its noise half is written independently from the RNG_SCHEME
+# v2 definition: exact uint64 key and counter, rank(Sigma) normals per
+# (step, agent), mapped through the eigenvector columns whose clipped
+# eigenvalue is nonzero. The kernel must reproduce it bit for bit, zero
+# signs included.
 
-PARENT_KEY_SALT = 0x9E3779B97F4A7C15
+V2_KEY_SALT = 0x9E3779B97F4A8000
 
 
 def parent_substream(seed: int, run: int, kind: int) -> np.random.Generator:
-    """Philox stream for one (run, kind); the low counter word is left free
-    for in-stream consumption, so substreams can never overlap."""
-    bits = np.random.Philox(key=[seed, PARENT_KEY_SALT], counter=[0, 0, run, kind])
-    return np.random.Generator(bits)
+    """A new Philox stream for one (run, kind), key and counter as exact uint64."""
+    key = np.array([seed, V2_KEY_SALT], dtype=np.uint64)
+    counter = np.array([0, 0, run, kind], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def kept_factor(cov):
+    """The nonzero columns of the clipped eigen-factor of `cov`, C-ordered:
+    BLAS picks its kernel by the operands' layout, so the digits of a
+    product with the factor depend on it."""
+    square = v1_factor(cov)
+    return np.ascontiguousarray(square[:, np.any(square != 0.0, axis=0)])
 
 
 def parent_noise_factors(model):
-    """Square factors of the three noise covariances (observation last, or None)."""
-    Lv = None
-    if model.observation_mode == "noisy":
-        Lv = psd_factor(model.Sigma_V, "Sigma_V")
-    return (
-        psd_factor(model.Sigma_X, "Sigma_X"),
-        psd_factor(model.Sigma_W, "Sigma_W"),
-        Lv,
-    )
+    """Kept factors of the three noise covariances (observation last, or None)."""
+    Lv = kept_factor(model.Sigma_V) if model.observation_mode == "noisy" else None
+    return kept_factor(model.Sigma_X), kept_factor(model.Sigma_W), Lv
 
 
 def parent_draw_run_noise(model, seed: int, run: int, factors):
-    """All randomness for one run, in the fixed (step, agent, component) layout,
-    given the `_noise_factors` of the model."""
+    """All randomness for one run, in the (step, agent, direction) layout,
+    given the kept factors of the model."""
     T, n = model.horizon, model.n_agents
     Lx, Lw, Lv = factors
-    init = parent_substream(seed, run, 0).standard_normal((n, model.d_x))
+    init = parent_substream(seed, run, 0).standard_normal((n, Lx.shape[1]))
     x1 = model.mu_X + init @ Lx.T
-    proc = parent_substream(seed, run, 1).standard_normal((T - 1, n, model.d_x))
+    proc = parent_substream(seed, run, 1).standard_normal((T - 1, n, Lw.shape[1]))
     w = proc @ Lw.T
     v = None
     if model.observation_mode == "noisy":
-        obs = parent_substream(seed, run, 2).standard_normal((T, n, model.d_y))
+        obs = parent_substream(seed, run, 2).standard_normal((T, n, Lv.shape[1]))
         v = obs @ Lv.T
     return x1, w, v
 
@@ -624,6 +629,86 @@ class TestKernelMatchesParentReference:
             assert (got[name] is None) == (want[name] is None), name
             if want[name] is not None:
                 assert_same_bits(got[name], want[name], name)
+
+
+class CountingGenerator:
+    """A generator that adds the size of every standard_normal draw to
+    `counts[(run, kind)]`."""
+
+    def __init__(self, generator, key, counts):
+        self.generator, self.key, self.counts = generator, key, counts
+
+    def standard_normal(self, *args, **kwargs):
+        drawn = self.generator.standard_normal(*args, **kwargs)
+        self.counts[self.key] = self.counts.get(self.key, 0) + drawn.size
+        return drawn
+
+
+def count_normals(monkeypatch):
+    counts = {}
+    reusable = sim._reusable_substream
+
+    def spy(seed):
+        point = reusable(seed)
+        return lambda run, kind: CountingGenerator(point(run, kind), (run, kind), counts)
+
+    monkeypatch.setattr(sim, "_reusable_substream", spy)
+    return counts
+
+
+class TestRankSizedDraws:
+    def test_heater_draws_one_normal_per_step_and_agent(self, monkeypatch):
+        # the reference components of the tracking state carry no noise, so
+        # Sigma_X and Sigma_W have rank 1 in d_x = 3
+        model = heater_model()
+        T, n = model.horizon, model.n_agents
+        counts = count_normals(monkeypatch)
+        monte_carlo_cost(model, optimal_strategy(model), runs=3, seed=5)
+        assert counts == {
+            (run, kind): size
+            for run in range(3)
+            for kind, size in [(sim._KIND_INIT, n), (sim._KIND_PROCESS, (T - 1) * n)]
+        }
+        assert sum(counts[run, kind] for run, kind in counts if run == 0) == T * n * 1
+
+    def test_noisy_model_draws_rank_sized_observation_noise(self, monkeypatch):
+        # Sigma_V of rank 1 in d_y = 2
+        model = build_model(horizon=3, n_agents=4, A=np.eye(2), B=np.ones((2, 1)), Q=np.eye(2),
+                            R=1.0, Sigma_X=np.eye(2), Sigma_W=np.eye(2), Cx=np.eye(2),
+                            Cz=np.zeros((2, 2)), Sigma_V=np.diag([0.0, 2.0]),
+                            observation_mode="noisy")
+        counts = count_normals(monkeypatch)
+        trace = simulate(model, optimal_strategy(model), seed=5, run=9)
+        assert counts == {(9, sim._KIND_INIT): 4 * 2, (9, sim._KIND_PROCESS): 2 * 4 * 2,
+                          (9, sim._KIND_OBS): 3 * 4 * 1}
+        assert not np.any(trace.obs_noise[..., 0]) and np.all(trace.obs_noise[..., 1])
+
+    def test_zero_covariance_draws_nothing(self, monkeypatch):
+        model = KERNEL_MODELS["zero_noise"]()
+        counts = count_normals(monkeypatch)
+        trace = simulate(model, optimal_strategy(model), seed=5, run=2)
+        assert counts == {(2, sim._KIND_INIT): 0, (2, sim._KIND_PROCESS): 0}
+        # the same values and zero signs as RNG_SCHEME v1, which drew
+        # normals and multiplied them by a zero factor
+        x1, w, _ = v1_run_noise(model, 5, 2)
+        assert_same_bits(trace.states[0], x1, "states")
+        assert_same_bits(trace.process_noise, w, "process_noise")
+
+
+class TestExactStreamAddressing:
+    def test_seeds_above_2_53_give_distinct_totals(self):
+        model = heater_model()
+        policy = optimal_strategy(model)
+        totals = {simulate(model, policy, seed=2**60 + offset).total_cost
+                  for offset in (0, 1, 100)}
+        assert len(totals) == 3
+
+    def test_runs_above_2_63_give_distinct_totals(self):
+        model = heater_model()
+        policy = optimal_strategy(model)
+        totals = {simulate(model, policy, seed=3, run=run).total_cost
+                  for run in (0, 2**63, 2**63 + 1, 2**64 - 1)}
+        assert len(totals) == 4
 
 
 def test_monte_carlo_memory_bound():
