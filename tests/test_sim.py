@@ -445,6 +445,31 @@ class TestMonteCarlo:
         assert np.isfinite(mc.mean) and mc.stderr > 0.0
 
 
+    # float.hex of simulate(seed, run=3).total_cost and of the Monte Carlo
+    # mean and stderr, recorded before the noise was held rank-sized in the
+    # chunk. The product with the covariance factor runs in whichever BLAS
+    # kernel numpy picks for the operands' shapes and layout, so these
+    # digits also pin that choice.
+    PINNED = {
+        "heater": (heater_model, 7, 600,
+                   "0x1.96268861c3f92p+8", "0x1.7949c2b20cd1ep+8", "0x1.efdfae165d5f7p+0"),
+        "noisy_full_rank": (
+            lambda: random_model(np.random.default_rng(70), mode="noisy", n_agents=4, d_x=3,
+                                 d_u=2, d_y=2, horizon=12),
+            9, 300, "0x1.cc4a711eb8d2dp+7", "0x1.590b4de0c27dap+7", "0x1.7b649ac60b432p+1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    @pytest.mark.parametrize("workers", [1, 2, None])
+    def test_digits_pinned(self, case, workers):
+        make, seed, runs, total, mean, stderr = self.PINNED[case]
+        model = make()
+        policy = optimal_strategy(model)
+        assert simulate(model, policy, seed=seed, run=3).total_cost.hex() == total
+        kwargs = {} if workers is None else {"workers": workers}
+        mc = monte_carlo_cost(model, policy, runs=runs, seed=seed, **kwargs)
+        assert (mc.mean.hex(), mc.stderr.hex()) == (mean, stderr)
+
     @pytest.mark.parametrize("case", ["heater", "noisy_dx2"])
     def test_chunking_does_not_change_result(self, case, monkeypatch):
         if case == "heater":
