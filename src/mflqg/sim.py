@@ -11,8 +11,10 @@ covariance does not excite (such as the noiseless reference components of
 a tracking model) draw nothing. A full-rank covariance keeps every
 column, so for seeds below 2**53 and runs below 2**63 its draws are those
 of scheme v1, which rounded key and counter words through float64 and
-always drew one normal per component.
-Initial states, process noise, and observation noise live in separate
+always drew one normal per component. Process and observation noise are
+held as those rank-sized normals and mapped through the factor one step
+at a time, as the closed loop adds them; initial states are mapped when
+drawn. Initial states, process noise, and observation noise live in separate
 substreams, so full- and noisy-observation simulations of the same model
 and seed share identical state noise (common random numbers), and traces
 are bit-reproducible regardless of scheduling or concurrency. Each chunk
@@ -29,13 +31,16 @@ sums run per run in a fixed order (ascending, except numpy's pairwise sum
 along a contiguous axis), never in one that follows the batch size.
 `exact_policy_cost` propagates means and covariances of the pair
 (per-agent deviation from the mean-field, mean-field) through the closed
-loop, which has fixed dimension 2*d_x regardless of the population size;
-Monte Carlo chunk sizes depend on the model only, so the result is
-independent of the worker count.
+loop, which has fixed dimension 2*d_x regardless of the population size.
+`monte_carlo_cost` steps its chunks on one thread per usable CPU, at
+most two unless told otherwise, and the chunks in flight share one 16 MiB
+budget, so a chunk's size depends on the model and the worker count. No
+digit does, because each run's arithmetic does not depend on its batch.
 """
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +50,7 @@ import numpy as np
 from .control import GainSchedule
 from .errors import IncompatibleStrategy, ValidationError
 from .linalg import psd_factor, symmetrize
-from .model import LqMeanFieldModel, _whole
+from .model import LqMeanFieldModel, _count, _whole
 from .riccati import solve_control_riccati, solve_filter_riccati
 
 RNG_SCHEME = "philox4x64-runkind-v2"
@@ -54,9 +59,28 @@ _KIND_INIT = 0
 _KIND_PROCESS = 1
 _KIND_OBS = 2
 # a Monte Carlo chunk holds at most _MC_CHUNK runs and, unless one run alone
-# is larger, at most _MC_CHUNK_BYTES of pre-drawn noise
+# is larger, at most its worker's share of _MC_CHUNK_BYTES: the chunks in
+# flight together hold at most that many bytes of pre-drawn noise and
+# working arrays
 _MC_CHUNK = 4096
 _MC_CHUNK_BYTES = 16 * 2**20
+# the most threads `monte_carlo_cost` starts when not told a count. Every
+# numpy call of a chunk's step takes the GIL, so threads beyond the first
+# few contend for it: on two CPUs two threads measured faster than one and
+# four slower than one (ROADMAP aim 2, item 4(a))
+_MC_DEFAULT_WORKERS = 2
+# an allowance, per agent and state component, for the floats that the
+# kernel's working arrays of one run take (initial and current state,
+# action, estimate and their temporaries)
+_MC_WORK_FLOATS = 12
+
+
+def _stream_word(value, name: str) -> int:
+    """A seed or run index: a whole number that fits one Philox word."""
+    word = _whole(value, name)
+    if not 0 <= word < 2**64:
+        raise ValidationError(f"{name} must be in [0, 2**64), got {word}")
+    return word
 
 
 def _counter(run: int, kind: int) -> np.ndarray:
@@ -105,26 +129,32 @@ def _noise_factors(model: LqMeanFieldModel):
     )
 
 
-def _draw_noise(model: LqMeanFieldModel, seed: int, first_run: int, x1, w, v) -> None:
-    """Fill x1, w (and v, when noisy) with the initial states, process noise
-    (and observation noise) of runs first_run.., one run per leading index.
+def _draw_noise(model: LqMeanFieldModel, seed: int, first_run: int, Lx, x1, w, v) -> None:
+    """Fill x1 with the initial states of runs first_run.., one run per
+    leading index, and w (and v, when noisy) with the raw rank-sized normals
+    of their process (and observation) noise, in (step, agent, direction)
+    order. `_closed_loop` applies those factors one step at a time.
 
-    The rank(Sigma) normals per (step, agent) of each (run, kind) go to
-    per-run scratch from one re-pointed generator, and the covariance
-    factor is applied with one matmul written straight into the chunk.
+    Every (run, kind) draws from one re-pointed generator; the initial
+    states are mapped through their factor `Lx` with one matmul per run,
+    written straight into the chunk.
     """
-    T, n = model.horizon, model.n_agents
-    Lx, Lw, Lv = _noise_factors(model)
     substream = _reusable_substream(seed)
-    kinds = [(_KIND_INIT, np.empty((n, Lx.shape[1])), Lx.T, x1),
-             (_KIND_PROCESS, np.empty((T - 1, n, Lw.shape[1])), Lw.T, w)]
-    if v is not None:
-        kinds.append((_KIND_OBS, np.empty((T, n, Lv.shape[1])), Lv.T, v))
+    normals = np.empty((model.n_agents, Lx.shape[1]))
     for i in range(x1.shape[0]):
-        for kind, normals, factor, out in kinds:
-            substream(first_run + i, kind).standard_normal(out=normals)
-            np.matmul(normals, factor, out=out[i])
+        substream(first_run + i, _KIND_INIT).standard_normal(out=normals)
+        np.matmul(normals, Lx.T, out=x1[i])
+        substream(first_run + i, _KIND_PROCESS).standard_normal(out=w[i])
+        if v is not None:
+            substream(first_run + i, _KIND_OBS).standard_normal(out=v[i])
     x1 += model.mu_X
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where the platform cannot say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def mean_over_agents(values: np.ndarray) -> np.ndarray:
@@ -198,14 +228,21 @@ def _closed_loop(
     `SimulationTrace` field, each array with a leading run axis. Each run's
     arithmetic does not depend on the batch it is stepped in.
     """
-    T, n, d_x, d_y = model.horizon, model.n_agents, model.d_x, model.d_y
+    T, n, d_x = model.horizon, model.n_agents, model.d_x
     noisy = model.observation_mode == "noisy"
     Fx, Fz = policy.Kx, policy.Kz - policy.Kx
+    Lx, Lw, Lv = _noise_factors(model)
 
+    # process and observation noise stay rank-sized until their step; the
+    # factors are the transposed views, the operand layout the digits of
+    # RNG_SCHEME were fixed with
     x1 = np.empty((runs, n, d_x))
-    w = np.empty((runs, T - 1, n, d_x))
-    v = np.empty((runs, T, n, d_y)) if noisy else None
-    _draw_noise(model, seed, first_run, x1, w, v)
+    w = np.empty((runs, T - 1, n, Lw.shape[1]))
+    v = np.empty((runs, T, n, Lv.shape[1])) if noisy else None
+    _draw_noise(model, seed, first_run, Lx, x1, w, v)
+    # the factored noise exactly as it is added, when recorded
+    noise_w = np.empty((runs, T - 1, n, d_x)) if record else None
+    noise_v = np.empty((runs, T, n, model.d_y)) if record and noisy else None
 
     x = x1
     xhat = np.broadcast_to(model.mu_X, (runs, n, d_x)).copy() if noisy else None
@@ -231,7 +268,10 @@ def _closed_loop(
             z_obs = z @ model.Cz[k].T
             y = x @ model.Cx[k].T
             y += np.repeat(z_obs, n, axis=1)
-            y += v[:, k]
+            obs_noise = v[:, k] @ Lv.T
+            y += obs_noise
+            if record:
+                noise_v[:, k] = obs_noise
         if record:
             steps.append((x, u, z[:, 0], np.add.reduce(u, axis=1) / n, y, xhat))
         if k + 1 < T:
@@ -246,7 +286,10 @@ def _closed_loop(
             x = x @ model.A[k].T
             x += u @ model.B[k].T
             x += np.repeat(drift, n, axis=1)
-            x += w[:, k]
+            process_noise = w[:, k] @ Lw.T
+            x += process_noise
+            if record:
+                noise_w[:, k] = process_noise
 
     if not record:
         return per_step, None
@@ -255,7 +298,7 @@ def _closed_loop(
         name: None if column[0] is None else np.stack(column, axis=1)
         for name, column in zip(names, zip(*steps))
     }
-    return per_step, {**recorded, "process_noise": w, "obs_noise": v}
+    return per_step, {**recorded, "process_noise": noise_w, "obs_noise": noise_v}
 
 
 def _agent_mean(x: np.ndarray) -> np.ndarray:
@@ -333,11 +376,12 @@ def simulate(model: LqMeanFieldModel, policy: GainSchedule, seed: int, run: int 
     run), and identical to run `run` of `monte_carlo_cost` at that seed.
     """
     policy = _check_policy(model, policy)
+    seed, run = _stream_word(seed, "seed"), _stream_word(run, "run")
     per_step, recorded = _closed_loop(model, policy, seed, run, 1, record=True)
     return SimulationTrace(
         model=model,
-        seed=int(seed),
-        run=int(run),
+        seed=seed,
+        run=run,
         rng_scheme=RNG_SCHEME,
         model_fingerprint=model.fingerprint(),
         step_costs=per_step[:, 0],
@@ -517,25 +561,39 @@ class MonteCarloCost:
 
 
 def monte_carlo_cost(
-    model: LqMeanFieldModel, policy: GainSchedule, runs: int, seed: int, workers: int = 1
+    model: LqMeanFieldModel, policy: GainSchedule, runs: int, seed: int,
+    workers: int | None = None,
 ) -> MonteCarloCost:
     """Sample mean and standard error of the realized cost over `runs`
     independent closed-loop runs (run indices 0..runs-1, so run r is
     simulate(model, policy, seed, run=r) exactly).
 
-    Runs are processed in chunks whose size depends only on the model (each
-    chunk's pre-drawn noise is bounded in bytes); the chunking, and therefore
-    every reported digit, is independent of `workers`.
+    Chunks of runs are stepped on `workers` threads, by default one per CPU
+    the process may run on but at most `_MC_DEFAULT_WORKERS`, and never on
+    more threads than the byte budget holds whole runs. A chunk's size
+    follows from the model and the worker count (the chunks in flight share
+    the budget), but each run's arithmetic does not depend on its chunk, so
+    neither does any reported digit.
     """
     policy = _check_policy(model, policy)
     runs = _whole(runs, "runs")
     if runs < 2:
         raise ValidationError(f"monte_carlo_cost needs at least 2 runs, got {runs}")
+    seed = _stream_word(seed, "seed")
+    if workers is None:
+        workers = min(_usable_cpus(), _MC_DEFAULT_WORKERS)
+    workers = _count(workers, "workers")
 
-    # initial states and process noise, T * n * d_x floats, plus observation noise
-    d_noise = model.d_x + (model.d_y if model.observation_mode == "noisy" else 0)
-    noise_bytes = 8 * model.horizon * model.n_agents * d_noise
-    chunk = max(1, min(_MC_CHUNK, _MC_CHUNK_BYTES // noise_bytes))
+    _, Lw, Lv = _noise_factors(model)
+    T = model.horizon
+    # a run's rank-sized noise and the kernel's working arrays, per agent
+    agent_floats = _MC_WORK_FLOATS * model.d_x + (T - 1) * Lw.shape[1]
+    if Lv is not None:
+        agent_floats += T * Lv.shape[1]
+    run_bytes = 8 * model.n_agents * agent_floats
+    # no more workers than shares of the budget that hold a whole run
+    workers = max(1, min(workers, _MC_CHUNK_BYTES // run_bytes))
+    chunk = max(1, min(_MC_CHUNK, _MC_CHUNK_BYTES // workers // run_bytes))
     starts = list(range(0, runs, chunk))
     costs = np.empty(runs)
 
@@ -544,11 +602,11 @@ def monte_carlo_cost(
         per_step, _ = _closed_loop(model, policy, seed, start, count)
         costs[start:start + count] = _run_totals(per_step)
 
-    if workers <= 1:
+    if workers == 1:
         for start in starts:
             fill(start)
     else:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, starts))
 
     mean = float(np.add.reduce(costs) / runs)

@@ -216,13 +216,11 @@ def test_full_rank_noise_keeps_v1_bits(mode, n, T, d_x, d_y, model_seed, seed, r
     model = random_model(np.random.default_rng(model_seed), mode=mode, n_agents=n,
                          horizon=T, d_x=d_x, d_y=d_y)
     assert all(L.shape[0] == L.shape[1] for L in sim._noise_factors(model) if L is not None)
-    x1 = np.empty((2, n, d_x))
-    w = np.empty((2, T - 1, n, d_x))
-    v = np.empty((2, T, n, d_y)) if mode == "noisy" else None
-    sim._draw_noise(model, seed, run, x1, w, v)
+    policy = sim.optimal_strategy(model)
     for i in range(2):
+        trace = sim.simulate(model, policy, seed, run + i)
         want = v1_run_noise(model, seed, run + i)
-        for got, ref in zip((x1[i], w[i], None if v is None else v[i]), want):
+        for got, ref in zip((trace.states[0], trace.process_noise, trace.obs_noise), want):
             assert (got is None) == (ref is None)
             if ref is not None:
                 assert np.array_equal(got, ref)

@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -385,6 +386,27 @@ class TestMonteCarlo:
         assert type(whole.runs) is int
         assert whole == monte_carlo_cost(model, policy, runs=4, seed=0)
 
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, "2"])
+    def test_worker_count_must_be_a_positive_whole_number(self, workers):
+        model = build_model(horizon=3, n_agents=2, A=0.9, B=1.0, Q=1.0, R=1.0, Sigma_W=1.0)
+        with pytest.raises(ValidationError):
+            monte_carlo_cost(model, optimal_strategy(model), runs=4, seed=0, workers=workers)
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 2.5), ("seed", -1), ("seed", 2**64), ("seed", "3"), ("run", 2.5), ("run", -1),
+        ("run", 2**64),
+    ])
+    def test_seed_and_run_must_be_unsigned_64_bit(self, name, value):
+        # a fractional index would silently name the stream of its integer part
+        model = build_model(horizon=3, n_agents=2, A=0.9, B=1.0, Q=1.0, R=1.0, Sigma_W=1.0)
+        policy = optimal_strategy(model)
+        with pytest.raises(ValidationError, match=name):
+            simulate(model, policy, **{"seed": 0, name: value})
+        if name == "seed":
+            with pytest.raises(ValidationError, match=name):
+                monte_carlo_cost(model, policy, runs=4, seed=value)
+        assert getattr(simulate(model, policy, **{"seed": 0, name: 2**64 - 1}), name) == 2**64 - 1
+
     def test_deterministic_model_vanishing_stderr(self):
         model = build_model(
             horizon=3, n_agents=2, A=0.9, B=1.0, Q=1.0, R=1.0, initial_mean=1.0
@@ -478,9 +500,14 @@ class TestMonteCarlo:
             model = random_model(np.random.default_rng(56), mode="noisy", n_agents=2,
                                  d_x=2, d_u=2, d_y=1, horizon=30)
         policy = optimal_strategy(model)
-        reference = monte_carlo_cost(model, policy, runs=8, seed=1)
-        d_noise = model.d_x + (model.d_y if model.observation_mode == "noisy" else 0)
-        run_bytes = 8 * model.horizon * model.n_agents * d_noise
+        reference = monte_carlo_cost(model, policy, runs=8, seed=1, workers=1)
+        # a run holds rank-sized process and observation noise and the
+        # kernel's working arrays, per agent
+        T = model.horizon
+        _, Lw, Lv = sim._noise_factors(model)
+        rank_v = 0 if Lv is None else Lv.shape[1]
+        run_floats = sim._MC_WORK_FLOATS * model.d_x + (T - 1) * Lw.shape[1] + T * rank_v
+        run_bytes = 8 * model.n_agents * run_floats
         chunks = []
         kernel = sim._closed_loop
 
@@ -489,16 +516,47 @@ class TestMonteCarlo:
             return kernel(model, policy, seed, first_run, runs, record)
 
         monkeypatch.setattr(sim, "_closed_loop", spy)
-        # a budget below one run still steps one run per chunk
-        for budget, sizes in [
-            (run_bytes // 2, [1] * 8), (run_bytes, [1] * 8), (3 * run_bytes + 7, [3, 3, 2]),
-        ]:
-            monkeypatch.setattr(sim, "_MC_CHUNK_BYTES", budget)
-            for workers in (1, 2):
+        for workers in (1, 2, 3, None):
+            count = min(sim._usable_cpus(), sim._MC_DEFAULT_WORKERS) if workers is None else workers
+            # each worker's chunk fits its share of the budget; a budget
+            # below one run still steps one run per chunk, on one thread
+            for budget, threads, per_chunk in [
+                (run_bytes // 2, 1, 1), (count * run_bytes, count, 1),
+                (count * (3 * run_bytes + 7), count, 3), (6 * run_bytes + 7, count, 6 // count),
+            ]:
+                monkeypatch.setattr(sim, "_MC_CHUNK_BYTES", budget)
                 chunks.clear()
                 assert monte_carlo_cost(model, policy, runs=8, seed=1, workers=workers) == reference
+                sizes = [per_chunk] * (8 // per_chunk) + ([8 % per_chunk] if 8 % per_chunk else [])
                 assert sorted(chunks, reverse=True) == sizes
-                assert all(count * run_bytes <= budget or count == 1 for count in chunks)
+                assert all(size * run_bytes <= budget // threads or size == 1 for size in chunks)
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        # however many CPUs there are, the default starts at most
+        # _MC_DEFAULT_WORKERS threads, and no count starts more threads than
+        # the byte budget holds whole runs: a heater run at n = 2,000 holds
+        # about 2 MB, so 64 workers would keep 32 MB of one-run chunks in flight
+        model = validate_model(replace(heater_model(), n_agents=2000))
+        policy = optimal_strategy(model)
+        reference = monte_carlo_cost(model, policy, runs=16, seed=2, workers=1)
+        pools = []
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return ThreadPoolExecutor(max_workers=max_workers)
+
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 64)
+        assert monte_carlo_cost(model, policy, runs=16, seed=2) == reference
+        assert pools == [sim._MC_DEFAULT_WORKERS]
+        tracemalloc.start()
+        try:
+            assert monte_carlo_cost(model, policy, runs=16, seed=2, workers=64) == reference
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pools[1:] == [sim._MC_CHUNK_BYTES // 2_000_000]
+        assert peak <= 20e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +795,9 @@ class TestExactStreamAddressing:
 
 
 def test_monte_carlo_memory_bound():
-    # 1,024 heater runs are four chunks of 258; the chunk's pre-drawn noise
-    # is about 16.7 MB of the 17.6 MB peak
+    # the chunks in flight together hold at most 16 MiB of rank-sized noise
+    # and working arrays, whatever the worker count: on two CPUs 1,024 heater
+    # runs are chunks of 279 runs, two at a time
     model = heater_model()
     policy = optimal_strategy(model)
     tracemalloc.start()
