@@ -67,7 +67,6 @@ from .sim import (
     cost_identity_check,
     decompose_auxiliary,
     exact_policy_cost,
-    export_summary_json,
     export_trace_csv,
     mean_over_agents,
     monte_carlo_cost,
@@ -113,7 +112,6 @@ __all__ = [
     "cost_identity_check",
     "decompose_auxiliary",
     "exact_policy_cost",
-    "export_summary_json",
     "export_trace_csv",
     "filter_update",
     "full_obs_action",

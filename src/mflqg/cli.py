@@ -14,21 +14,19 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .errors import MeanFieldLqgError, ModelFormatError, ValidationError
+from .errors import MeanFieldLqgError, ModelFormatError
 from .model import LqMeanFieldModel, load_model, save_model
 from .oracle import check_equivalence
 from .presets import heater_model
-from .riccati import solve_control_riccati, solve_filter_riccati
 from .sim import (
     RNG_SCHEME,
+    SimulationTrace,
     exact_policy_cost,
-    export_summary_json,
     export_trace_csv,
     monte_carlo_cost,
     optimal_strategy,
     simulate,
+    trace_summary,
 )
 
 EXIT_OK = 0
@@ -97,26 +95,26 @@ def _write_json(data: dict, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
+    print(f"wrote {path}")
+
+
+def _simulate_and_write(
+    model: LqMeanFieldModel, policy, args: argparse.Namespace
+) -> SimulationTrace:
+    """Simulate run 0 at --seed; write the trace CSVs and summary.json under --out."""
+    trace = simulate(model, policy, args.seed)
+    for path in export_trace_csv(trace, args.out):
+        print(f"wrote {path}")
+    _write_json(trace_summary(trace), args.out / "summary.json")
+    return trace
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     model = _load(args)
-    solution = solve_control_riccati(model)
-    noisy = model.observation_mode == "noisy"
-    schedule = solution.gain_schedule(solve_filter_riccati(model) if noisy else None)
-    path = args.out / "gains.json"
-    _write_json(schedule.to_dict(), path)
-    T = model.horizon
-    terminal_gain = max(
-        float(np.max(np.abs(solution.Kx[T - 1]))), float(np.max(np.abs(solution.Kz[T - 1])))
-    )
-    mx_gap = float(np.max(np.abs(solution.Mx[T - 1] - model.Q[T - 1])))
-    mz_gap = float(np.max(np.abs(solution.Mz[T - 1] - model.Q[T - 1] - model.P[T - 1])))
-    print(f"wrote {path}")
-    print(f"horizon={T} d_x={model.d_x} d_u={model.d_u} mode={model.observation_mode}")
-    print(f"terminal gains max|K_T| = {terminal_gain:.3g}")
-    print(f"terminal values: max|Mx_T - Q_T| = {mx_gap:.3g}, "
-          f"max|Mz_T - (Q_T + P_T)| = {mz_gap:.3g}")
+    schedule = optimal_strategy(model)
+    _write_json(schedule.to_dict(), args.out / "gains.json")
+    print(f"horizon={model.horizon} d_x={model.d_x} d_u={model.d_u} "
+          f"mode={model.observation_mode}")
     if schedule.Kf is not None:
         print(f"filter gains: {schedule.Kf.shape[0]} steps")
     return EXIT_OK
@@ -124,12 +122,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = _load(args)
-    trace = simulate(model, optimal_strategy(model), args.seed)
-    agents_path, meanfield_path = export_trace_csv(trace, args.out)
-    summary_path = export_summary_json(trace, args.out)
-    print(f"wrote {agents_path}")
-    print(f"wrote {meanfield_path}")
-    print(f"wrote {summary_path}")
+    trace = _simulate_and_write(model, optimal_strategy(model), args)
     print(f"total cost = {trace.total_cost:.17g}")
     return EXIT_OK
 
@@ -150,9 +143,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "monte_carlo_mean": mc.mean,
         "monte_carlo_stderr": mc.stderr,
     }
-    path = args.out / "evaluate.json"
-    _write_json(report, path)
-    print(f"wrote {path}")
+    _write_json(report, args.out / "evaluate.json")
     if exact_total is not None:
         print(f"exact cost = {exact_total:.17g}")
     print(f"monte carlo = {mc.mean:.17g} +/- {mc.stderr:.3g} ({mc.runs} runs)")
@@ -162,9 +153,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     model = _load(args)
     report = check_equivalence(model, tolerance=args.tol)
-    path = args.out / "verify.json"
-    _write_json(report.to_dict(), path)
-    print(f"wrote {path}")
+    _write_json(report.to_dict(), args.out / "verify.json")
     print(f"max gain residual = {report.max_gain_residual:.3e}")
     print(f"cost gap = {report.cost_gap:.3e} "
           f"(centralized {report.cost_centralized:.12g}, "
@@ -182,14 +171,7 @@ def cmd_preset_heater(args: argparse.Namespace) -> int:
 
     policy = optimal_strategy(model)
     _write_json(policy.to_dict(), args.out / "gains.json")
-    print(f"wrote {args.out / 'gains.json'}")
-
-    trace = simulate(model, policy, args.seed)
-    agents_path, meanfield_path = export_trace_csv(trace, args.out)
-    summary_path = export_summary_json(trace, args.out)
-    print(f"wrote {agents_path}")
-    print(f"wrote {meanfield_path}")
-    print(f"wrote {summary_path}")
+    trace = _simulate_and_write(model, policy, args)
 
     offset = model.state_offset[0]
     z_first = trace.meanfield[0, 0] + offset
@@ -216,15 +198,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot parse {args.model}: line {exc.lineno} column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
+    except (OSError, ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ModelFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValidationError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except MeanFieldLqgError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ModelFormatError, OutOfOrderUpdate, ValidationError
+from .errors import DimensionMismatch, OutOfOrderUpdate, ValidationError
 from .model import LqMeanFieldModel
 
 
@@ -87,28 +87,6 @@ class GainSchedule:
         if self.d_y is not None:
             out["d_y"] = self.d_y
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GainSchedule":
-        try:
-            T = int(data["horizon"])
-            d_x = int(data["d_x"])
-            d_u = int(data["d_u"])
-            d_y = data.get("d_y")
-            entries = data["gains"]
-            Kx = np.zeros((T, d_u, d_x))
-            Kz = np.zeros((T, d_u, d_x))
-            has_filter = any("Kf" in entries[str(t)] for t in range(1, T + 1))
-            Kf = np.zeros((max(T - 1, 0), d_x, int(d_y))) if has_filter else None
-            for t in range(1, T + 1):
-                entry = entries[str(t)]
-                Kx[t - 1] = np.asarray(entry["Kx"], dtype=float)
-                Kz[t - 1] = np.asarray(entry["Kz"], dtype=float)
-                if Kf is not None and t < T:
-                    Kf[t - 1] = np.asarray(entry["Kf"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelFormatError(f"gain document is malformed: {exc!r}") from None
-        return cls(Kx=Kx, Kz=Kz, Kf=Kf)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapExceeded, IncompatibleStrategy, NumericalFailure
-from .model import LqMeanFieldModel, _whole
+from .errors import CapExceeded, IncompatibleStrategy, NumericalFailure, ValidationError
+from .model import LqMeanFieldModel, _count
 from .riccati import ControlRiccatiSolution, solve_control_riccati
 from .sim import exact_policy_cost
 
@@ -106,18 +106,12 @@ class EquivalenceReport:
         }
 
 
-def build_stacked_model(
-    model: LqMeanFieldModel, n: int | None = None, cap: int = STACKED_DIM_CAP
-) -> StackedModel:
+def build_stacked_model(model: LqMeanFieldModel, n: int | None = None) -> StackedModel:
     """Stack n copies of the subsystem problem into one centralized problem."""
-    if n is None:
-        n = model.n_agents
-    n = _whole(n, "population size")
-    if n < 1:
-        raise CapExceeded(f"population size must be >= 1, got {n}")
-    if n * model.d_x > cap:
+    n = _count(model.n_agents if n is None else n, "population size")
+    if n * model.d_x > STACKED_DIM_CAP:
         raise CapExceeded(
-            f"stacked dimension n*d_x = {n * model.d_x} exceeds the cap {cap}; "
+            f"stacked dimension n*d_x = {n * model.d_x} exceeds the cap {STACKED_DIM_CAP}; "
             "the stacked solve is a desk-scale verification oracle"
         )
     return StackedModel(
@@ -189,9 +183,13 @@ def check_equivalence(
     matrix equals its mean-field-structured counterpart in relative
     Frobenius norm; (2) the decentralized controller's exact expected cost
     equals the centralized optimal cost in relative terms. Passes iff both
-    maxima are within tolerance. A noisy-observation model has no exact
-    cost to compare, so it raises `IncompatibleStrategy` before any solve.
+    maxima are within tolerance, which must be finite and >= 0. A
+    noisy-observation model has no exact cost to compare, so it raises
+    `IncompatibleStrategy` before any solve.
     """
+    tolerance = float(tolerance)
+    if not 0.0 <= tolerance < np.inf:
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance}")
     if model.observation_mode != "full":
         raise IncompatibleStrategy("exact evaluation supports full observation only")
     if n is not None and n != model.n_agents:
@@ -218,7 +216,7 @@ def check_equivalence(
     return EquivalenceReport(
         n_agents=n,
         horizon=model.horizon,
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         gain_residuals=residuals,
         max_gain_residual=max_residual,
         cost_centralized=cost_central,

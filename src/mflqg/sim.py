@@ -33,13 +33,15 @@ along a contiguous axis), never in one that follows the batch size.
 (per-agent deviation from the mean-field, mean-field) through the closed
 loop, which has fixed dimension 2*d_x regardless of the population size.
 `monte_carlo_cost` steps its chunks on one thread per usable CPU, at
-most two unless told otherwise, and the chunks in flight share one 16 MiB
-budget, so a chunk's size depends on the model and the worker count. No
-digit does, because each run's arithmetic does not depend on its batch.
+most two unless told otherwise. The chunks in flight share one 16 MiB
+budget, which counts every array a chunk holds: its pre-drawn noise, its
+working arrays and its running totals. A chunk's size follows from the
+model and the worker count, with no other cap on its runs. No digit
+depends on it, because each run's arithmetic does not depend on its
+batch. A closed loop whose cost overflows raises `NumericalFailure`.
 """
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -48,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .control import GainSchedule
-from .errors import IncompatibleStrategy, ValidationError
+from .errors import IncompatibleStrategy, NumericalFailure, ValidationError
 from .linalg import psd_factor, symmetrize
 from .model import LqMeanFieldModel, _count, _whole
 from .riccati import solve_control_riccati, solve_filter_riccati
@@ -58,11 +60,9 @@ _KEY_SALT = 0x9E3779B97F4A8000
 _KIND_INIT = 0
 _KIND_PROCESS = 1
 _KIND_OBS = 2
-# a Monte Carlo chunk holds at most _MC_CHUNK runs and, unless one run alone
-# is larger, at most its worker's share of _MC_CHUNK_BYTES: the chunks in
-# flight together hold at most that many bytes of pre-drawn noise and
-# working arrays
-_MC_CHUNK = 4096
+# a Monte Carlo chunk holds, unless one run alone is larger, at most its
+# worker's share of _MC_CHUNK_BYTES: the chunks in flight together hold at
+# most that many bytes of pre-drawn noise and working arrays
 _MC_CHUNK_BYTES = 16 * 2**20
 # the most threads `monte_carlo_cost` starts when not told a count. Every
 # numpy call of a chunk's step takes the GIL, so threads beyond the first
@@ -223,10 +223,12 @@ def _closed_loop(
 ):
     """Step runs first_run..first_run+runs-1 through the closed loop together.
 
-    Returns the realized per-step costs, shape (T, runs), and, when
-    `record` is set, the trajectory and the drawn noise as a dict keyed by
+    Returns the realized total cost of each run, shape (runs,), summed
+    over steps in step order, and, when `record` is set, the trajectory,
+    the per-step costs and the drawn noise as a dict keyed by
     `SimulationTrace` field, each array with a leading run axis. Each run's
-    arithmetic does not depend on the batch it is stepped in.
+    arithmetic does not depend on the batch it is stepped in. Raises
+    `NumericalFailure` when a total is not finite.
     """
     T, n, d_x = model.horizon, model.n_agents, model.d_x
     noisy = model.observation_mode == "noisy"
@@ -247,7 +249,6 @@ def _closed_loop(
     x = x1
     xhat = np.broadcast_to(model.mu_X, (runs, n, d_x)).copy() if noisy else None
     y = None
-    per_step = np.zeros((T, runs))
     steps = []
     for k in range(T):
         # the mean-field keeps a singleton agent axis, so every product with
@@ -262,8 +263,14 @@ def _closed_loop(
         u += np.repeat(z @ Fz[k].T, n, axis=1)
         quad = _quadratic(x, model.Q[k])
         quad += _quadratic(u, model.R[k])
-        per_step[k] = np.add.reduce(quad, axis=1) / n
-        per_step[k] += _quadratic(z, model.P[k])[:, 0]
+        cost = np.add.reduce(quad, axis=1) / n
+        cost += _quadratic(z, model.P[k])[:, 0]
+        # step 0 copied, not added to zeros: the float operations of a
+        # step-order sum of the per-step costs
+        if k == 0:
+            totals = cost.copy()
+        else:
+            totals += cost
         if noisy:
             z_obs = z @ model.Cz[k].T
             y = x @ model.Cx[k].T
@@ -273,7 +280,7 @@ def _closed_loop(
             if record:
                 noise_v[:, k] = obs_noise
         if record:
-            steps.append((x, u, z[:, 0], np.add.reduce(u, axis=1) / n, y, xhat))
+            steps.append((x, u, z[:, 0], np.add.reduce(u, axis=1) / n, y, xhat, cost))
         if k + 1 < T:
             drift = z @ model.D[k].T
             if noisy:
@@ -291,14 +298,19 @@ def _closed_loop(
             if record:
                 noise_w[:, k] = process_noise
 
+    if not np.isfinite(totals).all():
+        raise NumericalFailure(
+            f"closed-loop cost is not finite in runs {first_run}..{first_run + runs - 1}"
+        )
     if not record:
-        return per_step, None
-    names = ("states", "actions", "meanfield", "mean_control", "observations", "estimates")
+        return totals, None
+    names = ("states", "actions", "meanfield", "mean_control", "observations", "estimates",
+             "step_costs")
     recorded = {
         name: None if column[0] is None else np.stack(column, axis=1)
         for name, column in zip(names, zip(*steps))
     }
-    return per_step, {**recorded, "process_noise": noise_w, "obs_noise": noise_v}
+    return totals, {**recorded, "process_noise": noise_w, "obs_noise": noise_v}
 
 
 def _agent_mean(x: np.ndarray) -> np.ndarray:
@@ -336,14 +348,6 @@ def _quadratic(vectors: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return total
 
 
-def _run_totals(per_step: np.ndarray) -> np.ndarray:
-    """Per-run total cost, summed over steps in step order for every batch size."""
-    totals = per_step[0].copy()
-    for step in per_step[1:]:
-        totals += step
-    return totals
-
-
 # ---------------------------------------------------------------------------
 # simulation
 
@@ -377,15 +381,14 @@ def simulate(model: LqMeanFieldModel, policy: GainSchedule, seed: int, run: int 
     """
     policy = _check_policy(model, policy)
     seed, run = _stream_word(seed, "seed"), _stream_word(run, "run")
-    per_step, recorded = _closed_loop(model, policy, seed, run, 1, record=True)
+    totals, recorded = _closed_loop(model, policy, seed, run, 1, record=True)
     return SimulationTrace(
         model=model,
         seed=seed,
         run=run,
         rng_scheme=RNG_SCHEME,
         model_fingerprint=model.fingerprint(),
-        step_costs=per_step[:, 0],
-        total_cost=float(_run_totals(per_step)[0]),
+        total_cost=float(totals[0]),
         **{name: None if arr is None else arr[0] for name, arr in recorded.items()},
     )
 
@@ -540,8 +543,11 @@ def exact_policy_cost(model: LqMeanFieldModel, policy: GainSchedule) -> PolicyEv
 
     mf_costs = mf_mean_costs + mf_noise_costs
     step_costs = dev_costs + mf_costs
+    total = float(np.add.reduce(step_costs))
+    if not np.isfinite(total):
+        raise NumericalFailure(f"exact expected cost is not finite: {total}")
     return PolicyEvaluation(
-        total=float(np.add.reduce(step_costs)),
+        total=total,
         step_costs=step_costs,
         deviation_costs=dev_costs,
         meanfield_costs=mf_costs,
@@ -573,7 +579,8 @@ def monte_carlo_cost(
     more threads than the byte budget holds whole runs. A chunk's size
     follows from the model and the worker count (the chunks in flight share
     the budget), but each run's arithmetic does not depend on its chunk, so
-    neither does any reported digit.
+    neither does any reported digit. Raises `NumericalFailure` when a
+    run's cost is not finite.
     """
     policy = _check_policy(model, policy)
     runs = _whole(runs, "runs")
@@ -593,21 +600,15 @@ def monte_carlo_cost(
     run_bytes = 8 * model.n_agents * agent_floats
     # no more workers than shares of the budget that hold a whole run
     workers = max(1, min(workers, _MC_CHUNK_BYTES // run_bytes))
-    chunk = max(1, min(_MC_CHUNK, _MC_CHUNK_BYTES // workers // run_bytes))
-    starts = list(range(0, runs, chunk))
+    chunk = max(1, _MC_CHUNK_BYTES // workers // run_bytes)
     costs = np.empty(runs)
 
     def fill(start: int) -> None:
         count = min(chunk, runs - start)
-        per_step, _ = _closed_loop(model, policy, seed, start, count)
-        costs[start:start + count] = _run_totals(per_step)
+        costs[start:start + count] = _closed_loop(model, policy, seed, start, count)[0]
 
-    if workers == 1:
-        for start in starts:
-            fill(start)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fill, range(0, runs, chunk)))
 
     mean = float(np.add.reduce(costs) / runs)
     var = float(np.add.reduce((costs - mean) ** 2) / (runs - 1))
@@ -676,16 +677,6 @@ def trace_summary(trace: SimulationTrace) -> dict:
     }
 
 
-def export_summary_json(trace: SimulationTrace, out_dir) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "summary.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace_summary(trace), fh, indent=2)
-        fh.write("\n")
-    return path
-
-
 __all__ = [
     "RNG_SCHEME",
     "AuxiliaryTrace",
@@ -696,7 +687,6 @@ __all__ = [
     "cost_identity_check",
     "decompose_auxiliary",
     "exact_policy_cost",
-    "export_summary_json",
     "export_trace_csv",
     "mean_over_agents",
     "monte_carlo_cost",

@@ -227,6 +227,16 @@ class TestVerify:
         report = json.loads((out / "verify.json").read_text())
         assert report["n_agents"] == 4
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, random_model_path, tmp_path,
+                                                      tol, capsys):
+        out = tmp_path / "out"
+        code = main(["verify", "--model", str(random_model_path), "--tol", tol,
+                     "--out", str(out)])
+        assert code == 2
+        assert "ValidationError" in capsys.readouterr().err
+        assert not (out / "verify.json").exists()
+
     def test_noisy_model_exits_2_without_stacked_solve(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "noisy.json"
         save_model(random_model(np.random.default_rng(73), mode="noisy", horizon=4), path)
@@ -237,6 +247,23 @@ class TestVerify:
         assert "IncompatibleStrategy" in capsys.readouterr().err
         assert solves == []
         assert not (out / "verify.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "verify"])
+def test_overflowing_closed_loop_exits_2_and_writes_nothing(command, tmp_path, capsys):
+    # A = 10 with Q = 0: zero gains, and a state that overflows before T = 400
+    model = build_model(horizon=400, n_agents=3, A=10.0, B=1.0, Q=0.0, R=1.0,
+                        Sigma_X=1.0, Sigma_W=1.0)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    out = tmp_path / "out"
+    argv = [command, "--model", str(path), "--out", str(out)]
+    if command == "evaluate":
+        argv += ["--runs", "4"]
+    assert main(argv) == 2
+    assert "NumericalFailure" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 class TestPresetHeater:

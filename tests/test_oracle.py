@@ -96,7 +96,8 @@ class TestStackedConstruction:
         assert stacked.dim_x == 7 * small_model.d_x
         with pytest.raises(CapExceeded):
             build_stacked_model(small_model, n=500)
-        with pytest.raises(CapExceeded):
+        # zero agents exceeds no cap: it is not a population
+        with pytest.raises(ValidationError):
             build_stacked_model(small_model, n=0)
 
 
@@ -195,6 +196,15 @@ class TestEquivalence:
         for n in (None, 4):
             with pytest.raises(IncompatibleStrategy, match="full observation only"):
                 check_equivalence(model, n=n)
+        assert solves == []
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-8])
+    def test_tolerance_must_be_finite_and_nonnegative(self, small_model, tolerance, monkeypatch):
+        solves = []
+        monkeypatch.setattr(oracle, "solve_control_riccati", solves.append)
+        monkeypatch.setattr(oracle, "solve_stacked_riccati", solves.append)
+        with pytest.raises(ValidationError, match="tolerance"):
+            check_equivalence(small_model, tolerance=tolerance)
         assert solves == []
 
     def test_report_serialization(self, small_model):

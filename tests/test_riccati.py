@@ -268,17 +268,6 @@ class TestFilterRecursion:
 
 
 class TestGainSchedule:
-    def test_schedule_round_trip(self):
-        rng = np.random.default_rng(11)
-        model = random_model(rng, mode="noisy")
-        schedule = solve_control_riccati(model).gain_schedule(solve_filter_riccati(model))
-        from mflqg import GainSchedule
-
-        back = GainSchedule.from_dict(schedule.to_dict())
-        assert np.array_equal(schedule.Kx, back.Kx)
-        assert np.array_equal(schedule.Kz, back.Kz)
-        assert np.array_equal(schedule.Kf, back.Kf)
-
     def test_horizon_mismatch_rejected(self):
         rng = np.random.default_rng(12)
         model = random_model(rng, mode="noisy", horizon=6)

@@ -10,6 +10,7 @@ import pytest
 from mflqg import (
     GainSchedule,
     IncompatibleStrategy,
+    NumericalFailure,
     ValidationError,
     build_model,
     cost_identity_check,
@@ -701,12 +702,18 @@ class TestKernelMatchesParentReference:
         if case == "noisy_dx4_dy2":
             assert np.any(model.D) and model.d_y == 2
         policy = optimal_strategy(model)
-        got_costs, got = sim._closed_loop(model, policy, 11, first_run, runs, record)
+        got_totals, got = sim._closed_loop(model, policy, 11, first_run, runs, record)
         want_costs, want = parent_closed_loop(model, policy, 11, first_run, runs, record)
-        assert_same_bits(got_costs, want_costs, "per_step")
+        # the reference's per-step costs, folded in step order from a copy of
+        # the first step's
+        want_totals = want_costs[0].copy()
+        for step in want_costs[1:]:
+            want_totals += step
+        assert_same_bits(got_totals, want_totals, "totals")
         if not record:
             assert got is None and want is None
             return
+        want = {**want, "step_costs": want_costs.T}
         assert got.keys() == want.keys()
         for name in want:
             assert (got[name] is None) == (want[name] is None), name
@@ -807,6 +814,36 @@ def test_monte_carlo_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak <= 20e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+def test_long_horizon_memory_bound():
+    # nothing a chunk holds grows with T times the run count: a noiseless
+    # scalar run holds about 100 bytes, so 8,192 runs share one chunk, and
+    # their 500 per-step costs alone would take 33 MB
+    model = build_model(horizon=500, n_agents=1, A=0.9, B=1.0, Q=1.0, R=1.0, Sigma_X=1.0)
+    policy = optimal_strategy(model)
+    tracemalloc.start()
+    try:
+        monte_carlo_cost(model, policy, 8192, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_closed_loop_raises():
+    # A = 10 with Q = 0: the optimal gains are zero, the state grows tenfold
+    # per step and overflows long before T = 400
+    model = build_model(horizon=400, n_agents=3, A=10.0, B=1.0, Q=0.0, R=1.0,
+                        Sigma_X=1.0, Sigma_W=1.0)
+    policy = optimal_strategy(model)
+    with pytest.raises(NumericalFailure, match="not finite"):
+        simulate(model, policy, seed=7)
+    with pytest.raises(NumericalFailure, match="not finite"):
+        monte_carlo_cost(model, policy, runs=4, seed=7)
+    with pytest.raises(NumericalFailure, match="not finite"):
+        exact_policy_cost(model, policy)
 
 
 def reference_export(trace, out_dir):
