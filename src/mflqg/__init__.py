@@ -30,14 +30,12 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    CrossTermCost,
     LqMeanFieldModel,
     augment_for_tracking,
     build_model,
     load_model,
     model_from_dict,
     model_to_dict,
-    reduce_cross_term,
     save_model,
     validate_model,
 )
@@ -81,7 +79,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapExceeded",
     "ControlRiccatiSolution",
-    "CrossTermCost",
     "DimensionMismatch",
     "EquivalenceReport",
     "FilterRiccatiSolution",
@@ -125,7 +122,6 @@ __all__ = [
     "monte_carlo_cost",
     "noisy_obs_action",
     "optimal_strategy",
-    "reduce_cross_term",
     "save_model",
     "simulate",
     "solve_control_riccati",

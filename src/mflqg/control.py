@@ -63,6 +63,7 @@ class GainSchedule:
     def d_y(self) -> int | None:
         return None if self.Kf is None else self.Kf.shape[2]
 
+    # only perfbench calls from_gains
     @classmethod
     def from_gains(cls, gains: "GainSchedule") -> "GainSchedule":
         """A copy of `gains`."""

@@ -16,7 +16,7 @@ class ValidationError(MeanFieldLqgError):
 
 
 class ModelFormatError(MeanFieldLqgError):
-    """A serialized model or gain file is missing keys or has the wrong types."""
+    """A serialized model is unreadable, is missing keys or has the wrong types."""
 
 
 class DimensionMismatch(ValidationError):
@@ -48,4 +48,4 @@ class OutOfOrderUpdate(MeanFieldLqgError):
 
 
 class CapExceeded(MeanFieldLqgError):
-    """A requested stacked problem exceeds the configured size cap."""
+    """A requested stacked problem exceeds the size cap."""

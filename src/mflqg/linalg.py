@@ -84,25 +84,20 @@ def spd_solve(mat: np.ndarray, rhs: np.ndarray, context: str = "linear solve") -
     return np.linalg.solve(lower.T, np.linalg.solve(lower, np.asarray(rhs, dtype=float)))
 
 
-def psd_factor(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
+def psd_factor(cov: np.ndarray) -> np.ndarray:
     """Return the d x r factor L with L @ L.T = cov, r = rank(cov), for a
     possibly singular covariance.
 
-    Uses an eigendecomposition, zeroes eigenvalues below FACTOR_CLIP times
-    the largest, and keeps the eigenvector columns, in ascending eigenvalue
-    order, whose clipped eigenvalue is nonzero, each scaled by its square
-    root. A zero matrix factors as d x 0, so sampling through L draws one
-    normal per direction the covariance excites and none for the others.
-    Non-finite input raises NotPositiveSemidefinite.
+    Trusts its input to be a validated covariance: finite, exactly
+    symmetric and PSD, as a model's covariances are once it is built; it
+    checks none of that again. Uses an eigendecomposition, zeroes
+    eigenvalues below FACTOR_CLIP times the largest, and keeps the
+    eigenvector columns, in ascending eigenvalue order, whose clipped
+    eigenvalue is nonzero, each scaled by its square root. A zero matrix
+    factors as d x 0, so sampling through L draws one normal per direction
+    the covariance excites and none for the others.
     """
-    if not np.isfinite(cov).all():
-        raise NotPositiveSemidefinite(f"{name} has a non-finite entry")
-    cov = symmetrize(cov, name)
     eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals.size and float(eigvals[0]) < -PSD_TOL:
-        raise NotPositiveSemidefinite(
-            f"{name} has smallest eigenvalue {float(eigvals[0]):.3e} < -{PSD_TOL:.0e}"
-        )
     top = max(float(eigvals[-1]), 0.0) if eigvals.size else 0.0
     # eigh sorts ascending, so the kept eigenvalues are the last ones; a
     # slice, unlike a mask, keeps the factor C-ordered, and the digits of

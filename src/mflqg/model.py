@@ -14,9 +14,8 @@ as length-T sequences; constants are broadcast. `LqMeanFieldModel`
 construction is the one place where such inputs are shaped, read for the
 dimensions and checked; `build_model` is its keyword form.
 
-Also here: costs with a state/mean-field cross term and their reduction to
-the canonical (Q, R, P) form, and the state augmentation that turns a
-reference-tracking objective into a canonical model.
+Also here: the state augmentation that turns a reference-tracking
+objective into a canonical model.
 """
 from __future__ import annotations
 
@@ -26,19 +25,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ModelFormatError, NotPositiveSemidefinite, ValidationError
+from .errors import DimensionMismatch, ModelFormatError, ValidationError
 from .linalg import assert_pd, assert_psd, symmetrize
 
 OBSERVATION_MODES = ("full", "noisy")
 
 
 def _whole(value, name: str) -> int:
-    """A whole number as an int (30.0 counts as 30; 2.5 and "3" do not).
+    """A whole number as an int (30.0 counts as 30; 2.5, "3" and True do not).
 
     NaN and infinite values raise ValueError and OverflowError from int().
     """
     count = int(value)
-    if count != value:
+    if count != value or isinstance(value, (bool, np.bool_)):
         raise ValidationError(f"{name} must be a whole number, got {value!r}")
     return count
 
@@ -214,6 +213,7 @@ def build_model(*, initial_mean=None, **inputs) -> LqMeanFieldModel:
     return LqMeanFieldModel(mu_X=initial_mean, **inputs)
 
 
+# only perfbench calls validate_model
 def validate_model(model: LqMeanFieldModel) -> LqMeanFieldModel:
     """Return `model`, which was validated and normalized when it was built."""
     return model
@@ -278,7 +278,7 @@ def model_from_dict(data: dict) -> LqMeanFieldModel:
             observation_mode=data.get("observation_mode", "full"),
             state_offset=data.get("state_offset"),
         )
-        declared = (int(dims["d_x"]), int(dims["d_u"]), int(dims["d_y"]))
+        declared = tuple(_whole(dims[key], f"dims.{key}") for key in ("d_x", "d_u", "d_y"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"model document is malformed: {exc!r}") from None
     actual = (model.d_x, model.d_u, model.d_y)
@@ -296,87 +296,16 @@ def save_model(model: LqMeanFieldModel, path) -> None:
 
 
 def load_model(path) -> LqMeanFieldModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(
+            f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
     if not isinstance(data, dict):
         raise ModelFormatError("model document must be a JSON object")
     return model_from_dict(data)
-
-
-# ---------------------------------------------------------------------------
-# cross-term costs
-
-@dataclass(frozen=True, eq=False)
-class CrossTermCost:
-    """Per-step cost with a local-state / mean-field cross term:
-
-        c_t = (1/n) sum_i [x^i' Q_t x^i + u^i' R_t u^i + x^i' S_t z] + z' P_t z.
-
-    Because the population average of x^i is z, the cross term equals
-    z' S_t z, so the cost reduces exactly to the canonical form with
-    P_t replaced by P_t + (S_t + S_t')/2.
-
-    Checked when built, `dataclasses.replace` included, the way a model is:
-    each matrix may be a scalar, a single matrix or a per-step sequence;
-    d_x and d_u are read from Q and R; Q and P must be PSD, R PD, and S may
-    be any finite matrix. Omitted P is zero.
-    """
-
-    horizon: int
-    Q: np.ndarray                # (T, d_x, d_x)
-    S: np.ndarray                # (T, d_x, d_x), not required to be symmetric
-    R: np.ndarray                # (T, d_u, d_u)
-    P: np.ndarray | None = None  # (T, d_x, d_x)
-    d_x: int = field(init=False)
-    d_u: int = field(init=False)
-
-    def __post_init__(self):
-        T = _count(self.horizon, "horizon")
-        d_x, d_u = _dim(self.Q, 0, "Q"), _dim(self.R, 1, "R")
-        fields = {
-            "horizon": T,
-            "d_x": d_x,
-            "d_u": d_u,
-            "Q": _definite(_stack(self.Q, T, d_x, d_x, "Q"), "Q"),
-            "S": _stack(self.S, T, d_x, d_x, "S"),
-            "R": _definite(_stack(self.R, T, d_u, d_u, "R"), "R", assert_pd),
-            "P": _definite(_stack(_or(self.P, np.zeros((d_x, d_x))), T, d_x, d_x, "P"), "P"),
-        }
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def step_cost(self, states: np.ndarray, actions: np.ndarray, t: int) -> float:
-        """Evaluate the cross-term cost on a population snapshot at step t
-        (1..T)."""
-        if not 1 <= t <= self.horizon:
-            raise ValidationError(f"step {t} outside 1..{self.horizon}")
-        x = np.asarray(states, dtype=float)
-        u = np.asarray(actions, dtype=float)
-        z = np.add.reduce(x, axis=0) / x.shape[0]
-        k = t - 1
-        quad = np.einsum("id,de,ie->i", x, self.Q[k], x)
-        quad = quad + np.einsum("id,de,ie->i", u, self.R[k], u)
-        quad = quad + x @ (self.S[k] @ z)
-        return float(np.add.reduce(quad) / x.shape[0] + z @ self.P[k] @ z)
-
-
-def reduce_cross_term(cost: CrossTermCost) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fold the cross term into the mean-field weight.
-
-    Returns (Q, R, P') with P'_t = P_t + (S_t + S_t')/2. The result must be
-    PSD; an indefinite P' means the cross-term cost has no canonical
-    equivalent and is rejected.
-    """
-    P_prime = cost.P + (cost.S + np.swapaxes(cost.S, 1, 2)) / 2.0
-    for t, mat in enumerate(P_prime, 1):
-        try:
-            assert_psd(mat, f"P'_{t}")
-        except NotPositiveSemidefinite:
-            raise NotPositiveSemidefinite(
-                f"reduced mean-field weight P'_{t} is not PSD; "
-                "the cross term makes the cost indefinite"
-            ) from None
-    return cost.Q.copy(), cost.R.copy(), P_prime
 
 
 # ---------------------------------------------------------------------------

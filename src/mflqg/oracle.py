@@ -11,12 +11,12 @@ production recursions: solves use plain LU, symmetrization is unchecked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapExceeded, IncompatibleStrategy, NumericalFailure, ValidationError
-from .model import LqMeanFieldModel, _count
+from .model import LqMeanFieldModel
 from .riccati import ControlRiccatiSolution, solve_control_riccati
 from .sim import exact_policy_cost
 
@@ -106,9 +106,10 @@ class EquivalenceReport:
         }
 
 
-def build_stacked_model(model: LqMeanFieldModel, n: int | None = None) -> StackedModel:
-    """Stack n copies of the subsystem problem into one centralized problem."""
-    n = _count(model.n_agents if n is None else n, "population size")
+def build_stacked_model(model: LqMeanFieldModel) -> StackedModel:
+    """Stack the model's n_agents copies of the subsystem problem into one
+    centralized problem."""
+    n = model.n_agents
     if n * model.d_x > STACKED_DIM_CAP:
         raise CapExceeded(
             f"stacked dimension n*d_x = {n * model.d_x} exceeds the cap {STACKED_DIM_CAP}; "
@@ -174,15 +175,14 @@ def structured_gains(solution: ControlRiccatiSolution, n: int) -> np.ndarray:
     return np.stack([_structured_gain(solution, n, k) for k in range(solution.horizon)])
 
 
-def check_equivalence(
-    model: LqMeanFieldModel, n: int | None = None, tolerance: float = 1e-8
-) -> EquivalenceReport:
+def check_equivalence(model: LqMeanFieldModel, tolerance: float = 1e-8) -> EquivalenceReport:
     """Compare the mean-field answer against the stacked oracle.
 
-    Checks two things at population size n: (1) every stacked-optimal gain
-    matrix equals its mean-field-structured counterpart in relative
-    Frobenius norm; (2) the decentralized controller's exact expected cost
-    equals the centralized optimal cost in relative terms. Passes iff both
+    Checks two things at the model's population size n = n_agents: (1)
+    every stacked-optimal gain matrix equals its mean-field-structured
+    counterpart in relative Frobenius norm; (2) the decentralized
+    controller's exact expected cost equals the centralized optimal cost in
+    relative terms. Passes iff both
     maxima are within tolerance, which must be finite and >= 0. A
     noisy-observation model has no exact cost to compare, so it raises
     `IncompatibleStrategy` before any solve.
@@ -192,12 +192,10 @@ def check_equivalence(
         raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance}")
     if model.observation_mode != "full":
         raise IncompatibleStrategy("exact evaluation supports full observation only")
-    if n is not None and n != model.n_agents:
-        model = replace(model, n_agents=n)
     n = model.n_agents
 
     decentralized = solve_control_riccati(model)
-    stacked = build_stacked_model(model, n)
+    stacked = build_stacked_model(model)
     central = solve_stacked_riccati(stacked)
 
     residuals = np.zeros(model.horizon)

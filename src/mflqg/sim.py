@@ -119,14 +119,8 @@ def _reusable_substream(seed: int):
 def _noise_factors(model: LqMeanFieldModel):
     """Rank-sized factors of the three noise covariances (observation last,
     or None)."""
-    Lv = None
-    if model.observation_mode == "noisy":
-        Lv = psd_factor(model.Sigma_V, "Sigma_V")
-    return (
-        psd_factor(model.Sigma_X, "Sigma_X"),
-        psd_factor(model.Sigma_W, "Sigma_W"),
-        Lv,
-    )
+    Lv = psd_factor(model.Sigma_V) if model.observation_mode == "noisy" else None
+    return psd_factor(model.Sigma_X), psd_factor(model.Sigma_W), Lv
 
 
 def _draw_noise(model: LqMeanFieldModel, seed: int, first_run: int, Lx, x1, w, v) -> None:
@@ -181,7 +175,7 @@ def step_cost(
 # ---------------------------------------------------------------------------
 # policies
 
-# perfbench names the policy type LinearStrategy
+# only perfbench names the policy type LinearStrategy
 LinearStrategy = GainSchedule
 
 
@@ -610,9 +604,16 @@ def monte_carlo_cost(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(fill, range(0, runs, chunk)))
 
-    mean = float(np.add.reduce(costs) / runs)
-    var = float(np.add.reduce((costs - mean) ** 2) / (runs - 1))
-    return MonteCarloCost(mean=mean, stderr=float(np.sqrt(var / runs)), runs=runs)
+    # the moments are taken of the costs divided by a power of two near
+    # their largest: the scaling is exact, so every digit that did not
+    # overflow stays, and neither the sum nor the squared deviations of
+    # finite costs overflow
+    exp = int(np.frexp(np.max(np.abs(costs)))[1])
+    costs = np.ldexp(costs, -exp)
+    mean = np.add.reduce(costs) / runs
+    var = np.add.reduce((costs - mean) ** 2) / (runs - 1)
+    return MonteCarloCost(mean=float(np.ldexp(mean, exp)),
+                          stderr=float(np.ldexp(np.sqrt(var / runs), exp)), runs=runs)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from mflqg import (
     simulate,
     solve_control_riccati,
     solve_filter_riccati,
-    validate_model,
 )
 from mflqg.cli import main as cli_main
 from helpers import rand_pd, rand_psd, random_model
@@ -69,13 +68,13 @@ def test_2_terminal_and_decoupling():
     # gains are bit-identical under changes of population size and of
     # every noise covariance
     d_x, d_y = model.d_x, model.d_y
-    altered = validate_model(replace(
+    altered = replace(
         model,
         n_agents=17,
         Sigma_X=rand_pd(rng, d_x),
         Sigma_W=rand_pd(rng, d_x),
         Sigma_V=rand_pd(rng, d_y),
-    ))
+    )
     sol2 = solve_control_riccati(altered)
     assert np.array_equal(sol.Kx, sol2.Kx)
     assert np.array_equal(sol.Kz, sol2.Kz)
@@ -187,7 +186,7 @@ def test_5_filter_consistency():
         observation_mode="noisy",
     )
     schedule = solve_control_riccati(noisy).gain_schedule(solve_filter_riccati(noisy))
-    full = validate_model(replace(noisy, observation_mode="full"))
+    full = replace(noisy, observation_mode="full")
     t_noisy = simulate(noisy, schedule, seed=123)
     t_full = simulate(full, optimal_strategy(full), seed=123)
     assert np.array_equal(t_noisy.states[0], t_full.states[0])

@@ -123,13 +123,28 @@ class TestSolve:
         assert main(["solve", "--model", str(path), "--out", str(tmp_path)]) == 1
 
     @pytest.mark.parametrize("key, value, code", [("n_agents", 2.5, 2), ("horizon", 2.7, 2),
-                                                  ("horizon", 2.0, 0), ("n_agents", 5.0, 0)])
+                                                  ("horizon", 2.0, 0), ("n_agents", 5.0, 0),
+                                                  ("horizon", True, 2), ("n_agents", True, 2)])
     def test_counts_must_be_whole(self, scalar_model_path, tmp_path, key, value, code):
         data = json.loads(scalar_model_path.read_text())
         data[key] = value
         path = tmp_path / "count.json"
         path.write_text(json.dumps(data))
         assert main(["solve", "--model", str(path), "--out", str(tmp_path)]) == code
+
+    def test_non_utf8_file_exits_1(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + '{"horizon": 2}'.encode("utf-16-le"))
+        out = tmp_path / "out"
+        src = Path(mflqg.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "mflqg.cli", "solve", "--model", str(path), "--out", str(out)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ") and "UTF-8" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
 
     def test_wrong_schema_exits_1(self, tmp_path):
         path = tmp_path / "schema.json"

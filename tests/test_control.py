@@ -12,8 +12,11 @@ from mflqg import (
     full_obs_action,
     init_filter_state,
     noisy_obs_action,
+    optimal_strategy,
+    simulate,
     solve_control_riccati,
     solve_filter_riccati,
+    step_cost,
 )
 from helpers import random_model
 
@@ -172,3 +175,56 @@ class TestGainScheduleType:
             GainSchedule(
                 Kx=np.zeros((3, 1, 1)), Kz=np.zeros((3, 1, 1)), Kf=np.zeros((3, 1, 1)),
             )
+
+
+def replay_cost(model, policy, trace, x_hat_1):
+    """Total cost of the run recorded in `trace`, replayed through the
+    per-agent noisy laws with every estimate starting at `x_hat_1` and the
+    trace's initial states and noise."""
+    x = trace.states[0]
+    filters = [LocalFilterState(x_hat=np.array(x_hat_1, dtype=float), time=1) for _ in x]
+    total = 0.0
+    for t in range(1, model.horizon + 1):
+        k = t - 1
+        z = np.add.reduce(x, axis=0) / len(x)
+        u = np.stack([noisy_obs_action(policy, f, z, t) for f in filters])
+        total += step_cost(x, u, z, model.Q[k], model.R[k], model.P[k])
+        if t < model.horizon:
+            y = x @ model.Cx[k].T + z @ model.Cz[k].T + trace.obs_noise[k]
+            filters = [filter_update(model, f, policy, y[i], z, u[i], t)
+                       for i, f in enumerate(filters)]
+            x = x @ model.A[k].T + u @ model.B[k].T + z @ model.D[k].T + trace.process_noise[k]
+    return total
+
+
+class TestNoisyInitialEstimate:
+    """The noisy law's estimator starts at mu_X and never uses z, although
+    every controller knows z_1, which carries x^i_1 / n. Starting each
+    estimate at z_1 instead, with the same gains and noise, lowers the cost
+    on the model below at n = 2 (ROADMAP item 1)."""
+
+    MODEL = dict(horizon=10, n_agents=2, A=0.95, B=1.0, D=0.3, Q=1.0, R=0.5, P=1.0,
+                 Cx=1.0, Cz=0.4, Sigma_V=2.0, Sigma_X=4.0, Sigma_W=0.5, initial_mean=1.0,
+                 observation_mode="noisy")
+
+    def test_replay_from_mu_matches_simulate(self):
+        model = build_model(**self.MODEL)
+        policy = optimal_strategy(model)
+        for run in range(20):
+            trace = simulate(model, policy, seed=3, run=run)
+            replayed = replay_cost(model, policy, trace, model.mu_X)
+            assert abs(replayed - trace.total_cost) <= 1e-12 * trace.total_cost
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_starting_at_z1_does_not_lower_cost(self):
+        model = build_model(**self.MODEL)
+        policy = optimal_strategy(model)
+        savings = []
+        for run in range(500):
+            trace = simulate(model, policy, seed=3, run=run)
+            variant = replay_cost(model, policy, trace, trace.meanfield[0])
+            savings.append(trace.total_cost - variant)
+        mean = float(np.mean(savings))
+        stderr = float(np.std(savings, ddof=1) / np.sqrt(len(savings)))
+        print(f"paired saving of x_hat_1 = z_1: {mean:.3f} +/- {stderr:.3f}")
+        assert abs(mean) <= 4.0 * stderr

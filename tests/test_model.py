@@ -10,17 +10,14 @@ from mflqg import (
     NotPositiveDefinite,
     NotPositiveSemidefinite,
     NotSymmetric,
-    CrossTermCost,
     ValidationError,
     augment_for_tracking,
     build_model,
     heater_model,
     model_from_dict,
     model_to_dict,
-    reduce_cross_term,
     solve_control_riccati,
     step_cost,
-    validate_model,
 )
 from helpers import rand_pd, rand_psd, random_model
 
@@ -80,7 +77,7 @@ class TestValidation:
     def test_validate_idempotent(self):
         rng = np.random.default_rng(0)
         model = random_model(rng, mode="noisy")
-        again = validate_model(model)
+        again = replace(model)
         for name in ("A", "B", "D", "Q", "R", "P", "Sigma_X", "Sigma_W", "Sigma_V",
                      "Cx", "Cz", "mu_X", "state_offset"):
             assert np.array_equal(getattr(model, name), getattr(again, name)), name
@@ -137,6 +134,14 @@ class TestCounts:
         with pytest.raises(error):
             replace(scalar_model(), **{key: value})
 
+    @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
+    @pytest.mark.parametrize("key", ["horizon", "n_agents"])
+    def test_boolean_is_not_a_count(self, key, value):
+        with pytest.raises(ValidationError, match="whole number"):
+            scalar_model(**{key: value})
+        with pytest.raises(ValidationError, match="whole number"):
+            replace(scalar_model(), **{key: value})
+
     def test_integral_float_accepted(self):
         model = scalar_model(horizon=30.0, n_agents=np.float64(4.0))
         assert (model.horizon, model.n_agents) == (30, 4)
@@ -166,6 +171,14 @@ class TestSerialization:
         with pytest.raises(DimensionMismatch):
             model_from_dict(data)
 
+    @pytest.mark.parametrize("value", [1.9, "1", True])
+    def test_declared_dims_must_be_whole(self, value):
+        # d_x is 1: a truncated 1.9, a string or a boolean must not pass as 1
+        data = model_to_dict(scalar_model())
+        data["dims"]["d_x"] = value
+        with pytest.raises(ValidationError, match="whole number"):
+            model_from_dict(data)
+
     @pytest.mark.parametrize("key", ["horizon", "n_agents"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_count_is_format_error(self, key, value):
@@ -181,101 +194,30 @@ class TestSerialization:
             model_from_dict(data)
 
     def test_zero_offset_omitted_from_document(self):
-        data = model_to_dict(validate_model(scalar_model()))
+        data = model_to_dict(scalar_model())
         assert "state_offset" not in data
         data2 = model_to_dict(scalar_model(state_offset=3.0))
         assert data2["state_offset"] == [3.0]
 
 
 class TestCrossTerm:
-    @pytest.mark.parametrize("build", [
-        lambda v: CrossTermCost(horizon=2, Q=1.0, S=v, R=1.0),
-        lambda v: CrossTermCost(horizon=2, Q=1.0, S=0.0, R=1.0, P=[v, 1.0]),
-        lambda v: augment_for_tracking(scalar_model(), q=1.0, r=1.0, p=1.0,
-                                       meanfield_reference=v),
-        lambda v: augment_for_tracking(scalar_model(), q=1.0, r=v, p=1.0,
-                                       meanfield_reference=0.0),
-    ], ids=["cross-S", "cross-P", "tracking-reference", "tracking-r"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_sibling_builders_reject_non_finite(self, build, value):
-        with pytest.raises(ValidationError, match="non-finite"):
-            build(value)
-
-    def test_zero_cross_term_id(self):
-        cost = CrossTermCost(horizon=2, Q=1.0, S=0.0, R=1.0, P=3.0)
-        _, _, p_prime = reduce_cross_term(cost)
-        assert np.array_equal(p_prime, cost.P)
-
-    def test_scalar_reduction(self):
-        cost = CrossTermCost(horizon=2, Q=1.0, S=2.0, R=1.0, P=3.0)
-        _, _, p_prime = reduce_cross_term(cost)
-        assert p_prime[0][0, 0] == 5.0
-
-    def test_indefinite_reduction_rejected(self):
-        cost = CrossTermCost(
-            horizon=1, Q=np.eye(2), S=np.array([[0.0, 2.0], [0.0, 0.0]]), R=1.0, P=np.zeros((2, 2))
-        )
-        with pytest.raises(NotPositiveSemidefinite):
-            reduce_cross_term(cost)
-
-    def test_stale_horizon_rejected(self):
-        # 2-step arrays under horizon 1 would hide P'_2 = 1 - 10 = -9 from the reduction
-        cost = CrossTermCost(horizon=2, Q=1.0, S=[0.0, -10.0], R=1.0, P=1.0)
-        assert (cost.d_x, cost.d_u) == (1, 1)
-        with pytest.raises(DimensionMismatch):
-            CrossTermCost(horizon=1, Q=cost.Q, S=cost.S, R=cost.R, P=cost.P)
-        with pytest.raises(DimensionMismatch):
-            replace(cost, horizon=1)
-        with pytest.raises(NotPositiveSemidefinite, match="P'_2"):
-            reduce_cross_term(cost)
-
-    def test_replace_revalidates(self):
-        cost = CrossTermCost(horizon=2, Q=1.0, S=0.0, R=1.0)
-        with pytest.raises(ValidationError, match="non-finite"):
-            replace(cost, S=np.nan)
-        with pytest.raises(NotPositiveDefinite):
-            replace(cost, R=0.0)
-
-    def test_step_outside_horizon_rejected(self):
-        cost = CrossTermCost(horizon=2, Q=[1.0, 5.0], S=0.0, R=1.0)
-        x, u = np.ones((2, 1)), np.zeros((2, 1))
-        assert cost.step_cost(x, u, 1) == 1.0
-        assert cost.step_cost(x, u, 2) == 5.0
-        for t in (0, 3):
-            with pytest.raises(ValidationError, match="outside 1..2"):
-                cost.step_cost(x, u, t)
-
-    def test_scalar_equivalence_on_populations(self):
-        # both cost forms agree on random populations
-        rng = np.random.default_rng(2)
-        cost = CrossTermCost(horizon=1, Q=1.0, S=2.0, R=1.0, P=3.0)
-        Q, R, P = reduce_cross_term(cost)
-        for _ in range(50):
-            x = rng.uniform(-2, 2, (3, 1))
-            u = rng.uniform(-2, 2, (3, 1))
-            z = x.mean(axis=0)
-            direct = cost.step_cost(x, u, t=1)
-            reduced = step_cost(x, u, z, Q[0], R[0], P[0])
-            assert abs(direct - reduced) <= 1e-12 * abs(direct)
+    """A cross term mean_i x^i' S z in the per-step cost equals z' S z,
+    because the agents' states average to z, so it folds into the
+    mean-field weight: P becomes P + (S + S')/2."""
 
     @pytest.mark.parametrize("n_agents", [1, 2, 5])
     @pytest.mark.parametrize("d_x", [1, 3])
     def test_matrix_equivalence_on_populations(self, n_agents, d_x):
         rng = np.random.default_rng(10 * n_agents + d_x)
         S = rng.uniform(-1.0, 1.0, (d_x, d_x))
-        sym_part = (S + S.T) / 2.0
-        lift = max(0.0, -float(np.linalg.eigvalsh(sym_part)[0]))
-        P = rand_psd(rng, d_x) + (lift + 0.1) * np.eye(d_x)
-        cost = CrossTermCost(horizon=3, Q=rand_psd(rng, d_x), S=S, R=rand_pd(rng, 2), P=P)
-        Q, R, Pp = reduce_cross_term(cost)
+        Q, R, P = rand_psd(rng, d_x), rand_pd(rng, 2), rand_psd(rng, d_x)
         for trial in range(20):
             x = rng.uniform(-2, 2, (n_agents, d_x))
             u = rng.uniform(-2, 2, (n_agents, 2))
             z = np.add.reduce(x, axis=0) / n_agents
-            for t in (1, 2, 3):
-                direct = cost.step_cost(x, u, t)
-                reduced = step_cost(x, u, z, Q[t - 1], R[t - 1], Pp[t - 1])
-                assert abs(direct - reduced) <= 1e-12 * max(abs(direct), 1.0)
+            direct = step_cost(x, u, z, Q, R, P) + np.add.reduce(x @ (S @ z)) / n_agents
+            folded = step_cost(x, u, z, Q, R, P + (S + S.T) / 2.0)
+            assert abs(direct - folded) <= 1e-12 * max(abs(direct), 1.0)
 
 
 class TestTracking:
@@ -284,6 +226,17 @@ class TestTracking:
             horizon=5, n_agents=4, A=0.8, B=1.0, Q=0.0, R=1.0,
             Sigma_X=1.0, Sigma_W=0.3, initial_mean=2.0,
         )
+
+    @pytest.mark.parametrize("build", [
+        lambda v: augment_for_tracking(scalar_model(), q=1.0, r=1.0, p=1.0,
+                                       meanfield_reference=v),
+        lambda v: augment_for_tracking(scalar_model(), q=1.0, r=v, p=1.0,
+                                       meanfield_reference=0.0),
+    ], ids=["reference", "r"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, build, value):
+        with pytest.raises(ValidationError, match="non-finite"):
+            build(value)
 
     def test_zero_weights_leave_pure_control_penalty(self):
         aug = augment_for_tracking(self.base(), q=0.0, r=1.0, p=0.0, meanfield_reference=3.0)

@@ -23,7 +23,7 @@ from mflqg import (
     structured_gains,
 )
 from mflqg import oracle
-from mflqg.model import LqMeanFieldModel, _count
+from mflqg.model import LqMeanFieldModel
 from mflqg.oracle import STACKED_DIM_CAP, EquivalenceReport
 from mflqg.presets import heater_model
 from mflqg.riccati import ControlRiccatiSolution
@@ -91,27 +91,14 @@ class TestStackedConstruction:
             assert abs(quad - direct) <= 1e-12 * max(abs(direct), 1.0)
 
     def test_population_override_and_cap(self, small_model):
-        stacked = build_stacked_model(small_model, n=7)
+        stacked = build_stacked_model(replace(small_model, n_agents=7))
         assert stacked.n_agents == 7
         assert stacked.dim_x == 7 * small_model.d_x
         with pytest.raises(CapExceeded):
-            build_stacked_model(small_model, n=500)
+            build_stacked_model(replace(small_model, n_agents=500))
         # zero agents exceeds no cap: it is not a population
         with pytest.raises(ValidationError):
-            build_stacked_model(small_model, n=0)
-
-
-    def test_population_must_be_whole(self, small_model):
-        for bad in (2.5, "3"):
-            with pytest.raises(ValidationError):
-                build_stacked_model(small_model, n=bad)
-        stacked = build_stacked_model(small_model, n=2.0)
-        assert stacked.n_agents == 2 and type(stacked.n_agents) is int
-        assert stacked.dim_x == 2 * small_model.d_x
-        whole = build_stacked_model(small_model, n=2)
-        for k in range(small_model.horizon):
-            for got, want in zip(stacked.step(k), whole.step(k)):
-                assert np.array_equal(got, want)
+            build_stacked_model(replace(small_model, n_agents=0))
 
 
 class TestStackedSolution:
@@ -166,16 +153,9 @@ class TestEquivalence:
         assert report.cost_gap <= 1e-8
 
     def test_population_override(self, small_model):
-        report = check_equivalence(small_model, n=5)
+        report = check_equivalence(replace(small_model, n_agents=5))
         assert report.n_agents == 5
         assert report.passed
-
-    def test_population_override_must_be_whole(self, small_model):
-        with pytest.raises(ValidationError):
-            check_equivalence(small_model, n=2.5)
-        report = check_equivalence(small_model, n=2.0)
-        assert report.n_agents == 2 and type(report.n_agents) is int
-        assert report.to_dict() == check_equivalence(small_model, n=2).to_dict()
 
     def test_centralized_cost_is_a_lower_bound(self, small_model):
         model = small_model
@@ -193,9 +173,9 @@ class TestEquivalence:
         model = random_model(np.random.default_rng(66), mode="noisy", n_agents=3, horizon=5)
         solves = []
         monkeypatch.setattr(oracle, "solve_stacked_riccati", solves.append)
-        for n in (None, 4):
+        for population in (model, replace(model, n_agents=4)):
             with pytest.raises(IncompatibleStrategy, match="full observation only"):
-                check_equivalence(model, n=n)
+                check_equivalence(population)
         assert solves == []
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-8])
@@ -244,22 +224,17 @@ class DenseRiccatiSolution:
     K: np.ndarray  # (T, dim_u, dim_x)
 
 
-def dense_build_stacked_model(
-    model: LqMeanFieldModel, n: int | None = None, cap: int = STACKED_DIM_CAP
-) -> DenseStackedModel:
-    """Stack n copies of the subsystem problem into one centralized problem.
+def dense_build_stacked_model(model: LqMeanFieldModel) -> DenseStackedModel:
+    """Stack the model's n_agents copies of the subsystem problem into one
+    centralized problem.
 
     The mean-field coupling becomes a rank-one-in-blocks term: every block
     row of the stacked dynamics sees the average of all subsystem states.
     """
-    if n is None:
-        n = model.n_agents
-    if n < 1:
-        raise CapExceeded(f"population size must be >= 1, got {n}")
-    n = _count(n, "population size")
-    if n * model.d_x > cap:
+    n = model.n_agents
+    if n * model.d_x > STACKED_DIM_CAP:
         raise CapExceeded(
-            f"stacked dimension n*d_x = {n * model.d_x} exceeds the cap {cap}; "
+            f"stacked dimension n*d_x = {n * model.d_x} exceeds the cap {STACKED_DIM_CAP}; "
             "the stacked solve is a desk-scale verification oracle"
         )
     T = model.horizon
@@ -335,23 +310,19 @@ def dense_structured_gains(solution: ControlRiccatiSolution, n: int) -> np.ndarr
     )
 
 
-def dense_check_equivalence(
-    model: LqMeanFieldModel, n: int | None = None, tolerance: float = 1e-8
-) -> EquivalenceReport:
+def dense_check_equivalence(model: LqMeanFieldModel, tolerance: float = 1e-8) -> EquivalenceReport:
     """Compare the mean-field answer against the stacked oracle.
 
-    Checks two things at population size n: (1) every stacked-optimal gain
+    Checks two things at the model's population size n_agents: (1) every stacked-optimal gain
     matrix equals its mean-field-structured counterpart in relative
     Frobenius norm; (2) the decentralized controller's exact expected cost
     equals the centralized optimal cost in relative terms. Passes iff both
     maxima are within tolerance.
     """
-    if n is not None and n != model.n_agents:
-        model = replace(model, n_agents=n)
     n = model.n_agents
 
     decentralized = solve_control_riccati(model)
-    stacked = dense_build_stacked_model(model, n)
+    stacked = dense_build_stacked_model(model)
     central = dense_solve_stacked_riccati(stacked)
     implied = dense_structured_gains(decentralized, n)
 
@@ -401,8 +372,8 @@ class TestMatchesDenseReference:
 
     @staticmethod
     def assert_same(model, n):
-        assert check_equivalence(model, n=n).to_dict() == dense_check_equivalence(model, n=n).to_dict()
         model = replace(model, n_agents=n)
+        assert check_equivalence(model).to_dict() == dense_check_equivalence(model).to_dict()
         stacked, dense = build_stacked_model(model), dense_build_stacked_model(model)
         central, reference = solve_stacked_riccati(stacked), dense_solve_stacked_riccati(dense)
         assert np.array_equal(central.K, reference.K)
@@ -421,7 +392,7 @@ def test_memory_does_not_grow_with_the_horizon():
     model = heater_model()
     tracemalloc.start()
     try:
-        report = check_equivalence(model, n=50)
+        report = check_equivalence(replace(model, n_agents=50))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,8 +1,8 @@
 """Property sweep over small random models in both observation modes, each
-input given as a scalar, a single matrix or a per-step sequence: model and
-cross-term cost construction, and the stacked oracle on full-observation
-models. Also: a re-pointed noise generator draws its fresh substream, and
-full-rank noise keeps the bits of RNG_SCHEME v1 where v2 promises them."""
+input given as a scalar, a single matrix or a per-step sequence: model
+construction, and the stacked oracle on full-observation models. Also: a
+re-pointed noise generator draws its fresh substream, and full-rank noise
+keeps the bits of RNG_SCHEME v1 where v2 promises them."""
 import json
 from dataclasses import replace
 
@@ -12,8 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from mflqg import (CrossTermCost, build_model, check_equivalence, model_from_dict,
-                   model_to_dict)
+from mflqg import build_model, check_equivalence, model_from_dict, model_to_dict
 from mflqg import sim
 from helpers import V1_KEY_SALT, random_model, v1_run_noise
 
@@ -114,39 +113,6 @@ def models(draw, noisy=None):
 def test_replace_reproduces_model(inputs):
     model = build_model(**inputs[0])
     assert_same_model(replace(model), model)
-
-
-@st.composite
-def cross_term_costs(draw):
-    """CrossTermCost keyword inputs (d_x, d_u <= 3, T <= 5) in loose forms."""
-    T = draw(st.integers(1, 5))
-    d_x, d_u = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def psd(d, floor=0.0):
-        G = rng.uniform(-1.0, 1.0, (T, d, d))
-        return G @ np.swapaxes(G, 1, 2) + floor * np.eye(d)
-
-    stacks = {"Q": psd(d_x), "S": rng.uniform(-1.0, 1.0, (T, d_x, d_x)),
-              "R": psd(d_u, floor=0.3), "P": psd(d_x)}
-    inputs = {"horizon": T}
-    for name, steps in stacks.items():
-        inputs[name] = draw(stack_input(steps))[0]
-    if draw(st.booleans()):
-        del inputs["P"]
-    return inputs
-
-
-@SWEEP
-@given(cross_term_costs())
-def test_replace_reproduces_cross_term_cost(inputs):
-    cost = CrossTermCost(**inputs)
-    again = replace(cost)
-    for name in ("horizon", "d_x", "d_u"):
-        assert getattr(again, name) == getattr(cost, name), name
-    for name in ("Q", "S", "R", "P"):
-        a1, a2 = getattr(again, name), getattr(cost, name)
-        assert a1.dtype == a2.dtype and np.array_equal(a1, a2), name
 
 
 @SWEEP

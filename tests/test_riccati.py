@@ -11,7 +11,6 @@ from mflqg import (
     heater_model,
     solve_control_riccati,
     solve_filter_riccati,
-    validate_model,
 )
 from mflqg.linalg import assert_pd, assert_psd, psd_factor, spd_solve
 from helpers import rand_pd, random_model
@@ -64,7 +63,7 @@ class TestControlRecursion:
     def test_uncoupled_recursions_coincide(self):
         rng = np.random.default_rng(4)
         model = random_model(rng, coupled=False)
-        model = validate_model(replace(model, P=np.zeros_like(model.P)))
+        model = replace(model, P=np.zeros_like(model.P))
         solution = solve_control_riccati(model)
         assert np.max(np.abs(solution.Kx - solution.Kz)) <= 1e-12
         assert np.max(np.abs(solution.Mx - solution.Mz)) <= 1e-12
@@ -73,14 +72,12 @@ class TestControlRecursion:
         rng = np.random.default_rng(5)
         model = random_model(rng, mode="noisy")
         base = solve_control_riccati(model)
-        changed = validate_model(
-            replace(
-                model,
-                n_agents=17,
-                Sigma_X=4.0 * np.eye(model.d_x),
-                Sigma_W=0.01 * np.eye(model.d_x),
-                Sigma_V=9.0 * np.eye(model.d_y),
-            )
+        changed = replace(
+            model,
+            n_agents=17,
+            Sigma_X=4.0 * np.eye(model.d_x),
+            Sigma_W=0.01 * np.eye(model.d_x),
+            Sigma_V=9.0 * np.eye(model.d_y),
         )
         other = solve_control_riccati(changed)
         assert np.array_equal(base.Kx, other.Kx)
@@ -175,8 +172,6 @@ class TestOverflow:
             assert_pd(mat)
         with pytest.raises(NotPositiveSemidefinite):
             assert_psd(mat)
-        with pytest.raises(NotPositiveSemidefinite, match="non-finite"):
-            psd_factor(mat)
 
 
 class TestPsdFactor:
@@ -224,9 +219,7 @@ class TestFilterRecursion:
         rng = np.random.default_rng(8)
         model = random_model(rng, mode="noisy", horizon=7)
         base = solve_filter_riccati(model)
-        changed = validate_model(
-            replace(model, n_agents=11, Cz=np.zeros_like(model.Cz))
-        )
+        changed = replace(model, n_agents=11, Cz=np.zeros_like(model.Cz))
         other = solve_filter_riccati(changed)
         assert np.array_equal(base.Sigma_e, other.Sigma_e)
         assert np.array_equal(base.Kf, other.Kf)

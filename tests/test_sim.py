@@ -28,7 +28,6 @@ from mflqg import (
     solve_control_riccati,
     solve_filter_riccati,
     step_cost,
-    validate_model,
 )
 from mflqg import sim
 from mflqg.linalg import symmetrize
@@ -96,7 +95,7 @@ class TestSimulate:
     def test_full_and_noisy_share_state_noise(self):
         rng = np.random.default_rng(33)
         noisy = random_model(rng, mode="noisy")
-        full = validate_model(replace(noisy, observation_mode="full"))
+        full = replace(noisy, observation_mode="full")
         schedule = solve_control_riccati(noisy).gain_schedule(solve_filter_riccati(noisy))
         tn = simulate(noisy, schedule, seed=6)
         tf = simulate(full, optimal_strategy(full), seed=6)
@@ -223,7 +222,7 @@ class TestExactPolicyCost:
         strategy = optimal_strategy(model)
         totals = []
         for n in (2, 4, 8, 64):
-            scaled = validate_model(replace(model, n_agents=n))
+            scaled = replace(model, n_agents=n)
             totals.append(exact_policy_cost(scaled, strategy).meanfield_noise_costs.sum())
         assert all(a > b for a, b in zip(totals, totals[1:]))
 
@@ -232,7 +231,7 @@ class TestExactPolicyCost:
         model = random_model(rng, n_agents=2)
         strategy = optimal_strategy(model)
         ev2 = exact_policy_cost(model, strategy)
-        ev5 = exact_policy_cost(validate_model(replace(model, n_agents=5)), strategy)
+        ev5 = exact_policy_cost(replace(model, n_agents=5), strategy)
         # deviation part scales with (1 - 1/n), mean-field noise with 1/n,
         # and the deterministic mean-field part not at all
         assert np.allclose(
@@ -381,13 +380,14 @@ class TestMonteCarlo:
     def test_run_count_must_be_whole(self):
         model = build_model(horizon=3, n_agents=2, A=0.9, B=1.0, Q=1.0, R=1.0, Sigma_W=1.0)
         policy = optimal_strategy(model)
-        with pytest.raises(ValidationError):
-            monte_carlo_cost(model, policy, runs=2.5, seed=0)
+        for runs in (2.5, True):
+            with pytest.raises(ValidationError, match="whole number"):
+                monte_carlo_cost(model, policy, runs=runs, seed=0)
         whole = monte_carlo_cost(model, policy, runs=4.0, seed=0)
         assert type(whole.runs) is int
         assert whole == monte_carlo_cost(model, policy, runs=4, seed=0)
 
-    @pytest.mark.parametrize("workers", [0, -3, 2.5, "2"])
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, "2", True])
     def test_worker_count_must_be_a_positive_whole_number(self, workers):
         model = build_model(horizon=3, n_agents=2, A=0.9, B=1.0, Q=1.0, R=1.0, Sigma_W=1.0)
         with pytest.raises(ValidationError):
@@ -395,7 +395,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("name, value", [
         ("seed", 2.5), ("seed", -1), ("seed", 2**64), ("seed", "3"), ("run", 2.5), ("run", -1),
-        ("run", 2**64),
+        ("run", 2**64), ("seed", True), ("run", np.True_),
     ])
     def test_seed_and_run_must_be_unsigned_64_bit(self, name, value):
         # a fractional index would silently name the stream of its integer part
@@ -537,7 +537,7 @@ class TestMonteCarlo:
         # _MC_DEFAULT_WORKERS threads, and no count starts more threads than
         # the byte budget holds whole runs: a heater run at n = 2,000 holds
         # about 2 MB, so 64 workers would keep 32 MB of one-run chunks in flight
-        model = validate_model(replace(heater_model(), n_agents=2000))
+        model = replace(heater_model(), n_agents=2000)
         policy = optimal_strategy(model)
         reference = monte_carlo_cost(model, policy, runs=16, seed=2, workers=1)
         pools = []
@@ -844,6 +844,20 @@ def test_overflowing_closed_loop_raises():
         monte_carlo_cost(model, policy, runs=4, seed=7)
     with pytest.raises(NumericalFailure, match="not finite"):
         exact_policy_cost(model, policy)
+
+
+@pytest.mark.parametrize("horizon, R, runs", [(80, 1e300, 8), (152, 1e300, 1000),
+                                              (200, 1e304, 64)])
+def test_costs_near_the_float_limit_keep_finite_moments(horizon, R, runs):
+    # A = 10 with R huge: the gains act little and each run's cost is finite,
+    # about 1e158, 5e301 and 5e307, but the squared deviations of the first
+    # two, and the sum over runs of the third, leave the float range
+    model = build_model(horizon=horizon, n_agents=2, A=10.0, B=1.0, Q=1.0, R=R,
+                        Sigma_X=1.0, Sigma_W=1.0)
+    policy = optimal_strategy(model)
+    mc = monte_carlo_cost(model, policy, runs=runs, seed=7)
+    assert np.isfinite(mc.mean) and np.isfinite(mc.stderr) and mc.stderr > 0.0
+    assert abs(mc.mean - exact_policy_cost(model, policy).total) <= 4.0 * mc.stderr
 
 
 def reference_export(trace, out_dir):
