@@ -28,7 +28,9 @@ class StackedModel:
     """The n-subsystem problem as one centralized system of size n*d_x.
 
     Only the step-invariant parts are held; `step(k)` forms step k's dense
-    matrices from the subsystem model, so memory does not grow with T.
+    matrices from the subsystem model, so memory does not grow with T. The
+    process-noise covariance kron(I, Sigma_W) is not formed: only its
+    trace against a value matrix is needed (`_noise_trace`).
     """
 
     n_agents: int
@@ -36,7 +38,6 @@ class StackedModel:
     dim_x: int            # n * d_x
     dim_u: int            # n * d_u
     Sigma_X: np.ndarray   # (dim_x, dim_x)
-    Sigma_W: np.ndarray   # (dim_x, dim_x)
     mu: np.ndarray        # (dim_x,)
     model: LqMeanFieldModel  # the subsystem problem that is stacked
 
@@ -121,10 +122,21 @@ def build_stacked_model(model: LqMeanFieldModel) -> StackedModel:
         dim_x=n * model.d_x,
         dim_u=n * model.d_u,
         Sigma_X=_exchangeable(model.Sigma_X, None, n),
-        Sigma_W=_exchangeable(model.Sigma_W, None, n),
         mu=np.tile(model.mu_X, n),
         model=model,
     )
+
+
+def _noise_trace(M: np.ndarray, stacked: StackedModel) -> float:
+    """trace(M kron(I, Sigma_W)), the process-noise term of one step, from
+    M's diagonal blocks alone: one (d_x, d_x) product per agent instead of
+    a full (n*d_x)^3 one. The diagonal is summed in the order `np.trace`
+    sums it, and on the models tested each block product has the digits of
+    the full product's diagonal."""
+    n, d = stacked.n_agents, stacked.model.d_x
+    agents = np.arange(n)
+    products = M.reshape(n, d, n, d)[agents, :, agents, :] @ stacked.model.Sigma_W
+    return float(np.add.reduce(np.diagonal(products, axis1=1, axis2=2).reshape(-1)))
 
 
 def solve_stacked_riccati(stacked: StackedModel) -> StackedRiccatiSolution:
@@ -140,7 +152,7 @@ def solve_stacked_riccati(stacked: StackedModel) -> StackedRiccatiSolution:
     Q = stacked.step(T - 1)[2]
     M = (Q + Q.T) / 2.0
     for k in range(T - 2, -1, -1):
-        noise_traces[k] = np.trace(M @ stacked.Sigma_W)
+        noise_traces[k] = _noise_trace(M, stacked)
         A, B, Q, R = stacked.step(k)
         MB = M @ B
         H = B.T @ MB + R

@@ -53,8 +53,9 @@ def solve_control_riccati(model: LqMeanFieldModel) -> ControlRiccatiSolution:
     Terminal values are Mx_T = Q_T and Mz_T = Q_T + P_T with zero terminal
     gains. Interior steps use a symmetric factorization of
     (B' M B + R) and every iterate is re-symmetrized. The output is
-    independent of n_agents and of every noise covariance. A recursion
-    that overflows to inf or NaN raises NumericalFailure.
+    independent of n_agents and of every noise covariance. A value matrix
+    that overflows to inf or NaN raises NumericalFailure naming its step,
+    with no floating-point warning printed.
     """
     T, d_x, d_u = model.horizon, model.d_x, model.d_u
 
@@ -67,13 +68,15 @@ def solve_control_riccati(model: LqMeanFieldModel) -> ControlRiccatiSolution:
     Mx[T - 1] = model.Q[T - 1]
     Mz[T - 1] = symmetrize(model.Q[T - 1] + model.P[T - 1], "Q_T + P_T")
 
-    for k in range(T - 2, -1, -1):
-        Kx[k], Mx[k] = _riccati_step(
-            model.A[k], model.B[k], model.Q[k], model.R[k], Mx[k + 1]
-        )
-        Kz[k], Mz[k] = _riccati_step(
-            Abar[k], model.B[k], model.Q[k] + model.P[k], model.R[k], Mz[k + 1]
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(T - 2, -1, -1):
+            Kx[k], Mx[k] = _riccati_step(
+                model.A[k], model.B[k], model.Q[k], model.R[k], Mx[k + 1]
+            )
+            Kz[k], Mz[k] = _riccati_step(
+                Abar[k], model.B[k], model.Q[k] + model.P[k], model.R[k], Mz[k + 1]
+            )
+            _check_finite(f"control recursion at step {k + 1}", Mx=Mx[k], Mz=Mz[k])
 
     _check_finite("control recursion", Mx=Mx, Mz=Mz, Kx=Kx, Kz=Kz)
     return ControlRiccatiSolution(Mx=Mx, Mz=Mz, Kx=Kx, Kz=Kz)
@@ -105,8 +108,9 @@ def solve_filter_riccati(model: LqMeanFieldModel) -> FilterRiccatiSolution:
     S' = A_t S A_t' + Sigma_W - A_t S Cx' (innovation)^{-1} Cx S A_t'.
     The mean-field observation term cancels in the innovation, so the
     result does not depend on Cz or on n_agents. A singular innovation
-    covariance or an overflow is reported as NumericalFailure, not
-    regularized.
+    covariance or an overflow is reported as NumericalFailure (an
+    overflow naming the step whose covariance overflowed, with no
+    floating-point warning printed), not regularized.
     """
     if model.observation_mode != "noisy":
         raise ValidationError("filter recursion requires observation_mode = noisy")
@@ -116,15 +120,18 @@ def solve_filter_riccati(model: LqMeanFieldModel) -> FilterRiccatiSolution:
     Kf = np.zeros((max(T - 1, 0), d_x, d_y))
     Sigma_e[0] = model.Sigma_X
 
-    for k in range(T - 1):
-        A, Cx = model.A[k], model.Cx[k]
-        S = Sigma_e[k]
-        innovation = symmetrize(Cx @ S @ Cx.T + model.Sigma_V, "innovation covariance")
-        CSA = Cx @ S @ A.T
-        gain_t = spd_solve(innovation, CSA, context="filter recursion (innovation covariance)")
-        Kf[k] = gain_t.T
-        S_next = A @ S @ A.T + model.Sigma_W - CSA.T @ gain_t
-        Sigma_e[k + 1] = symmetrize(S_next, "error covariance")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(T - 1):
+            A, Cx = model.A[k], model.Cx[k]
+            S = Sigma_e[k]
+            innovation = symmetrize(Cx @ S @ Cx.T + model.Sigma_V, "innovation covariance")
+            CSA = Cx @ S @ A.T
+            gain_t = spd_solve(innovation, CSA,
+                               context="filter recursion (innovation covariance)")
+            Kf[k] = gain_t.T
+            S_next = A @ S @ A.T + model.Sigma_W - CSA.T @ gain_t
+            Sigma_e[k + 1] = symmetrize(S_next, "error covariance")
+            _check_finite(f"filter recursion at step {k + 2}", Sigma_e=Sigma_e[k + 1])
 
     _check_finite("filter recursion", Sigma_e=Sigma_e, Kf=Kf)
     return FilterRiccatiSolution(Sigma_e=Sigma_e, Kf=Kf)

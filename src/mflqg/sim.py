@@ -32,18 +32,21 @@ along a contiguous axis), never in one that follows the batch size.
 `exact_policy_cost` propagates means and covariances of the pair
 (per-agent deviation from the mean-field, mean-field) through the closed
 loop, which has fixed dimension 2*d_x regardless of the population size.
-`monte_carlo_cost` steps its chunks on one thread per usable CPU, at
-most two unless told otherwise. The chunks in flight share one 16 MiB
-budget, which counts every array a chunk holds: its pre-drawn noise, its
-working arrays and its running totals. A chunk's size follows from the
-model and the worker count, with no other cap on its runs. No digit
-depends on it, because each run's arithmetic does not depend on its
-batch. A closed loop whose cost overflows raises `NumericalFailure`.
+`monte_carlo_cost` steps its chunks in worker processes forked from the
+caller, by default one per usable CPU (the affinity mask, and a cgroup v2
+CPU quota when one is set), or in the calling process when there is one
+worker or one chunk, the platform cannot fork, or the caller runs more
+than one thread. The chunks in flight share one 16 MiB budget, which
+counts every array a chunk holds: its pre-drawn noise, its working arrays
+and its running totals. A chunk's size follows from the model and the
+worker count, with no other cap on its runs. No digit depends on it,
+because each run's arithmetic does not depend on its batch. A closed loop
+whose cost overflows raises `NumericalFailure`.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,11 +67,6 @@ _KIND_OBS = 2
 # worker's share of _MC_CHUNK_BYTES: the chunks in flight together hold at
 # most that many bytes of pre-drawn noise and working arrays
 _MC_CHUNK_BYTES = 16 * 2**20
-# the most threads `monte_carlo_cost` starts when not told a count. Every
-# numpy call of a chunk's step takes the GIL, so threads beyond the first
-# few contend for it: on two CPUs two threads measured faster than one and
-# four slower than one (ROADMAP aim 2, item 4(a))
-_MC_DEFAULT_WORKERS = 2
 # an allowance, per agent and state component, for the floats that the
 # kernel's working arrays of one run take (initial and current state,
 # action, estimate and their temporaries)
@@ -144,11 +142,26 @@ def _draw_noise(model: LqMeanFieldModel, seed: int, first_run: int, Lx, x1, w, v
     x1 += model.mu_X
 
 
+# the CPU quota of this process's cgroup, as a cgroup v2 namespace (a
+# container's own) shows it: "<quota> <period>" in microseconds, or "max"
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
 def _usable_cpus() -> int:
-    """CPUs this process may run on (all of them where the platform cannot say)."""
+    """CPUs this process may run on (all of them where the platform cannot
+    say), and no more than its cgroup's CPU quota, rounded up, when the
+    `cpu.max` file sets one."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    try:
+        with open(_CPU_MAX, encoding="ascii") as fh:
+            quota, period = fh.read().split()
+        quota, period = int(quota), int(period)
+    except (OSError, ValueError):  # no file, "max", or unreadable
+        return cpus
+    return max(1, min(cpus, -(-quota // period)))
 
 
 def mean_over_agents(values: np.ndarray) -> np.ndarray:
@@ -560,6 +573,55 @@ class MonteCarloCost:
     runs: int
 
 
+def _mc_plan(model: LqMeanFieldModel, runs: int, workers: int | None) -> tuple[int, int]:
+    """(processes, chunk) of a Monte Carlo job: how many chunks are stepped
+    at a time, and the runs in each (the last may hold fewer).
+
+    `workers` defaults to the usable CPUs. The chunks in flight share
+    `_MC_CHUNK_BYTES`: each worker gets an equal share, there are no more
+    workers than shares that hold a whole run, and a chunk holds one run
+    even when that run alone is larger. There are no more processes than
+    chunks.
+    """
+    if workers is None:
+        workers = _usable_cpus()
+    _, Lw, Lv = _noise_factors(model)
+    T = model.horizon
+    # a run's rank-sized noise and the kernel's working arrays, per agent
+    agent_floats = _MC_WORK_FLOATS * model.d_x + (T - 1) * Lw.shape[1]
+    if Lv is not None:
+        agent_floats += T * Lv.shape[1]
+    run_bytes = 8 * model.n_agents * agent_floats
+    workers = max(1, min(workers, _MC_CHUNK_BYTES // run_bytes))
+    chunk = max(1, _MC_CHUNK_BYTES // workers // run_bytes)
+    return min(workers, -(-runs // chunk)), chunk
+
+
+# the (model, policy, seed) of the Monte Carlo job a forked worker process
+# steps chunks of; set in each worker when it starts
+_worker_job = None
+
+
+def _start_worker(*job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _can_fork() -> bool:
+    """Whether Monte Carlo workers may be forked from this process: the
+    platform has `fork`, and this process runs one thread, since a lock
+    that another thread holds at the fork would stay held in the child."""
+    import multiprocessing
+
+    return threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
+
+
+def _worker_costs(start: int, count: int) -> np.ndarray:
+    """Realized costs of runs start..start+count-1 of the worker's job."""
+    model, policy, seed = _worker_job
+    return _closed_loop(model, policy, seed, start, count)[0]
+
+
 def monte_carlo_cost(
     model: LqMeanFieldModel, policy: GainSchedule, runs: int, seed: int,
     workers: int | None = None,
@@ -568,41 +630,44 @@ def monte_carlo_cost(
     independent closed-loop runs (run indices 0..runs-1, so run r is
     simulate(model, policy, seed, run=r) exactly).
 
-    Chunks of runs are stepped on `workers` threads, by default one per CPU
-    the process may run on but at most `_MC_DEFAULT_WORKERS`, and never on
-    more threads than the byte budget holds whole runs. A chunk's size
-    follows from the model and the worker count (the chunks in flight share
-    the budget), but each run's arithmetic does not depend on its chunk, so
-    neither does any reported digit. Raises `NumericalFailure` when a
-    run's cost is not finite.
+    Chunks of runs are stepped in `workers` processes forked from this one,
+    by default one per CPU the process may run on (`_usable_cpus`), never
+    more than the byte budget holds whole runs and never more than there
+    are chunks. Each worker inherits the job when it is forked, and only
+    each chunk's costs travel back. With one worker or one chunk, where the
+    platform cannot fork, or when this process runs more than one thread,
+    the chunks are stepped in this process. A chunk's size follows from the
+    model and the worker count (the chunks in flight share the budget), but
+    each run's arithmetic does not depend on its chunk, so neither does any
+    reported digit. Raises `NumericalFailure`, with its run range, when a
+    run's cost is not finite, whichever process stepped the run.
     """
     policy = _check_policy(model, policy)
     runs = _whole(runs, "runs")
     if runs < 2:
         raise ValidationError(f"monte_carlo_cost needs at least 2 runs, got {runs}")
     seed = _stream_word(seed, "seed")
-    if workers is None:
-        workers = min(_usable_cpus(), _MC_DEFAULT_WORKERS)
-    workers = _count(workers, "workers")
+    if workers is not None:
+        workers = _count(workers, "workers")
 
-    _, Lw, Lv = _noise_factors(model)
-    T = model.horizon
-    # a run's rank-sized noise and the kernel's working arrays, per agent
-    agent_floats = _MC_WORK_FLOATS * model.d_x + (T - 1) * Lw.shape[1]
-    if Lv is not None:
-        agent_floats += T * Lv.shape[1]
-    run_bytes = 8 * model.n_agents * agent_floats
-    # no more workers than shares of the budget that hold a whole run
-    workers = max(1, min(workers, _MC_CHUNK_BYTES // run_bytes))
-    chunk = max(1, _MC_CHUNK_BYTES // workers // run_bytes)
+    processes, chunk = _mc_plan(model, runs, workers)
+    starts = range(0, runs, chunk)
+    counts = [min(chunk, runs - start) for start in starts]
     costs = np.empty(runs)
+    if processes > 1 and _can_fork():
+        # imported here, not at module level: the pool's modules cost an
+        # import that only this branch needs
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    def fill(start: int) -> None:
-        count = min(chunk, runs - start)
-        costs[start:start + count] = _closed_loop(model, policy, seed, start, count)[0]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill, range(0, runs, chunk)))
+        with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_start_worker,
+                                 initargs=(model, policy, seed)) as pool:
+            for start, part in zip(starts, pool.map(_worker_costs, starts, counts)):
+                costs[start:start + part.size] = part
+    else:
+        for start, count in zip(starts, counts):
+            costs[start:start + count] = _closed_loop(model, policy, seed, start, count)[0]
 
     # the moments are taken of the costs divided by a power of two near
     # their largest: the scaling is exact, so every digit that did not

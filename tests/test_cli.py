@@ -281,6 +281,27 @@ def test_overflowing_closed_loop_exits_2_and_writes_nothing(command, tmp_path, c
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_overflowing_recursion_exits_2_with_one_line(tmp_path):
+    # R = 1e305 keeps the gains near zero, so Mx grows a hundredfold per step
+    # and overflows about 45 steps before the start: one error line naming
+    # that step, no numpy warning, no file
+    model = build_model(horizon=200, n_agents=2, A=10.0, B=1.0, Q=1.0, R=1e305,
+                        Sigma_X=1.0, Sigma_W=1.0)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    out = tmp_path / "out"
+    src = Path(mflqg.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "mflqg.cli", "solve", "--model", str(path), "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stderr.count("\n") == 1, result.stderr
+    assert result.stderr.startswith("error: NumericalFailure: control recursion at step ")
+    assert "RuntimeWarning" not in result.stderr
+    assert not out.exists()
+
+
 class TestPresetHeater:
     def test_artifacts_and_round_trip(self, tmp_path):
         out = tmp_path / "heater"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -162,6 +164,22 @@ class TestOverflow:
         # unobserved, so Sigma_e grows by A^2 per step and its last entry is inf
         with pytest.raises(NumericalFailure, match="non-finite"):
             solve_filter_riccati(noisy_scalar(A=1e60, Cx=0.0))
+
+    def test_overflow_names_its_step_without_a_warning(self):
+        # the value and covariance updates of the two cases above overflow at
+        # step 1 (Mx = Q + A'MA + G'K) and at step 4 (Sigma_e grows by 1e120)
+        cases = [
+            (solve_control_riccati,
+             build_model(horizon=4, n_agents=2, A=1e60, B=1.0, Q=1.0, R=1.0),
+             r"^control recursion at step 1: Mx has a non-finite entry"),
+            (solve_filter_riccati, noisy_scalar(A=1e60, Cx=0.0),
+             r"^filter recursion at step 4: Sigma_e has a non-finite entry"),
+        ]
+        for solve, model, message in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalFailure, match=message):
+                    solve(model)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_linalg_screens_reject_non_finite(self, value):

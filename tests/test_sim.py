@@ -1,6 +1,7 @@
 import csv
+import os
+import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -36,6 +37,16 @@ from helpers import rand_pd, rand_psd, random_model, v1_factor, v1_run_noise
 
 def zero_policy(horizon, d_x, d_u):
     return GainSchedule(Kx=np.zeros((horizon, d_u, d_x)), Kz=np.zeros((horizon, d_u, d_x)))
+
+
+def mc_run_bytes(model):
+    """Bytes one Monte Carlo run holds: rank-sized process and observation
+    noise and the kernel's working arrays, per agent."""
+    _, Lw, Lv = sim._noise_factors(model)
+    rank_v = 0 if Lv is None else Lv.shape[1]
+    T = model.horizon
+    return 8 * model.n_agents * (sim._MC_WORK_FLOATS * model.d_x + (T - 1) * Lw.shape[1]
+                                 + T * rank_v)
 
 
 class TestSimulate:
@@ -502,13 +513,9 @@ class TestMonteCarlo:
                                  d_x=2, d_u=2, d_y=1, horizon=30)
         policy = optimal_strategy(model)
         reference = monte_carlo_cost(model, policy, runs=8, seed=1, workers=1)
-        # a run holds rank-sized process and observation noise and the
-        # kernel's working arrays, per agent
-        T = model.horizon
-        _, Lw, Lv = sim._noise_factors(model)
-        rank_v = 0 if Lv is None else Lv.shape[1]
-        run_floats = sim._MC_WORK_FLOATS * model.d_x + (T - 1) * Lw.shape[1] + T * rank_v
-        run_bytes = 8 * model.n_agents * run_floats
+        run_bytes = mc_run_bytes(model)
+        # the default worker count is the usable CPUs
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 3)
         chunks = []
         kernel = sim._closed_loop
 
@@ -516,48 +523,96 @@ class TestMonteCarlo:
             chunks.append(runs)
             return kernel(model, policy, seed, first_run, runs, record)
 
-        monkeypatch.setattr(sim, "_closed_loop", spy)
         for workers in (1, 2, 3, None):
-            count = min(sim._usable_cpus(), sim._MC_DEFAULT_WORKERS) if workers is None else workers
-            # each worker's chunk fits its share of the budget; a budget
-            # below one run still steps one run per chunk, on one thread
-            for budget, threads, per_chunk in [
+            count = 3 if workers is None else workers
+            # each worker's chunk fits its share of the budget, and no more
+            # processes start than there are chunks; a budget below one run
+            # still steps one run per chunk, in one process
+            for budget, shares, per_chunk in [
                 (run_bytes // 2, 1, 1), (count * run_bytes, count, 1),
                 (count * (3 * run_bytes + 7), count, 3), (6 * run_bytes + 7, count, 6 // count),
             ]:
                 monkeypatch.setattr(sim, "_MC_CHUNK_BYTES", budget)
-                chunks.clear()
-                assert monte_carlo_cost(model, policy, runs=8, seed=1, workers=workers) == reference
                 sizes = [per_chunk] * (8 // per_chunk) + ([8 % per_chunk] if 8 % per_chunk else [])
-                assert sorted(chunks, reverse=True) == sizes
-                assert all(size * run_bytes <= budget // threads or size == 1 for size in chunks)
+                assert sim._mc_plan(model, 8, workers) == (min(shares, len(sizes)), per_chunk)
+                assert monte_carlo_cost(model, policy, runs=8, seed=1, workers=workers) == reference
+                # stepped in this process, the kernel sees the plan's chunks
+                chunks.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(sim, "_can_fork", lambda: False)
+                    patch.setattr(sim, "_closed_loop", spy)
+                    assert monte_carlo_cost(model, policy, runs=8, seed=1,
+                                            workers=workers) == reference
+                assert chunks == sizes
+                assert all(size * run_bytes <= budget // shares or size == 1 for size in chunks)
 
     def test_worker_count_is_capped(self, monkeypatch):
-        # however many CPUs there are, the default starts at most
-        # _MC_DEFAULT_WORKERS threads, and no count starts more threads than
-        # the byte budget holds whole runs: a heater run at n = 2,000 holds
-        # about 2 MB, so 64 workers would keep 32 MB of one-run chunks in flight
+        # however many CPUs there are, no count starts more processes than
+        # the byte budget holds whole runs, nor more than there are chunks: a
+        # heater run at n = 2,000 holds 2 MB, so 16 runs stepped one per
+        # process would keep 32 MB in flight
         model = replace(heater_model(), n_agents=2000)
-        policy = optimal_strategy(model)
-        reference = monte_carlo_cost(model, policy, runs=16, seed=2, workers=1)
-        pools = []
-
-        def pool(max_workers):
-            pools.append(max_workers)
-            return ThreadPoolExecutor(max_workers=max_workers)
-
-        monkeypatch.setattr(sim, "ThreadPoolExecutor", pool)
+        assert mc_run_bytes(model) == 2_000_000
+        shares = sim._MC_CHUNK_BYTES // 2_000_000
         monkeypatch.setattr(sim, "_usable_cpus", lambda: 64)
-        assert monte_carlo_cost(model, policy, runs=16, seed=2) == reference
-        assert pools == [sim._MC_DEFAULT_WORKERS]
-        tracemalloc.start()
-        try:
-            assert monte_carlo_cost(model, policy, runs=16, seed=2, workers=64) == reference
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert pools[1:] == [sim._MC_CHUNK_BYTES // 2_000_000]
-        assert peak <= 20e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+        for workers in (None, 64):
+            assert sim._mc_plan(model, 16, workers) == (shares, 1)
+            assert sim._mc_plan(model, 3, workers) == (3, 1)
+        assert sim._mc_plan(model, 16, 3) == (3, sim._MC_CHUNK_BYTES // 3 // 2_000_000)
+        # the capped count in use, at a budget of three runs: three processes
+        policy = optimal_strategy(model)
+        reference = monte_carlo_cost(model, policy, runs=6, seed=2, workers=1)
+        monkeypatch.setattr(sim, "_MC_CHUNK_BYTES", 3 * 2_000_000)
+        assert sim._mc_plan(model, 6, 64) == (3, 1)
+        assert monte_carlo_cost(model, policy, runs=6, seed=2, workers=64) == reference
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failure_in_a_worker_process_names_its_runs(self, monkeypatch):
+        # A = 10 with Q = 0 overflows every run; two chunks of two runs are
+        # stepped in two forked processes, and the first chunk's failure
+        # reaches the caller
+        model = build_model(horizon=400, n_agents=3, A=10.0, B=1.0, Q=0.0, R=1.0,
+                            Sigma_X=1.0, Sigma_W=1.0)
+        policy = optimal_strategy(model)
+        monkeypatch.setattr(sim, "_MC_CHUNK_BYTES", 4 * mc_run_bytes(model))
+        assert sim._mc_plan(model, 4, 2) == (2, 2)
+        with pytest.raises(NumericalFailure, match=r"not finite in runs 0\.\.1$"):
+            monte_carlo_cost(model, policy, runs=4, seed=0, workers=2)
+
+
+    def test_caller_with_threads_steps_in_process(self, monkeypatch):
+        # a process running a second thread is not forked: the chunks are
+        # stepped where the caller runs, with the same digits
+        model = heater_model()
+        policy = optimal_strategy(model)
+        reference = monte_carlo_cost(model, policy, runs=600, seed=7, workers=1)
+        assert sim._mc_plan(model, 600, 2)[0] == 2
+        checks = []
+        can_fork = sim._can_fork
+        monkeypatch.setattr(sim, "_can_fork", lambda: checks.append(can_fork()) or checks[-1])
+        results = []
+        thread = threading.Thread(
+            target=lambda: results.append(monte_carlo_cost(model, policy, runs=600, seed=7,
+                                                           workers=2)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert results == [reference] and checks == [False]
+
+
+class TestUsableCpus:
+    @pytest.mark.parametrize("cpu_max, cpus", [
+        (None, 4), ("max 100000\n", 4), ("150000 100000\n", 2), ("50000 100000\n", 1),
+        ("800000 100000\n", 4), ("100000 100000", 1), ("", 4), ("1.5 1\n", 4),
+    ], ids=["absent", "max", "1.5-cpus", "half-cpu", "above-affinity", "one-cpu", "empty",
+            "unreadable"])
+    def test_cgroup_quota_caps_the_affinity_count(self, tmp_path, monkeypatch, cpu_max, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        path = tmp_path / "cpu.max"
+        if cpu_max is not None:
+            path.write_text(cpu_max, encoding="ascii")
+        monkeypatch.setattr(sim, "_CPU_MAX", str(path))
+        assert sim._usable_cpus() == cpus
 
 
 # ---------------------------------------------------------------------------
@@ -803,13 +858,15 @@ class TestExactStreamAddressing:
 
 def test_monte_carlo_memory_bound():
     # the chunks in flight together hold at most 16 MiB of rank-sized noise
-    # and working arrays, whatever the worker count: on two CPUs 1,024 heater
-    # runs are chunks of 279 runs, two at a time
+    # and working arrays, whatever the worker count: one worker steps 1,024
+    # heater runs as whole-budget chunks of 559 runs in this process, where
+    # tracemalloc sees them (it sees nothing a forked worker allocates)
     model = heater_model()
     policy = optimal_strategy(model)
+    assert sim._mc_plan(model, 1024, 1) == (1, 559)
     tracemalloc.start()
     try:
-        monte_carlo_cost(model, policy, 1024, 7)
+        monte_carlo_cost(model, policy, 1024, 7, workers=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -818,13 +875,13 @@ def test_monte_carlo_memory_bound():
 
 def test_long_horizon_memory_bound():
     # nothing a chunk holds grows with T times the run count: a noiseless
-    # scalar run holds about 100 bytes, so 8,192 runs share one chunk, and
-    # their 500 per-step costs alone would take 33 MB
+    # scalar run holds about 100 bytes, so 8,192 runs share one chunk, stepped
+    # in this process, and their 500 per-step costs alone would take 33 MB
     model = build_model(horizon=500, n_agents=1, A=0.9, B=1.0, Q=1.0, R=1.0, Sigma_X=1.0)
     policy = optimal_strategy(model)
     tracemalloc.start()
     try:
-        monte_carlo_cost(model, policy, 8192, 7)
+        monte_carlo_cost(model, policy, 8192, 7, workers=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
