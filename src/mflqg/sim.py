@@ -41,7 +41,8 @@ counts every array a chunk holds: its pre-drawn noise, its working arrays
 and its running totals. A chunk's size follows from the model and the
 worker count, with no other cap on its runs. No digit depends on it,
 because each run's arithmetic does not depend on its batch. A closed loop
-whose cost overflows raises `NumericalFailure`.
+whose cost overflows, or a simulation that records a non-finite value,
+raises `NumericalFailure`.
 """
 from __future__ import annotations
 
@@ -224,6 +225,7 @@ def _check_policy(model: LqMeanFieldModel, policy) -> GainSchedule:
 # ---------------------------------------------------------------------------
 # closed loop
 
+@np.errstate(over="ignore", invalid="ignore")
 def _closed_loop(
     model: LqMeanFieldModel, policy: GainSchedule, seed: int, first_run: int, runs: int,
     record: bool = False,
@@ -235,7 +237,7 @@ def _closed_loop(
     the per-step costs and the drawn noise as a dict keyed by
     `SimulationTrace` field, each array with a leading run axis. Each run's
     arithmetic does not depend on the batch it is stepped in. Raises
-    `NumericalFailure` when a total is not finite.
+    `NumericalFailure` when a total, or a recorded value, is not finite.
     """
     T, n, d_x = model.horizon, model.n_agents, model.d_x
     noisy = model.observation_mode == "noisy"
@@ -317,7 +319,17 @@ def _closed_loop(
         name: None if column[0] is None else np.stack(column, axis=1)
         for name, column in zip(names, zip(*steps))
     }
-    return totals, {**recorded, "process_noise": noise_w, "obs_noise": noise_v}
+    recorded.update(process_noise=noise_w, obs_noise=noise_v)
+    # a step at a time: a mask of a whole field would raise the peak memory
+    # of a large simulation
+    for name, values in recorded.items():
+        for k, values_k in enumerate(() if values is None else values.swapaxes(0, 1)):
+            if not np.isfinite(values_k).all():
+                raise NumericalFailure(
+                    f"closed-loop {name} has a non-finite entry at step {k + 1} "
+                    f"in runs {first_run}..{first_run + runs - 1}"
+                )
+    return totals, recorded
 
 
 def _agent_mean(x: np.ndarray) -> np.ndarray:
@@ -503,6 +515,7 @@ class PolicyEvaluation:
     meanfield_noise_costs: np.ndarray # (T,)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def exact_policy_cost(model: LqMeanFieldModel, policy: GainSchedule) -> PolicyEvaluation:
     """Expected cost of a full-observation linear policy, exactly.
 
@@ -688,17 +701,27 @@ def _labels(columns: dict) -> list[str]:
     return [f"{prefix}_{j}" for prefix, values in columns.items() for j in range(values.shape[-1])]
 
 
-def _write_csv(path: Path, header: list[str], index_columns: int, blocks) -> None:
-    """Write the header, then each block (rows, columns) of floats as CRLF
-    rows: the first `index_columns` columns with %d, the rest with %.17g
-    (round-trip exact). These are the bytes a default `csv.writer` writes
-    for the fields `str(int(v))` and `format(v, ".17g")`; each block is one
-    format call."""
-    row = ",".join(["%d"] * index_columns + ["%.17g"] * (len(header) - index_columns)) + "\r\n"
+def _write_csv(path: Path, header: list[str], index_columns: int, block: np.ndarray) -> None:
+    """Write the header, then a (steps, rows, columns) block of floats as
+    CRLF rows: the first `index_columns` columns with %d, the rest with
+    %.17g (round-trip exact), the bytes a default `csv.writer` writes for
+    `str(int(v))` and `format(v, ".17g")`.
+
+    A column that holds the same bits at every step, in every row, is
+    formatted once, into a template of one step's rows; each step fills
+    the template with its varying fields in one format call. Bits, not
+    values, are compared: -0.0 == 0.0, but the two print differently.
+    """
+    formats = ["%d"] * index_columns + ["%.17g"] * (len(header) - index_columns)
+    bits = block.view(np.uint64)
+    fixed = (bits == bits[0]).all(axis=(0, 1))
+    template = "".join(",".join(fmt % value if keep else fmt
+                                for fmt, keep, value in zip(formats, fixed, row)) + "\r\n"
+                       for row in block[0].tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        for block in blocks:
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        for step in block:
+            fh.write(template % tuple(step[:, ~fixed].ravel().tolist()))
 
 
 def export_trace_csv(trace: SimulationTrace, out_dir) -> tuple[Path, Path]:
@@ -724,7 +747,7 @@ def export_trace_csv(trace: SimulationTrace, out_dir) -> tuple[Path, Path]:
     columns = {"z": trace.meanfield + offset, "uz": trace.mean_control}
     meanfield = np.column_stack([steps, *columns.values(), trace.step_costs])
     meanfield_path = out_dir / "trace_meanfield.csv"
-    _write_csv(meanfield_path, ["t", *_labels(columns), "step_cost"], 1, [meanfield])
+    _write_csv(meanfield_path, ["t", *_labels(columns), "step_cost"], 1, meanfield[:, None])
 
     return agents_path, meanfield_path
 

@@ -264,12 +264,14 @@ class TestVerify:
         assert not (out / "verify.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# A = 10 with Q = 0: zero gains, and a state that overflows before T = 400
+CLOSED_LOOP_OVERFLOW = dict(horizon=400, n_agents=3, A=10.0, B=1.0, Q=0.0, R=1.0,
+                            Sigma_X=1.0, Sigma_W=1.0)
+
+
 @pytest.mark.parametrize("command", ["simulate", "evaluate", "verify"])
 def test_overflowing_closed_loop_exits_2_and_writes_nothing(command, tmp_path, capsys):
-    # A = 10 with Q = 0: zero gains, and a state that overflows before T = 400
-    model = build_model(horizon=400, n_agents=3, A=10.0, B=1.0, Q=0.0, R=1.0,
-                        Sigma_X=1.0, Sigma_W=1.0)
+    model = build_model(**CLOSED_LOOP_OVERFLOW)
     path = tmp_path / "model.json"
     save_model(model, path)
     out = tmp_path / "out"
@@ -281,25 +283,57 @@ def test_overflowing_closed_loop_exits_2_and_writes_nothing(command, tmp_path, c
     assert not out.exists() or not any(out.iterdir())
 
 
+def run_cli_on(model, command, tmp_path, *extra):
+    """Run one command on the model in a fresh interpreter; returns the
+    completed process and the --out directory."""
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    out = tmp_path / "out"
+    src = Path(mflqg.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "mflqg.cli", command, "--model", str(path), "--out", str(out),
+         *extra],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+    )
+    return result, out
+
+
+def assert_one_error_line(result, out, message):
+    """Exit 2 with one stderr line, no numpy warning, and no output directory."""
+    assert result.returncode == 2
+    assert result.stderr.count("\n") == 1, result.stderr
+    assert result.stderr.startswith(f"error: NumericalFailure: {message}"), result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert not out.exists()
+
+
 def test_overflowing_recursion_exits_2_with_one_line(tmp_path):
     # R = 1e305 keeps the gains near zero, so Mx grows a hundredfold per step
     # and overflows about 45 steps before the start: one error line naming
     # that step, no numpy warning, no file
     model = build_model(horizon=200, n_agents=2, A=10.0, B=1.0, Q=1.0, R=1e305,
                         Sigma_X=1.0, Sigma_W=1.0)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    out = tmp_path / "out"
-    src = Path(mflqg.__file__).resolve().parent.parent
-    result = subprocess.run(
-        [sys.executable, "-m", "mflqg.cli", "solve", "--model", str(path), "--out", str(out)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
-    )
-    assert result.returncode == 2
-    assert result.stderr.count("\n") == 1, result.stderr
-    assert result.stderr.startswith("error: NumericalFailure: control recursion at step ")
-    assert "RuntimeWarning" not in result.stderr
-    assert not out.exists()
+    assert_one_error_line(*run_cli_on(model, "solve", tmp_path), "control recursion at step ")
+
+
+# Cx = 1e8 on a state that grows tenfold per step: the last observation
+# overflows, and no cost reads it (Q = P = 0, zero gains)
+OBSERVATION_OVERFLOW = dict(horizon=302, n_agents=2, A=10.0, B=1.0, Q=0.0, R=1.0, P=0.0,
+                            Sigma_X=1.0, Sigma_W=1.0, Cx=1e8, Cz=0.0, Sigma_V=1.0,
+                            observation_mode="noisy")
+
+
+@pytest.mark.parametrize("command, model_kwargs, extra, message", [
+    ("simulate", CLOSED_LOOP_OVERFLOW, (), "closed-loop cost is not finite"),
+    ("evaluate", CLOSED_LOOP_OVERFLOW, ("--runs", "4"), "exact expected cost is not finite"),
+    ("verify", CLOSED_LOOP_OVERFLOW, (), "exact expected cost is not finite"),
+    ("simulate", OBSERVATION_OVERFLOW, (),
+     "closed-loop observations has a non-finite entry at step 302 "),
+], ids=["simulate", "evaluate", "verify", "simulate-observation"])
+def test_overflowing_closed_loop_exits_2_with_one_line(command, model_kwargs, extra, message,
+                                                       tmp_path):
+    result, out = run_cli_on(build_model(**model_kwargs), command, tmp_path, *extra)
+    assert_one_error_line(result, out, message)
 
 
 class TestPresetHeater:

@@ -151,7 +151,6 @@ def noisy_scalar(**overrides):
 class TestOverflow:
     """A finite, valid model whose recursion overflows raises NumericalFailure."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("horizon", [4, 12])
     def test_control_overflow(self, horizon):
         # T=4: the gains stay finite but Mx[0] is inf; T=12: B'MB + R turns NaN
@@ -159,7 +158,6 @@ class TestOverflow:
         with pytest.raises(NumericalFailure, match="non-finite"):
             solve_control_riccati(model)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_filter_overflow(self):
         # unobserved, so Sigma_e grows by A^2 per step and its last entry is inf
         with pytest.raises(NumericalFailure, match="non-finite"):

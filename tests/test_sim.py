@@ -566,7 +566,6 @@ class TestMonteCarlo:
         assert sim._mc_plan(model, 6, 64) == (3, 1)
         assert monte_carlo_cost(model, policy, runs=6, seed=2, workers=64) == reference
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failure_in_a_worker_process_names_its_runs(self, monkeypatch):
         # A = 10 with Q = 0 overflows every run; two chunks of two runs are
         # stepped in two forked processes, and the first chunk's failure
@@ -888,7 +887,6 @@ def test_long_horizon_memory_bound():
     assert peak <= 20e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_closed_loop_raises():
     # A = 10 with Q = 0: the optimal gains are zero, the state grows tenfold
     # per step and overflows long before T = 400
@@ -901,6 +899,21 @@ def test_overflowing_closed_loop_raises():
         monte_carlo_cost(model, policy, runs=4, seed=7)
     with pytest.raises(NumericalFailure, match="not finite"):
         exact_policy_cost(model, policy)
+
+
+def test_non_finite_observation_raises_when_recorded():
+    # Cx = 1e8 on a state that grows tenfold per step: the observation of the
+    # last step overflows, and no cost reads it (Q = P = 0, zero gains), so
+    # the totals are finite; the Monte Carlo path records nothing and keeps
+    # its one check, on the totals
+    model = build_model(horizon=302, n_agents=2, A=10.0, B=1.0, Q=0.0, R=1.0, P=0.0,
+                        Sigma_X=1.0, Sigma_W=1.0, Cx=1e8, Cz=0.0, Sigma_V=1.0,
+                        observation_mode="noisy")
+    policy = optimal_strategy(model)
+    with pytest.raises(NumericalFailure,
+                       match=r"^closed-loop observations has a non-finite entry at step 302 "):
+        simulate(model, policy, seed=0)
+    assert monte_carlo_cost(model, policy, runs=2, seed=0, workers=1).mean == 0.0
 
 
 @pytest.mark.parametrize("horizon, R, runs", [(80, 1e300, 8), (152, 1e300, 1000),
@@ -985,17 +998,47 @@ def with_edge_values(trace):
     return replace(trace, **edited)
 
 
+def with_signed_zeros(trace, zero):
+    """The trace with its last action, mean-control and step-cost columns
+    set to `zero` at every step but one, where they hold the other signed
+    zero: equal values whose bits, and printed fields, differ."""
+    edited = {}
+    for name in ("actions", "mean_control", "step_costs"):
+        values = getattr(trace, name).copy()
+        column = values[..., -1] if values.ndim > 1 else values
+        column[...] = zero
+        column[len(column) // 2] = -zero
+        edited[name] = values
+    return replace(trace, **edited)
+
+
+EXPORT_MODELS = {
+    "heater": heater_model,
+    "noisy": lambda: random_model(np.random.default_rng(57), mode="noisy", n_agents=4,
+                                  d_x=3, d_u=2, d_y=2, horizon=7),
+    # one step: every column is step-invariant and each step fills nothing
+    "horizon-1": lambda: random_model(np.random.default_rng(58), mode="noisy", n_agents=4,
+                                      d_x=3, d_u=2, d_y=2, horizon=1),
+    "one-agent": lambda: random_model(np.random.default_rng(59), n_agents=1, horizon=7),
+    # the agent column and the two reference components x_1 and x_2 are
+    # step-invariant
+    "heater-n200": lambda: replace(heater_model(), n_agents=200),
+}
+
+
 class TestExport:
-    @pytest.mark.parametrize("case", ["heater", "noisy"])
+    @pytest.mark.parametrize("case", list(EXPORT_MODELS))
     def test_bytes_match_reference_writer(self, case, tmp_path):
-        if case == "heater":
-            model = heater_model()
+        model = EXPORT_MODELS[case]()
+        if case.startswith("heater"):
             assert np.any(model.state_offset != 0.0)
-        else:
-            model = random_model(np.random.default_rng(57), mode="noisy", n_agents=4,
-                                 d_x=3, d_u=2, d_y=2, horizon=7)
         trace = simulate(model, optimal_strategy(model), seed=8)
-        for candidate in (trace, with_edge_values(trace)):
+        if case == "heater-n200":
+            assert (trace.states[:, :, 1:] == trace.states[:1, :, 1:]).all()
+        candidates = [trace, with_edge_values(trace)]
+        if model.horizon > 1:
+            candidates += [with_signed_zeros(trace, 0.0), with_signed_zeros(trace, -0.0)]
+        for candidate in candidates:
             got = export_trace_csv(candidate, tmp_path / "got")
             want = reference_export(candidate, tmp_path / "want")
             for got_path, want_path in zip(got, want):
