@@ -39,10 +39,13 @@ DEFAULT_RUNS = 10_000
 
 
 def _seed_type(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit integer, got {text}")
-    return value
+    try:
+        value = int(text)
+        if 0 <= value < 2**64:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit integer, got {text}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,8 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, model: bool = True) -> argparse.ArgumentParser:
+    def add(name: str, run, help_text: str, model: bool = True) -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(run=run)
         if model:
             cmd.add_argument("--model", type=Path, required=True,
                              help="path to a model JSON file")
@@ -69,16 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output directory (default: current directory)")
         return cmd
 
-    add("solve", "solve the control (and filter) recursions, write gains.json")
-    add("simulate", "run one closed-loop simulation, write trace CSVs and summary.json")
-    evaluate = add("evaluate",
+    add("solve", cmd_solve, "solve the control (and filter) recursions, write gains.json")
+    add("simulate", cmd_simulate, "run one closed-loop simulation, write trace CSVs and summary.json")
+    evaluate = add("evaluate", cmd_evaluate,
                    "exact and Monte Carlo cost of the optimal strategy, write evaluate.json")
     evaluate.add_argument("--runs", type=int, default=DEFAULT_RUNS,
                           help=f"Monte Carlo run count (default {DEFAULT_RUNS})")
-    verify = add("verify", "check centralized equivalence, write verify.json")
+    verify = add("verify", cmd_verify, "check centralized equivalence, write verify.json")
     verify.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
                         help=f"verification tolerance (default {DEFAULT_TOLERANCE})")
-    add("preset-heater", "materialize and run the built-in heater tracking example", model=False)
+    add("preset-heater", cmd_preset_heater,
+        "materialize and run the built-in heater tracking example", model=False)
     return parser
 
 
@@ -181,19 +186,10 @@ def cmd_preset_heater(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "solve": cmd_solve,
-    "simulate": cmd_simulate,
-    "evaluate": cmd_evaluate,
-    "verify": cmd_verify,
-    "preset-heater": cmd_preset_heater,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except json.JSONDecodeError as exc:
         print(f"error: cannot parse {args.model}: line {exc.lineno} column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)

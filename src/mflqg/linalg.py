@@ -26,14 +26,13 @@ def symmetrize(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise NotSymmetric(f"{name} is not square: shape {mat.shape}")
-    if mat.size:
-        scale = max(1.0, float(np.max(np.abs(mat))))
-        asym = float(np.max(np.abs(mat - mat.T)))
-        if asym > SYMMETRY_TOL * scale:
-            raise NotSymmetric(
-                f"{name} is asymmetric: max |M - M.T| = {asym:.3e} "
-                f"exceeds {SYMMETRY_TOL:.0e} * max(1, |M|)"
-            )
+    scale = max(1.0, float(np.max(np.abs(mat))))
+    asym = float(np.max(np.abs(mat - mat.T)))
+    if asym > SYMMETRY_TOL * scale:
+        raise NotSymmetric(
+            f"{name} is asymmetric: max |M - M.T| = {asym:.3e} "
+            f"exceeds {SYMMETRY_TOL:.0e} * max(1, |M|)"
+        )
     return (mat + mat.T) / 2.0
 
 
@@ -43,7 +42,7 @@ def assert_psd(mat: np.ndarray, name: str = "matrix") -> None:
     if not np.isfinite(mat).all():
         raise NotPositiveSemidefinite(f"{name} has a non-finite entry")
     eigs = np.linalg.eigvalsh(mat)
-    if eigs.size and float(eigs[0]) < -PSD_TOL:
+    if float(eigs[0]) < -PSD_TOL:
         raise NotPositiveSemidefinite(
             f"{name} has smallest eigenvalue {float(eigs[0]):.3e} < -{PSD_TOL:.0e}"
         )
@@ -98,7 +97,7 @@ def psd_factor(cov: np.ndarray) -> np.ndarray:
     the covariance excites and none for the others.
     """
     eigvals, eigvecs = np.linalg.eigh(cov)
-    top = max(float(eigvals[-1]), 0.0) if eigvals.size else 0.0
+    top = max(float(eigvals[-1]), 0.0)
     # eigh sorts ascending, so the kept eigenvalues are the last ones; a
     # slice, unlike a mask, keeps the factor C-ordered, and the digits of
     # the noise's BLAS products depend on that layout

@@ -170,6 +170,8 @@ class LqMeanFieldModel:
             raise ValidationError("noisy observation_mode requires Cx, Cz, and Sigma_V")
         d_x, d_u = _dim(self.A, 0, "A"), _dim(self.B, 1, "B")
         d_y = d_x if self.Cx is None else _dim(self.Cx, 0, "Cx")
+        if min(d_x, d_u, d_y) < 1:
+            raise DimensionMismatch(f"d_x, d_u and d_y must be >= 1, got {d_x}, {d_u}, {d_y}")
         zeros = np.zeros((d_x, d_x))
         fields = {
             "horizon": T,
@@ -352,33 +354,24 @@ def augment_for_tracking(
     da = 2 * d + 1
 
     A_aug = np.zeros((T, da, da))
+    A_aug[:, :d, :d] = model.A
+    A_aug[:, d:, d:] = np.eye(d + 1)
     B_aug = np.zeros((T, da, d_u))
+    B_aug[:, :d] = model.B
     D_aug = np.zeros((T, da, da))
-    Q_aug = np.zeros((T, da, da))
+    D_aug[:, :d, :d] = model.D
+    # q-weighted (x - x_ref) quadratic, the same at every step
+    Q_aug = np.zeros((da, da))
+    Q_aug[:2 * d, :2 * d] = np.block([[q, -q], [-q, q]])
+    # p-weighted (z - z_ref,t) quadratic via the constant coordinate
     P_aug = np.zeros((T, da, da))
-    for t in range(T):
-        A_aug[t, :d, :d] = model.A[t]
-        A_aug[t, d:2 * d, d:2 * d] = np.eye(d)
-        A_aug[t, 2 * d, 2 * d] = 1.0
-        B_aug[t, :d, :] = model.B[t]
-        D_aug[t, :d, :d] = model.D[t]
-        # q-weighted (x - x_ref) quadratic
-        Q_aug[t, :d, :d] = q
-        Q_aug[t, :d, d:2 * d] = -q
-        Q_aug[t, d:2 * d, :d] = -q
-        Q_aug[t, d:2 * d, d:2 * d] = q
-        # p-weighted (z - z_ref,t) quadratic via the constant coordinate
-        ref = refs[t]
-        P_aug[t, :d, :d] = p
-        P_aug[t, :d, 2 * d] = -p @ ref
-        P_aug[t, 2 * d, :d] = -p @ ref
+    P_aug[:, :d, :d] = p
+    for t, ref in enumerate(refs):
+        P_aug[t, :d, 2 * d] = P_aug[t, 2 * d, :d] = -p @ ref
         P_aug[t, 2 * d, 2 * d] = ref @ p @ ref
 
     Sigma_X_aug = np.zeros((da, da))
-    Sigma_X_aug[:d, :d] = model.Sigma_X
-    Sigma_X_aug[:d, d:2 * d] = model.Sigma_X
-    Sigma_X_aug[d:2 * d, :d] = model.Sigma_X
-    Sigma_X_aug[d:2 * d, d:2 * d] = model.Sigma_X
+    Sigma_X_aug[:2 * d, :2 * d] = np.tile(model.Sigma_X, (2, 2))
     Sigma_W_aug = np.zeros((da, da))
     Sigma_W_aug[:d, :d] = model.Sigma_W
 

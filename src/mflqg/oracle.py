@@ -11,7 +11,7 @@ production recursions: solves use plain LU, symmetrization is unchecked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -94,17 +94,7 @@ class EquivalenceReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n_agents": self.n_agents,
-            "horizon": self.horizon,
-            "tolerance": self.tolerance,
-            "gain_residuals": [float(r) for r in self.gain_residuals],
-            "max_gain_residual": self.max_gain_residual,
-            "cost_centralized": self.cost_centralized,
-            "cost_decentralized": self.cost_decentralized,
-            "cost_gap": self.cost_gap,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "gain_residuals": [float(r) for r in self.gain_residuals]}
 
 
 def build_stacked_model(model: LqMeanFieldModel) -> StackedModel:
@@ -222,7 +212,7 @@ def check_equivalence(model: LqMeanFieldModel, tolerance: float = 1e-8) -> Equiv
     if cost_central != 0.0:
         gap /= abs(cost_central)
 
-    max_residual = float(residuals.max()) if residuals.size else 0.0
+    max_residual = float(residuals.max())
     return EquivalenceReport(
         n_agents=n,
         horizon=model.horizon,

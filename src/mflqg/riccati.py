@@ -117,7 +117,7 @@ def solve_filter_riccati(model: LqMeanFieldModel) -> FilterRiccatiSolution:
     T, d_x, d_y = model.horizon, model.d_x, model.d_y
 
     Sigma_e = np.zeros((T, d_x, d_x))
-    Kf = np.zeros((max(T - 1, 0), d_x, d_y))
+    Kf = np.zeros((T - 1, d_x, d_y))
     Sigma_e[0] = model.Sigma_X
 
     with np.errstate(over="ignore", invalid="ignore"):

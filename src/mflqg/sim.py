@@ -13,8 +13,9 @@ column, so for seeds below 2**53 and runs below 2**63 its draws are those
 of scheme v1, which rounded key and counter words through float64 and
 always drew one normal per component. Process and observation noise are
 held as those rank-sized normals and mapped through the factor one step
-at a time, as the closed loop adds them; initial states are mapped when
-drawn. Initial states, process noise, and observation noise live in separate
+at a time, as the closed loop adds them (a simulation records their batched
+product, with the same digits); initial states are mapped when drawn.
+Initial states, process noise, and observation noise live in separate
 substreams, so full- and noisy-observation simulations of the same model
 and seed share identical state noise (common random numbers), and traces
 are bit-reproducible regardless of scheduling or concurrency. Each chunk
@@ -32,16 +33,9 @@ along a contiguous axis), never in one that follows the batch size.
 `exact_policy_cost` propagates means and covariances of the pair
 (per-agent deviation from the mean-field, mean-field) through the closed
 loop, which has fixed dimension 2*d_x regardless of the population size.
-`monte_carlo_cost` steps its chunks in worker processes forked from the
-caller, by default one per usable CPU (the affinity mask, and a cgroup v2
-CPU quota when one is set), or in the calling process when there is one
-worker or one chunk, the platform cannot fork, or the caller runs more
-than one thread. The chunks in flight share one 16 MiB budget, which
-counts every array a chunk holds: its pre-drawn noise, its working arrays
-and its running totals. A chunk's size follows from the model and the
-worker count, with no other cap on its runs. No digit depends on it,
-because each run's arithmetic does not depend on its batch. A closed loop
-whose cost overflows, or a simulation that records a non-finite value,
+`monte_carlo_cost` steps its chunks in forked worker processes, as its
+docstring says; no digit depends on the chunking. A closed loop whose cost
+overflows, or a simulation that records or exports a non-finite value,
 raises `NumericalFailure`.
 """
 from __future__ import annotations
@@ -234,10 +228,11 @@ def _closed_loop(
 
     Returns the realized total cost of each run, shape (runs,), summed
     over steps in step order, and, when `record` is set, the trajectory,
-    the per-step costs and the drawn noise as a dict keyed by
-    `SimulationTrace` field, each array with a leading run axis. Each run's
-    arithmetic does not depend on the batch it is stepped in. Raises
-    `NumericalFailure` when a total, or a recorded value, is not finite.
+    the per-step costs and the noise (the batched product of the drawn
+    normals with their factor) as a dict keyed by `SimulationTrace` field,
+    each array with a leading run axis. Each run's arithmetic does not
+    depend on the batch it is stepped in. Raises `NumericalFailure` when a
+    total, or a recorded value, is not finite.
     """
     T, n, d_x = model.horizon, model.n_agents, model.d_x
     noisy = model.observation_mode == "noisy"
@@ -251,9 +246,6 @@ def _closed_loop(
     w = np.empty((runs, T - 1, n, Lw.shape[1]))
     v = np.empty((runs, T, n, Lv.shape[1])) if noisy else None
     _draw_noise(model, seed, first_run, Lx, x1, w, v)
-    # the factored noise exactly as it is added, when recorded
-    noise_w = np.empty((runs, T - 1, n, d_x)) if record else None
-    noise_v = np.empty((runs, T, n, model.d_y)) if record and noisy else None
 
     x = x1
     xhat = np.broadcast_to(model.mu_X, (runs, n, d_x)).copy() if noisy else None
@@ -286,8 +278,6 @@ def _closed_loop(
             y += np.repeat(z_obs, n, axis=1)
             obs_noise = v[:, k] @ Lv.T
             y += obs_noise
-            if record:
-                noise_v[:, k] = obs_noise
         if record:
             steps.append((x, u, z[:, 0], np.add.reduce(u, axis=1) / n, y, xhat, cost))
         if k + 1 < T:
@@ -304,8 +294,6 @@ def _closed_loop(
             x += np.repeat(drift, n, axis=1)
             process_noise = w[:, k] @ Lw.T
             x += process_noise
-            if record:
-                noise_w[:, k] = process_noise
 
     if not np.isfinite(totals).all():
         raise NumericalFailure(
@@ -319,17 +307,23 @@ def _closed_loop(
         name: None if column[0] is None else np.stack(column, axis=1)
         for name, column in zip(names, zip(*steps))
     }
-    recorded.update(process_noise=noise_w, obs_noise=noise_v)
-    # a step at a time: a mask of a whole field would raise the peak memory
-    # of a large simulation
-    for name, values in recorded.items():
-        for k, values_k in enumerate(() if values is None else values.swapaxes(0, 1)):
+    del steps  # before the noise products, out of the peak memory
+    recorded.update(process_noise=w @ Lw.T, obs_noise=v @ Lv.T if noisy else None)
+    _check_steps("closed-loop", f" in runs {first_run}..{first_run + runs - 1}",
+                 {name: None if values is None else values.swapaxes(0, 1)
+                  for name, values in recorded.items()})
+    return totals, recorded
+
+
+def _check_steps(what: str, where: str, fields: dict) -> None:
+    """Raise NumericalFailure at the first non-finite step of the step-major
+    arrays (or None) in `fields`; a step at a time, since a mask of a whole
+    field would raise the peak memory of a large simulation."""
+    for name, values in fields.items():
+        for k, values_k in enumerate(() if values is None else values):
             if not np.isfinite(values_k).all():
                 raise NumericalFailure(
-                    f"closed-loop {name} has a non-finite entry at step {k + 1} "
-                    f"in runs {first_run}..{first_run + runs - 1}"
-                )
-    return totals, recorded
+                    f"{what} {name} has a non-finite entry at step {k + 1}{where}")
 
 
 def _agent_mean(x: np.ndarray) -> np.ndarray:
@@ -442,8 +436,8 @@ def decompose_auxiliary(trace: SimulationTrace) -> AuxiliaryTrace:
     xbar = trace.states - trace.meanfield[:, np.newaxis, :]
     ubar = trace.actions - trace.mean_control[:, np.newaxis, :]
 
-    sum_state = float(np.max(np.abs(np.add.reduce(xbar, axis=1)))) if xbar.size else 0.0
-    sum_control = float(np.max(np.abs(np.add.reduce(ubar, axis=1)))) if ubar.size else 0.0
+    sum_state = float(np.max(np.abs(np.add.reduce(xbar, axis=1))))
+    sum_control = float(np.max(np.abs(np.add.reduce(ubar, axis=1))))
 
     dev_res = 0.0
     mf_res = 0.0
@@ -485,17 +479,8 @@ def cost_identity_check(
     u = np.asarray(actions, dtype=float)
     z = mean_over_agents(x)
     uz = mean_over_agents(u)
-    lhs = step_cost(x, u, z, Q, R, P)
-    xbar = x - z
-    ubar = u - uz
-    quad = np.einsum("id,de,ie->i", xbar, Q, xbar)
-    quad = quad + np.einsum("id,de,ie->i", ubar, R, ubar)
-    rhs = float(
-        np.add.reduce(quad) / x.shape[0]
-        + z @ (Q + P) @ z
-        + uz @ R @ uz
-    )
-    return lhs, rhs
+    return (step_cost(x, u, z, Q, R, P),
+            step_cost(x - z, u - uz, z, Q, R, Q + P) + float(uz @ R @ uz))
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +596,9 @@ def _mc_plan(model: LqMeanFieldModel, runs: int, workers: int | None) -> tuple[i
 
 
 # the (model, policy, seed) of the Monte Carlo job a forked worker process
-# steps chunks of; set in each worker when it starts
+# steps chunks of; set when it starts. Inherited at the fork, not pickled
+# with each chunk: that took 17% of a chunk's time at d_x = d_u = 20,
+# T = 500 and 28% at d_x = d_u = 40, T = 200 (n = 30, 2 vCPUs)
 _worker_job = None
 
 
@@ -728,26 +715,36 @@ def export_trace_csv(trace: SimulationTrace, out_dir) -> tuple[Path, Path]:
     """Write the per-agent and mean-field CSV files; returns their paths.
 
     State and mean-field columns are shifted by the model's reporting
-    offset; actions and observations are written as recorded.
+    offset; actions and observations are written as recorded. A shifted
+    value that overflows raises `NumericalFailure` before any file is made.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = trace.model
-    offset = model.state_offset
+    d = model.d_x
     steps = np.arange(1.0, model.horizon + 1)
-
-    columns = {"x": trace.states + offset, "u": trace.actions}
+    columns = {"x": trace.states, "u": trace.actions}
     if trace.observations is not None:
         columns["y"] = trace.observations
-    t_agent = np.broadcast_arrays(steps[:, np.newaxis], np.arange(float(model.n_agents)))
-    agents = np.concatenate([np.stack(t_agent, axis=2), *columns.values()], axis=2)
+    # one (T, n, 2 + columns) block, its states shifted in place: no other
+    # population-sized array adds to the peak memory of a large export
+    width = 2 + sum(values.shape[-1] for values in columns.values())
+    agents = np.empty((model.horizon, model.n_agents, width))
+    agents[..., 0] = steps[:, np.newaxis]
+    agents[..., 1] = np.arange(model.n_agents)
+    np.concatenate(list(columns.values()), axis=2, out=agents[..., 2:])
+    mf_columns = {"z": trace.meanfield, "uz": trace.mean_control}
+    meanfield = np.column_stack([steps, *mf_columns.values(), trace.step_costs])
+    with np.errstate(over="ignore"):
+        agents[..., 2:2 + d] += model.state_offset
+        meanfield[:, 1:1 + d] += model.state_offset
+    _check_steps("exported", " (the reporting offset overflows it)",
+                 {"states": agents[..., 2:2 + d], "meanfield": meanfield[:, 1:1 + d]})
+
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     agents_path = out_dir / "trace_agents.csv"
     _write_csv(agents_path, ["t", "agent", *_labels(columns)], 2, agents)
-
-    columns = {"z": trace.meanfield + offset, "uz": trace.mean_control}
-    meanfield = np.column_stack([steps, *columns.values(), trace.step_costs])
     meanfield_path = out_dir / "trace_meanfield.csv"
-    _write_csv(meanfield_path, ["t", *_labels(columns), "step_cost"], 1, meanfield[:, None])
+    _write_csv(meanfield_path, ["t", *_labels(mf_columns), "step_cost"], 1, meanfield[:, None])
 
     return agents_path, meanfield_path
 

@@ -1,5 +1,10 @@
+import argparse
+import ast
+import importlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +13,8 @@ import numpy as np
 import pytest
 
 import mflqg
-from mflqg import RNG_SCHEME, build_model, load_model, oracle, save_model
-from mflqg.cli import main
+from mflqg import RNG_SCHEME, ModelFormatError, build_model, load_model, oracle, save_model
+from mflqg.cli import build_parser, main
 from helpers import random_model
 
 
@@ -27,6 +32,72 @@ def test_public_names_resolve_once():
     assert len(mflqg.__all__) == len(set(mflqg.__all__))
     for name in mflqg.__all__:
         assert hasattr(mflqg, name), name
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_names() -> set[str]:
+    """The "module.function" and "module.Class.method" names whose spans
+    perfbench's per-layer metrics read, and the names it calls through a
+    module: a name that stops being a public function of its module leaves
+    its metric at 0 without any error."""
+    traced = (PERFBENCH / "traced.py").read_text(encoding="utf-8")
+    names = set(re.findall(r'(?:total|inclusive|wrap)\((?:spans, )?"([\w.]+)"', traced))
+    tree = ast.parse((PERFBENCH / "spans.py").read_text(encoding="utf-8"))
+    methods = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and node.targets[0].id == "METHODS")
+    names |= {".".join(entry) for entry in ast.literal_eval(methods)}
+    return names | {"linalg.spd_solve", "model.validate_model"}
+
+
+@pytest.mark.parametrize("name", sorted(perfbench_names()))
+def test_names_perfbench_traces_are_public_functions(name):
+    module_name, *owner, attr = name.split(".")
+    module = importlib.import_module(f"mflqg.{module_name}")
+    assert not attr.startswith("_")
+    if owner:
+        method = inspect.getattr_static(getattr(module, owner[0]), attr)
+        assert inspect.isfunction(getattr(method, "__func__", method)), name
+    else:
+        function = getattr(module, attr)
+        # the tracer spans only the functions a layer module defines
+        assert inspect.isfunction(function) and function.__module__ == module.__name__, name
+
+
+def test_names_perfbench_imports_resolve():
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mflqg"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
+    import mflqg.cli
+    import mflqg.sim
+
+    assert inspect.isclass(mflqg.sim.LinearStrategy)
+    # the setup code of perfbench's session.py calls it
+    assert inspect.isfunction(mflqg.cli.load_model)
+
+
+def test_every_subcommand_parses_to_a_handler():
+    parser = build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    assert set(commands) == {"solve", "simulate", "evaluate", "verify", "preset-heater"}
+    for name in commands:
+        argv = [name] if name == "preset-heater" else [name, "--model", "m.json"]
+        assert callable(parser.parse_args(argv).run), name
+
+
+@pytest.mark.parametrize("seed", ["abc", "1.5", "-1", str(2**64)])
+def test_bad_seed_names_the_rule(seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--model", "m.json", "--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"seed must be an unsigned 64-bit integer, got {seed}" in err
+    assert "_seed_type" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -145,6 +216,14 @@ class TestSolve:
         assert result.stderr.startswith("error: ") and "UTF-8" in result.stderr
         assert "Traceback" not in result.stderr
         assert not out.exists()
+
+    def test_json_array_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text("[2, 2]")
+        with pytest.raises(ModelFormatError, match="must be a JSON object"):
+            load_model(path)
+        assert main(["solve", "--model", str(path), "--out", str(tmp_path)]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
 
     def test_wrong_schema_exits_1(self, tmp_path):
         path = tmp_path / "schema.json"
@@ -323,13 +402,20 @@ OBSERVATION_OVERFLOW = dict(horizon=302, n_agents=2, A=10.0, B=1.0, Q=0.0, R=1.0
                             observation_mode="noisy")
 
 
+# the growth of CLOSED_LOOP_OVERFLOW, stopped where the state is finite but
+# its sum with the reporting offset is not
+OFFSET_OVERFLOW = dict(horizon=309, n_agents=2, A=10.0, B=1.0, Q=0.0, R=1.0, P=0.0,
+                       Sigma_X=1.0, Sigma_W=1.0, state_offset=1.5e308)
+
+
 @pytest.mark.parametrize("command, model_kwargs, extra, message", [
     ("simulate", CLOSED_LOOP_OVERFLOW, (), "closed-loop cost is not finite"),
     ("evaluate", CLOSED_LOOP_OVERFLOW, ("--runs", "4"), "exact expected cost is not finite"),
     ("verify", CLOSED_LOOP_OVERFLOW, (), "exact expected cost is not finite"),
     ("simulate", OBSERVATION_OVERFLOW, (),
      "closed-loop observations has a non-finite entry at step 302 "),
-], ids=["simulate", "evaluate", "verify", "simulate-observation"])
+    ("simulate", OFFSET_OVERFLOW, (), "exported states has a non-finite entry at step 309 "),
+], ids=["simulate", "evaluate", "verify", "simulate-observation", "simulate-offset"])
 def test_overflowing_closed_loop_exits_2_with_one_line(command, model_kwargs, extra, message,
                                                        tmp_path):
     result, out = run_cli_on(build_model(**model_kwargs), command, tmp_path, *extra)

@@ -145,6 +145,31 @@ class TestFilterUpdate:
             filter_update(model, state, gains, [0.0, 1.0], [0.0], [0.0], t=1)
 
 
+    @pytest.mark.parametrize("z, u_prev, message", [
+        ([0.0, 1.0], [0.0], r"^mean-field has shape \(2,\)"),
+        ([0.0], [0.0, 1.0], r"^control has shape \(2,\)"),
+    ], ids=["meanfield", "control"])
+    def test_wrong_input_shape(self, z, u_prev, message):
+        model, gains = filter_fixture()
+        state = LocalFilterState(x_hat=np.array([0.0]), time=1)
+        with pytest.raises(DimensionMismatch, match=message):
+            filter_update(model, state, gains, [0.0], z, u_prev, t=1)
+
+    def test_full_observation_model_rejected(self):
+        _, gains = filter_fixture()
+        model = build_model(horizon=3, n_agents=2, A=1.0, B=0.0, Q=1.0, R=1.0)
+        state = LocalFilterState(x_hat=np.array([0.0]), time=1)
+        with pytest.raises(ValidationError, match="require observation_mode = noisy"):
+            filter_update(model, state, gains, [0.0], [0.0], [0.0], t=1)
+
+    def test_schedule_without_filter_gains_rejected(self):
+        model, gains = filter_fixture()
+        state = LocalFilterState(x_hat=np.array([0.0]), time=1)
+        with pytest.raises(ValidationError, match="no filter gains"):
+            filter_update(model, state, GainSchedule(Kx=gains.Kx, Kz=gains.Kz),
+                          [0.0], [0.0], [0.0], t=1)
+
+
 class TestNoisyObsAction:
     def test_estimate_at_the_mean(self):
         model, gains = filter_fixture()

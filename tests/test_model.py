@@ -53,6 +53,11 @@ class TestValidation:
         model = build_model(horizon=2, n_agents=2, A=np.eye(2), B=np.eye(2), Q=Q, R=np.eye(2))
         assert np.array_equal(model.Q[0], model.Q[0].T)
 
+    def test_relatively_singular_r_rejected(self):
+        # each pivot is positive, but the squared ratio 1e-13 is below PIVOT_TOL
+        with pytest.raises(NotPositiveDefinite, match="^R_1 is numerically singular"):
+            scalar_model(B=np.ones((1, 2)), R=np.diag([1.0, 1e-13]))
+
     def test_indefinite_q_rejected(self):
         with pytest.raises(NotPositiveSemidefinite):
             scalar_model(Q=-1.0)
@@ -66,6 +71,25 @@ class TestValidation:
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValidationError, match="non-finite"):
             scalar_model(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("initial_mean", [1.0, 2.0], r"^initial_mean has shape \(2,\), expected \(1,\)"),
+        ("Sigma_X", np.ones((1, 2)), r"^Sigma_X has shape \(1, 2\), expected \(1, 1\)"),
+        ("A", np.ones((2, 1, 1, 1)), "^A has 4 dimensions"),
+    ], ids=["vector", "square", "four-dimensional"])
+    def test_malformed_shape_rejected(self, field, value, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            scalar_model(**{field: value})
+
+    @pytest.mark.parametrize("inputs", [
+        dict(A=np.zeros((0, 0)), B=np.zeros((0, 1)), Q=np.zeros((0, 0))),
+        dict(B=np.zeros((1, 0)), R=np.zeros((0, 0))),
+        dict(Cx=np.zeros((0, 1)), Cz=np.zeros((0, 1)), Sigma_V=np.zeros((0, 0)),
+             observation_mode="noisy"),
+    ], ids=["d_x", "d_u", "d_y"])
+    def test_zero_dimension_rejected(self, inputs):
+        with pytest.raises(DimensionMismatch, match="^d_x, d_u and d_y must be >= 1"):
+            scalar_model(**inputs)
 
     def test_replace_validates(self):
         model = scalar_model()
@@ -238,6 +262,11 @@ class TestTracking:
         with pytest.raises(ValidationError, match="non-finite"):
             build(value)
 
+    def test_noisy_model_rejected(self):
+        noisy = scalar_model(Cx=1.0, Cz=0.0, Sigma_V=1.0, observation_mode="noisy")
+        with pytest.raises(ValidationError, match="full observation only"):
+            augment_for_tracking(noisy, q=1.0, r=1.0, p=1.0, meanfield_reference=0.0)
+
     def test_zero_weights_leave_pure_control_penalty(self):
         aug = augment_for_tracking(self.base(), q=0.0, r=1.0, p=0.0, meanfield_reference=3.0)
         assert not np.any(aug.Q)
@@ -280,6 +309,37 @@ class TestTracking:
             with pytest.raises(DimensionMismatch, match="meanfield_reference"):
                 augment_for_tracking(self.base(), q=1.0, r=1.0, p=1.0,
                                      meanfield_reference=np.zeros(shape))
+
+    def test_matches_per_step_block_assembly(self):
+        # every block written step by step, the assembly the slice
+        # assignments over whole stacks replace: the same model, bit for bit
+        rng = np.random.default_rng(31)
+        base = random_model(rng, n_agents=3, horizon=6, d_x=2, d_u=2)
+        q, r, p = rand_psd(rng, 2), rand_pd(rng, 2), rand_psd(rng, 2)
+        refs = rng.uniform(-2.0, 2.0, (6, 2))
+        T, d = 6, 2
+        A, B = np.zeros((T, 5, 5)), np.zeros((T, 5, 2))
+        D, Q, P = np.zeros((T, 5, 5)), np.zeros((T, 5, 5)), np.zeros((T, 5, 5))
+        for t in range(T):
+            A[t, :d, :d], A[t, d:, d:] = base.A[t], np.eye(d + 1)
+            B[t, :d], D[t, :d, :d] = base.B[t], base.D[t]
+            Q[t, :d, :d] = Q[t, d:2 * d, d:2 * d] = q
+            Q[t, :d, d:2 * d] = Q[t, d:2 * d, :d] = -q
+            P[t, :d, :d] = p
+            P[t, :d, 2 * d] = P[t, 2 * d, :d] = -p @ refs[t]
+            P[t, 2 * d, 2 * d] = refs[t] @ p @ refs[t]
+        Sigma_X = np.zeros((5, 5))
+        for rows in (slice(0, d), slice(d, 2 * d)):
+            for cols in (slice(0, d), slice(d, 2 * d)):
+                Sigma_X[rows, cols] = base.Sigma_X
+        Sigma_W = np.zeros((5, 5))
+        Sigma_W[:d, :d] = base.Sigma_W
+        want = build_model(horizon=T, n_agents=3, A=A, B=B, D=D, Q=Q, R=r, P=P,
+                           Sigma_X=Sigma_X, Sigma_W=Sigma_W,
+                           initial_mean=np.concatenate([base.mu_X, base.mu_X, [1.0]]),
+                           state_offset=np.concatenate([base.state_offset] * 2 + [[0.0]]))
+        got = augment_for_tracking(base, q=q, r=r, p=p, meanfield_reference=refs)
+        assert json.dumps(model_to_dict(got)) == json.dumps(model_to_dict(want))
 
     def test_tracking_cost_matches_definition(self):
         # simulated augmented cost equals the tracking objective computed

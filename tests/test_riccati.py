@@ -179,6 +179,15 @@ class TestOverflow:
                 with pytest.raises(NumericalFailure, match=message):
                     solve(model)
 
+    def test_relatively_singular_curvature_reported(self):
+        # R passes the screen at build, but B'MB + R = ones + 1e-14 I has a
+        # squared relative pivot near 2e-14
+        model = build_model(horizon=2, n_agents=2, A=1.0, B=np.ones((1, 2)), Q=1.0,
+                            R=1e-14 * np.eye(2))
+        with pytest.raises(NumericalFailure,
+                           match=r"^control recursion \(B'MB \+ R\) is numerically singular"):
+            solve_control_riccati(model)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_linalg_screens_reject_non_finite(self, value):
         mat = np.array([[1.0, 0.0], [0.0, value]])

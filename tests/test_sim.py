@@ -916,6 +916,21 @@ def test_non_finite_observation_raises_when_recorded():
     assert monte_carlo_cost(model, policy, runs=2, seed=0, workers=1).mean == 0.0
 
 
+def test_overflowing_reporting_offset_raises_before_any_file(tmp_path):
+    # A = 10 with Q = P = 0: zero gains, a cost that reads no state, and a
+    # state that is finite at T = 309 but overflows when the reporting
+    # offset is added to it
+    model = build_model(horizon=309, n_agents=2, A=10.0, B=1.0, Q=0.0, R=1.0, P=0.0,
+                        Sigma_X=1.0, Sigma_W=1.0, state_offset=1.5e308)
+    trace = simulate(model, optimal_strategy(model), seed=0)
+    assert trace.total_cost == 0.0
+    out = tmp_path / "out"
+    with pytest.raises(NumericalFailure,
+                       match=r"^exported states has a non-finite entry at step 309 "):
+        export_trace_csv(trace, out)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("horizon, R, runs", [(80, 1e300, 8), (152, 1e300, 1000),
                                               (200, 1e304, 64)])
 def test_costs_near_the_float_limit_keep_finite_moments(horizon, R, runs):
