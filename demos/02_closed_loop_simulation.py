@@ -1,12 +1,12 @@
 """
-Simulating the closed loop and splitting it into coordinates
-============================================================
+Simulating the closed loop and splitting its cost
+=================================================
 
 """
 
 import numpy as np
 from mflqg import (
-    build_model, decompose_auxiliary, export_trace_csv,
+    build_model, exact_policy_cost, export_trace_csv,
     optimal_strategy, simulate,
 )
 
@@ -21,17 +21,18 @@ model = build_model(
     initial_mean=[2.0, -1.0],
 )
 
-trace = simulate(model, optimal_strategy(model), seed=7)
+strategy = optimal_strategy(model)
+trace = simulate(model, strategy, seed=7)
 print("realized cost:", round(trace.total_cost, 4))
 print("mean-field path (first component):", np.round(trace.meanfield[:, 0], 3))
 
-# the trajectory decomposes exactly into per-agent deviations around the
-# mean-field; the deviations sum to zero and each piece follows its own
-# closed-form dynamics
-aux = decompose_auxiliary(trace)
-print("deviations sum to zero:", aux.max_sum_residual_state)
-print("deviation dynamics residual:", aux.max_deviation_residual)
-print("mean-field dynamics residual:", aux.max_meanfield_residual)
+# the expected cost splits exactly into a per-agent deviation part around
+# the mean-field and a mean-field part, each propagated on its own d_x-sized
+# block whatever the population size
+evaluation = exact_policy_cost(model, strategy)
+print("expected cost:", round(evaluation.total, 4))
+print("  deviation part: ", round(evaluation.deviation_costs.sum(), 4))
+print("  mean-field part:", round(evaluation.meanfield_costs.sum(), 4))
 
 # traces export as CSV, one row per (step, agent) plus a mean-field file
 agents_csv, meanfield_csv = export_trace_csv(trace, "demo_out")

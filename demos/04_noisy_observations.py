@@ -6,7 +6,8 @@ Noisy observations: the same gains applied to a local estimate
 
 import numpy as np
 from mflqg import (
-    build_model, simulate, solve_control_riccati, solve_filter_riccati,
+    build_model, exact_policy_cost, simulate, solve_control_riccati,
+    solve_filter_riccati,
 )
 
 # each subsystem sees y = x + 0.4 z + v instead of x itself; the
@@ -37,3 +38,8 @@ for t in (1, 5, 15):
     print(f"t={t:2d}  predicted {predicted:.4f}  empirical {empirical:.4f}")
 
 print("realized cost:", round(trace.total_cost, 2))
+
+# the expected cost has a closed form here too: the estimates are propagated
+# alongside the states, as a deviation part and a mean-field part of 2*d_x
+# numbers each per step, with no sampling
+print("exact expected cost:", round(exact_policy_cost(model, schedule).total, 2))

@@ -4,9 +4,10 @@ Exact policy cost versus Monte Carlo estimates
 
 """
 
-# For full observation the expected cost of any linear strategy has a
-# closed form: propagate the per-agent deviation covariance and the
-# mean-field mean and covariance, 2*d_x numbers per step, no sampling.
+# The expected cost of any linear strategy has a closed form: propagate the
+# per-agent deviation covariance and the mean-field mean and covariance,
+# d_x numbers each per step (2*d_x each under noisy observation, where the
+# estimates ride along), no sampling.
 from mflqg import build_model, exact_policy_cost, monte_carlo_cost, optimal_strategy
 
 model = build_model(
@@ -20,8 +21,8 @@ strategy = optimal_strategy(model)
 evaluation = exact_policy_cost(model, strategy)
 print("exact expected cost:", evaluation.total)
 
-# the same split the simulator's auxiliary coordinates use: deviation
-# cost, deterministic mean-field cost, and mean-field noise cost
+# the split those two blocks give: deviation cost, deterministic
+# mean-field cost, and mean-field noise cost
 print("  deviation part:       ", evaluation.deviation_costs.sum())
 print("  mean-field mean part: ", evaluation.meanfield_mean_costs.sum())
 print("  mean-field noise part:", evaluation.meanfield_noise_costs.sum())

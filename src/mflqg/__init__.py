@@ -57,20 +57,15 @@ from .riccati import (
 )
 from .sim import (
     RNG_SCHEME,
-    AuxiliaryTrace,
     LinearStrategy,
     MonteCarloCost,
     PolicyEvaluation,
     SimulationTrace,
-    cost_identity_check,
-    decompose_auxiliary,
     exact_policy_cost,
     export_trace_csv,
-    mean_over_agents,
     monte_carlo_cost,
     optimal_strategy,
     simulate,
-    step_cost,
     trace_summary,
 )
 
@@ -99,15 +94,12 @@ __all__ = [
     "PolicyEvaluation",
     "RNG_SCHEME",
     "SimulationTrace",
-    "AuxiliaryTrace",
     "ValidationError",
     "augment_for_tracking",
     "build_model",
     "build_stacked_model",
     "centralized_cost",
     "check_equivalence",
-    "cost_identity_check",
-    "decompose_auxiliary",
     "exact_policy_cost",
     "export_trace_csv",
     "filter_update",
@@ -116,7 +108,6 @@ __all__ = [
     "heater_model",
     "init_filter_state",
     "load_model",
-    "mean_over_agents",
     "model_from_dict",
     "model_to_dict",
     "monte_carlo_cost",
@@ -127,7 +118,6 @@ __all__ = [
     "solve_control_riccati",
     "solve_filter_riccati",
     "solve_stacked_riccati",
-    "step_cost",
     "structured_gains",
     "trace_summary",
     "validate_model",

@@ -135,9 +135,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model = _load(args)
     policy = optimal_strategy(model)
-    exact_total = None
-    if model.observation_mode == "full":
-        exact_total = exact_policy_cost(model, policy).total
+    exact_total = exact_policy_cost(model, policy).total
     mc = monte_carlo_cost(model, policy, runs=args.runs, seed=args.seed)
     report = {
         "model_fingerprint": model.fingerprint(),
@@ -149,8 +147,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "monte_carlo_stderr": mc.stderr,
     }
     _write_json(report, args.out / "evaluate.json")
-    if exact_total is not None:
-        print(f"exact cost = {exact_total:.17g}")
+    print(f"exact cost = {exact_total:.17g}")
     print(f"monte carlo = {mc.mean:.17g} +/- {mc.stderr:.3g} ({mc.runs} runs)")
     return EXIT_OK
 

@@ -27,6 +27,8 @@ class GainSchedule:
     The control at step t is Kx_t b + (Kz_t - Kx_t) z. Any gains are
     accepted, so perturbed laws can be evaluated; the optimal schedule has
     zero terminal gains because there is no state left to influence at t = T.
+    The stacks are held as float arrays; a NaN or infinite gain raises
+    `ValidationError`.
     """
 
     Kx: np.ndarray                # (T, d_u, d_x)
@@ -34,6 +36,11 @@ class GainSchedule:
     Kf: np.ndarray | None = None  # (T-1, d_x, d_y)
 
     def __post_init__(self):
+        for name in ("Kx", "Kz", "Kf") if self.Kf is not None else ("Kx", "Kz"):
+            gains = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(gains).all():
+                raise ValidationError(f"gain stack {name} has a non-finite entry")
+            object.__setattr__(self, name, gains)
         if self.Kx.ndim != 3 or self.Kz.shape != self.Kx.shape:
             raise DimensionMismatch(
                 f"gain stacks have shapes {self.Kx.shape}, {self.Kz.shape}, "

@@ -185,15 +185,15 @@ def check_equivalence(model: LqMeanFieldModel, tolerance: float = 1e-8) -> Equiv
     counterpart in relative Frobenius norm; (2) the decentralized
     controller's exact expected cost equals the centralized optimal cost in
     relative terms. Passes iff both
-    maxima are within tolerance, which must be finite and >= 0. A
-    noisy-observation model has no exact cost to compare, so it raises
-    `IncompatibleStrategy` before any solve.
+    maxima are within tolerance, which must be finite and >= 0. The
+    stacked oracle supports full observation only, so a noisy-observation
+    model raises `IncompatibleStrategy` before any solve.
     """
     tolerance = float(tolerance)
     if not 0.0 <= tolerance < np.inf:
         raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance}")
     if model.observation_mode != "full":
-        raise IncompatibleStrategy("exact evaluation supports full observation only")
+        raise IncompatibleStrategy("the stacked oracle supports full observation only")
     n = model.n_agents
 
     decentralized = solve_control_riccati(model)

@@ -32,7 +32,8 @@ sums run per run in a fixed order (ascending, except numpy's pairwise sum
 along a contiguous axis), never in one that follows the batch size.
 `exact_policy_cost` propagates means and covariances of the pair
 (per-agent deviation from the mean-field, mean-field) through the closed
-loop, which has fixed dimension 2*d_x regardless of the population size.
+loop, which has fixed dimension 2*d_x, or 4*d_x under noisy observation,
+regardless of the population size.
 `monte_carlo_cost` steps its chunks in forked worker processes, as its
 docstring says; no digit depends on the chunking. A closed loop whose cost
 overflows, or a simulation that records or exports a non-finite value,
@@ -157,27 +158,6 @@ def _usable_cpus() -> int:
     except (OSError, ValueError):  # no file, "max", or unreadable
         return cpus
     return max(1, min(cpus, -(-quota // period)))
-
-
-def mean_over_agents(values: np.ndarray) -> np.ndarray:
-    """Population average with a fixed summation order (ascending agent index)."""
-    return np.add.reduce(values, axis=0) / values.shape[0]
-
-
-def step_cost(
-    states: np.ndarray,
-    actions: np.ndarray,
-    meanfield: np.ndarray,
-    Q: np.ndarray,
-    R: np.ndarray,
-    P: np.ndarray,
-) -> float:
-    """Per-step population cost on a snapshot: agent-average quadratics plus
-    the mean-field penalty."""
-    quad = np.einsum("id,de,ie->i", states, Q, states)
-    quad = quad + np.einsum("id,de,ie->i", actions, R, actions)
-    agent_avg = np.add.reduce(quad) / states.shape[0]
-    return float(agent_avg + meanfield @ P @ meanfield)
 
 
 # ---------------------------------------------------------------------------
@@ -407,83 +387,6 @@ def simulate(model: LqMeanFieldModel, policy: GainSchedule, seed: int, run: int 
 
 
 # ---------------------------------------------------------------------------
-# auxiliary coordinates
-
-@dataclass(frozen=True, eq=False)
-class AuxiliaryTrace:
-    """A trace re-expressed as per-agent deviations plus the mean-field path.
-
-    The residual fields report how exactly the recorded trajectory
-    satisfies the decoupled deviation and mean-field dynamics when the
-    recorded noise is substituted back in.
-    """
-
-    deviations: np.ndarray          # (T, n, d_x), x^i - z
-    deviation_controls: np.ndarray  # (T, n, d_u), u^i - u^z
-    meanfield: np.ndarray           # (T, d_x)
-    mean_control: np.ndarray        # (T, d_u)
-    max_sum_residual_state: float
-    max_sum_residual_control: float
-    max_deviation_residual: float
-    max_meanfield_residual: float
-
-
-def decompose_auxiliary(trace: SimulationTrace) -> AuxiliaryTrace:
-    """Split a trace into deviation and mean-field coordinates and verify
-    both closed-form dynamics against the recorded noise."""
-    model = trace.model
-    T = model.horizon
-    xbar = trace.states - trace.meanfield[:, np.newaxis, :]
-    ubar = trace.actions - trace.mean_control[:, np.newaxis, :]
-
-    sum_state = float(np.max(np.abs(np.add.reduce(xbar, axis=1))))
-    sum_control = float(np.max(np.abs(np.add.reduce(ubar, axis=1))))
-
-    dev_res = 0.0
-    mf_res = 0.0
-    for k in range(T - 1):
-        w_mean = mean_over_agents(trace.process_noise[k])
-        w_dev = trace.process_noise[k] - w_mean
-        pred_dev = xbar[k] @ model.A[k].T + ubar[k] @ model.B[k].T + w_dev
-        dev_res = max(dev_res, float(np.max(np.abs(xbar[k + 1] - pred_dev))))
-        abar = model.A[k] + model.D[k]
-        pred_mf = abar @ trace.meanfield[k] + model.B[k] @ trace.mean_control[k] + w_mean
-        mf_res = max(mf_res, float(np.max(np.abs(trace.meanfield[k + 1] - pred_mf))))
-
-    return AuxiliaryTrace(
-        deviations=xbar,
-        deviation_controls=ubar,
-        meanfield=trace.meanfield.copy(),
-        mean_control=trace.mean_control.copy(),
-        max_sum_residual_state=sum_state,
-        max_sum_residual_control=sum_control,
-        max_deviation_residual=dev_res,
-        max_meanfield_residual=mf_res,
-    )
-
-
-def cost_identity_check(
-    states: np.ndarray,
-    actions: np.ndarray,
-    Q: np.ndarray,
-    R: np.ndarray,
-    P: np.ndarray,
-) -> tuple[float, float]:
-    """Evaluate one population snapshot's cost two ways.
-
-    Returns (direct, decomposed): the agent-average quadratic plus
-    mean-field penalty, and the same cost written in deviation coordinates
-    plus mean-field terms. The two agree up to rounding for any snapshot.
-    """
-    x = np.asarray(states, dtype=float)
-    u = np.asarray(actions, dtype=float)
-    z = mean_over_agents(x)
-    uz = mean_over_agents(u)
-    return (step_cost(x, u, z, Q, R, P),
-            step_cost(x - z, u - uz, z, Q, R, Q + P) + float(uz @ R @ uz))
-
-
-# ---------------------------------------------------------------------------
 # exact evaluation
 
 @dataclass(frozen=True, eq=False)
@@ -500,65 +403,83 @@ class PolicyEvaluation:
     meanfield_noise_costs: np.ndarray # (T,)
 
 
+def _blocks(model: LqMeanFieldModel, policy: GainSchedule, k: int):
+    """Step k on the deviation and the mean-field block: their cost weights,
+    their transitions to step k + 1, and the noise that drives both.
+
+    Under full observation the blocks are x - z and z; under noisy
+    observation (x - z, xhat - zhat) and (z, zhat), zhat the mean estimate.
+    """
+    Kx, Kz, Q, R = policy.Kx[k], policy.Kz[k], model.Q[k], model.R[k]
+    A, B, D = model.A[k], model.B[k], model.D[k]
+    if model.observation_mode == "full":
+        return (Q + Kx.T @ R @ Kx, Q + model.P[k] + Kz.T @ R @ Kz,
+                A + B @ Kx, A + D + B @ Kz, model.Sigma_W)
+    # the last step moves nothing and has no filter gain
+    Kf = policy.Kf[k] if k + 1 < model.horizon else np.zeros((model.d_x, model.d_y))
+    L = np.hstack([Kz - Kx, Kx])
+    w_mf = L.T @ R @ L
+    w_mf[:model.d_x, :model.d_x] += Q + model.P[k]
+    BKx, BF, KfCx = B @ Kx, B @ (Kz - Kx), Kf @ model.Cx[k]
+    estimate = A + BKx - KfCx
+    return (_diag(Q, Kx.T @ R @ Kx), w_mf,
+            np.block([[A, BKx], [KfCx, estimate]]),
+            np.block([[A + D + BF, BKx], [BF + D + KfCx, estimate]]),
+            _diag(model.Sigma_W, Kf @ model.Sigma_V @ Kf.T))
+
+
+def _diag(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    zeros = np.zeros((len(upper), len(lower)))
+    return np.block([[upper, zeros], [zeros.T, lower]])
+
+
+def _moments(model: LqMeanFieldModel, policy: GainSchedule):
+    """Per step: the deviation block's weight and covariance, and the
+    mean-field block's weight, mean and covariance (`_blocks`)."""
+    n = model.n_agents
+    dev_frac = 1.0 - 1.0 / n
+    start, mean = model.Sigma_X, model.mu_X
+    if model.observation_mode == "noisy":  # every estimate starts at mu_X
+        start, mean = _diag(start, np.zeros_like(start)), np.concatenate([mean, mean])
+    cov_dev, mf_mean, mf_cov = dev_frac * start, mean, start / n
+    for k in range(model.horizon):
+        w_dev, w_mf, closed_dev, closed_mf, noise = _blocks(model, policy, k)
+        yield w_dev, cov_dev, w_mf, mf_mean, mf_cov
+        if k + 1 < model.horizon:
+            cov_dev = symmetrize(closed_dev @ cov_dev @ closed_dev.T + dev_frac * noise,
+                                 "deviation covariance")
+            mf_mean = closed_mf @ mf_mean
+            mf_cov = symmetrize(closed_mf @ mf_cov @ closed_mf.T + noise / n,
+                                "mean-field covariance")
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def exact_policy_cost(model: LqMeanFieldModel, policy: GainSchedule) -> PolicyEvaluation:
-    """Expected cost of a full-observation linear policy, exactly.
+    """Expected cost of a linear policy, exactly, in either observation mode.
 
-    Propagates the per-agent deviation covariance and the mean-field
-    mean/covariance through the closed loop. By exchangeability every agent
-    has the same deviation covariance, and the deviation/mean-field
-    cross-covariance is identically zero, so the propagation is exact in
-    dimension 2*d_x. The deviation noise covariance is (1 - 1/n) Sigma_W
-    and the mean-field noise covariance is Sigma_W / n, from splitting
-    i.i.d. noise into per-agent deviation and population average. A
-    deviation moves under Kx, the mean-field under Kz.
+    Propagates the per-agent deviation covariance and the mean-field mean
+    and covariance through the closed loop (`_moments`). Every agent has
+    the same deviation covariance, and the deviation/mean-field
+    cross-covariance is identically zero by exchangeability, so blocks of
+    dimension d_x (2*d_x under noisy observation, where each carries its
+    part of the estimates) are exact. Splitting i.i.d. noise into per-agent
+    deviation and population average gives the deviation (1 - 1/n) times
+    its covariance and the mean-field 1/n times it.
     """
-    if model.observation_mode != "full":
-        raise IncompatibleStrategy("exact evaluation supports full observation only")
     policy = _check_policy(model, policy)
-    T, n = model.horizon, model.n_agents
-
-    dev_frac = 1.0 - 1.0 / n
-    cov_dev = dev_frac * model.Sigma_X
-    mf_mean = model.mu_X
-    mf_cov = model.Sigma_X / n
-
-    dev_costs = np.zeros(T)
-    mf_mean_costs = np.zeros(T)
-    mf_noise_costs = np.zeros(T)
-    for k in range(T):
-        Kx, Kz = policy.Kx[k], policy.Kz[k]
-        w_dev = model.Q[k] + Kx.T @ model.R[k] @ Kx
-        w_mf = model.Q[k] + model.P[k] + Kz.T @ model.R[k] @ Kz
+    dev_costs, mf_mean_costs, mf_noise_costs = np.zeros((3, model.horizon))
+    for k, (w_dev, cov_dev, w_mf, mf_mean, mf_cov) in enumerate(_moments(model, policy)):
         dev_costs[k] = float(np.trace(w_dev @ cov_dev))
         mf_mean_costs[k] = float(mf_mean @ w_mf @ mf_mean)
         mf_noise_costs[k] = float(np.trace(w_mf @ mf_cov))
-        if k + 1 < T:
-            closed_dev = model.A[k] + model.B[k] @ Kx
-            closed_mf = model.A[k] + model.D[k] + model.B[k] @ Kz
-            cov_dev = symmetrize(
-                closed_dev @ cov_dev @ closed_dev.T + dev_frac * model.Sigma_W,
-                "deviation covariance",
-            )
-            mf_mean = closed_mf @ mf_mean
-            mf_cov = symmetrize(
-                closed_mf @ mf_cov @ closed_mf.T + model.Sigma_W / n,
-                "mean-field covariance",
-            )
 
     mf_costs = mf_mean_costs + mf_noise_costs
     step_costs = dev_costs + mf_costs
     total = float(np.add.reduce(step_costs))
     if not np.isfinite(total):
         raise NumericalFailure(f"exact expected cost is not finite: {total}")
-    return PolicyEvaluation(
-        total=total,
-        step_costs=step_costs,
-        deviation_costs=dev_costs,
-        meanfield_costs=mf_costs,
-        meanfield_mean_costs=mf_mean_costs,
-        meanfield_noise_costs=mf_noise_costs,
-    )
+    return PolicyEvaluation(total, step_costs, dev_costs, mf_costs, mf_mean_costs,
+                            mf_noise_costs)
 
 
 # ---------------------------------------------------------------------------
@@ -765,19 +686,14 @@ def trace_summary(trace: SimulationTrace) -> dict:
 
 __all__ = [
     "RNG_SCHEME",
-    "AuxiliaryTrace",
     "LinearStrategy",
     "MonteCarloCost",
     "PolicyEvaluation",
     "SimulationTrace",
-    "cost_identity_check",
-    "decompose_auxiliary",
     "exact_policy_cost",
     "export_trace_csv",
-    "mean_over_agents",
     "monte_carlo_cost",
     "optimal_strategy",
     "simulate",
-    "step_cost",
     "trace_summary",
 ]

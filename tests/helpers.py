@@ -1,10 +1,20 @@
-"""Shared builders for randomized test models."""
+"""Shared builders for randomized test models, and reference checks of
+the deviation / mean-field split on recorded traces and snapshots."""
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from mflqg import LqMeanFieldModel, build_model
+from mflqg import LqMeanFieldModel, SimulationTrace, build_model
 from mflqg.linalg import FACTOR_CLIP
+
+
+# a scalar noisy model whose shipped law pays visibly more than the best
+# linear one at small n (ROADMAP item 1's table is computed on it)
+SMALL_NOISY_MODEL = dict(horizon=10, n_agents=2, A=0.95, B=1.0, D=0.3, Q=1.0, R=0.5, P=1.0,
+                         Cx=1.0, Cz=0.4, Sigma_V=2.0, Sigma_X=4.0, Sigma_W=0.5, initial_mean=1.0,
+                         observation_mode="noisy")
 
 
 def rand_psd(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
@@ -89,3 +99,104 @@ def v1_run_noise(model: LqMeanFieldModel, seed: int, run: int):
     if model.observation_mode == "noisy":
         v = normals(2, (T, n, model.d_y)) @ v1_factor(model.Sigma_V).T
     return x1, w, v
+
+
+# ---------------------------------------------------------------------------
+# population cost and mean
+
+def mean_over_agents(values: np.ndarray) -> np.ndarray:
+    """Population average with a fixed summation order (ascending agent index)."""
+    return np.add.reduce(values, axis=0) / values.shape[0]
+
+
+def step_cost(
+    states: np.ndarray,
+    actions: np.ndarray,
+    meanfield: np.ndarray,
+    Q: np.ndarray,
+    R: np.ndarray,
+    P: np.ndarray,
+) -> float:
+    """Per-step population cost on a snapshot: agent-average quadratics plus
+    the mean-field penalty."""
+    quad = np.einsum("id,de,ie->i", states, Q, states)
+    quad = quad + np.einsum("id,de,ie->i", actions, R, actions)
+    agent_avg = np.add.reduce(quad) / states.shape[0]
+    return float(agent_avg + meanfield @ P @ meanfield)
+
+
+# ---------------------------------------------------------------------------
+# auxiliary coordinates
+
+@dataclass(frozen=True, eq=False)
+class AuxiliaryTrace:
+    """A trace re-expressed as per-agent deviations plus the mean-field path.
+
+    The residual fields report how exactly the recorded trajectory
+    satisfies the decoupled deviation and mean-field dynamics when the
+    recorded noise is substituted back in.
+    """
+
+    deviations: np.ndarray          # (T, n, d_x), x^i - z
+    deviation_controls: np.ndarray  # (T, n, d_u), u^i - u^z
+    meanfield: np.ndarray           # (T, d_x)
+    mean_control: np.ndarray        # (T, d_u)
+    max_sum_residual_state: float
+    max_sum_residual_control: float
+    max_deviation_residual: float
+    max_meanfield_residual: float
+
+
+def decompose_auxiliary(trace: SimulationTrace) -> AuxiliaryTrace:
+    """Split a trace into deviation and mean-field coordinates and verify
+    both closed-form dynamics against the recorded noise."""
+    model = trace.model
+    T = model.horizon
+    xbar = trace.states - trace.meanfield[:, np.newaxis, :]
+    ubar = trace.actions - trace.mean_control[:, np.newaxis, :]
+
+    sum_state = float(np.max(np.abs(np.add.reduce(xbar, axis=1))))
+    sum_control = float(np.max(np.abs(np.add.reduce(ubar, axis=1))))
+
+    dev_res = 0.0
+    mf_res = 0.0
+    for k in range(T - 1):
+        w_mean = mean_over_agents(trace.process_noise[k])
+        w_dev = trace.process_noise[k] - w_mean
+        pred_dev = xbar[k] @ model.A[k].T + ubar[k] @ model.B[k].T + w_dev
+        dev_res = max(dev_res, float(np.max(np.abs(xbar[k + 1] - pred_dev))))
+        abar = model.A[k] + model.D[k]
+        pred_mf = abar @ trace.meanfield[k] + model.B[k] @ trace.mean_control[k] + w_mean
+        mf_res = max(mf_res, float(np.max(np.abs(trace.meanfield[k + 1] - pred_mf))))
+
+    return AuxiliaryTrace(
+        deviations=xbar,
+        deviation_controls=ubar,
+        meanfield=trace.meanfield.copy(),
+        mean_control=trace.mean_control.copy(),
+        max_sum_residual_state=sum_state,
+        max_sum_residual_control=sum_control,
+        max_deviation_residual=dev_res,
+        max_meanfield_residual=mf_res,
+    )
+
+
+def cost_identity_check(
+    states: np.ndarray,
+    actions: np.ndarray,
+    Q: np.ndarray,
+    R: np.ndarray,
+    P: np.ndarray,
+) -> tuple[float, float]:
+    """Evaluate one population snapshot's cost two ways.
+
+    Returns (direct, decomposed): the agent-average quadratic plus
+    mean-field penalty, and the same cost written in deviation coordinates
+    plus mean-field terms. The two agree up to rounding for any snapshot.
+    """
+    x = np.asarray(states, dtype=float)
+    u = np.asarray(actions, dtype=float)
+    z = mean_over_agents(x)
+    uz = mean_over_agents(u)
+    return (step_cost(x, u, z, Q, R, P),
+            step_cost(x - z, u - uz, z, Q, R, Q + P) + float(uz @ R @ uz))

@@ -13,8 +13,6 @@ from mflqg import (
     GainSchedule,
     build_model,
     check_equivalence,
-    cost_identity_check,
-    decompose_auxiliary,
     exact_policy_cost,
     heater_model,
     monte_carlo_cost,
@@ -25,7 +23,7 @@ from mflqg import (
     solve_filter_riccati,
 )
 from mflqg.cli import main as cli_main
-from helpers import rand_pd, rand_psd, random_model
+from helpers import cost_identity_check, decompose_auxiliary, rand_pd, rand_psd, random_model
 
 
 def test_1_centralized_equivalence():

@@ -3,6 +3,7 @@ import ast
 import importlib
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -32,6 +33,7 @@ def test_public_names_resolve_once():
     assert len(mflqg.__all__) == len(set(mflqg.__all__))
     for name in mflqg.__all__:
         assert hasattr(mflqg, name), name
+    assert set(mflqg.sim.__all__) <= set(mflqg.__all__)
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -282,17 +284,19 @@ class TestEvaluate:
         assert abs(report["monte_carlo_mean"] - report["exact_cost"]) \
             <= 5.0 * report["monte_carlo_stderr"]
 
-    def test_noisy_model_has_no_exact_entry(self, tmp_path):
+    def test_noisy_model_reports_exact_cost(self, tmp_path, capsys):
         rng = np.random.default_rng(72)
         model = random_model(rng, mode="noisy", horizon=4)
         path = tmp_path / "noisy.json"
         save_model(model, path)
         out = tmp_path / "out"
-        assert main(["evaluate", "--model", str(path), "--runs", "50",
+        assert main(["evaluate", "--model", str(path), "--runs", "2000",
                      "--out", str(out)]) == 0
         report = json.loads((out / "evaluate.json").read_text())
-        assert report["exact_cost"] is None
-        assert report["monte_carlo_mean"] > 0.0
+        assert math.isfinite(report["exact_cost"]) and report["exact_cost"] > 0.0
+        assert abs(report["monte_carlo_mean"] - report["exact_cost"]) \
+            <= 4.0 * report["monte_carlo_stderr"]
+        assert f"exact cost = {report['exact_cost']:.17g}" in capsys.readouterr().out
 
 
 class TestVerify:
@@ -338,7 +342,8 @@ class TestVerify:
         monkeypatch.setattr(oracle, "solve_stacked_riccati", solves.append)
         out = tmp_path / "out"
         assert main(["verify", "--model", str(path), "--out", str(out)]) == 2
-        assert "IncompatibleStrategy" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "IncompatibleStrategy" in err and "stacked oracle" in err
         assert solves == []
         assert not (out / "verify.json").exists()
 

@@ -8,6 +8,7 @@ from mflqg import (
     OutOfOrderUpdate,
     ValidationError,
     build_model,
+    exact_policy_cost,
     filter_update,
     full_obs_action,
     init_filter_state,
@@ -16,9 +17,8 @@ from mflqg import (
     simulate,
     solve_control_riccati,
     solve_filter_riccati,
-    step_cost,
 )
-from helpers import random_model
+from helpers import SMALL_NOISY_MODEL, random_model, step_cost
 
 
 def scalar_gains():
@@ -195,6 +195,21 @@ class TestGainScheduleType:
         with pytest.raises(DimensionMismatch):
             GainSchedule(Kx=np.zeros((2, 1, 2)), Kz=np.zeros((2, 1, 1)))
 
+    def test_nested_lists_become_float_stacks(self):
+        assert GainSchedule(Kx=[[[0.0]]], Kz=[[[0.0]]]).horizon == 1
+        gains = GainSchedule(Kx=[[[0.0]], [[0.0]]], Kz=[[[1]], [[0]]], Kf=[[[0.5]]])
+        for stack in (gains.Kx, gains.Kz, gains.Kf):
+            assert isinstance(stack, np.ndarray) and stack.dtype == np.float64
+        assert (gains.horizon, gains.d_u, gains.d_x, gains.d_y) == (2, 1, 1, 1)
+
+    @pytest.mark.parametrize("name", ["Kx", "Kz", "Kf"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gain_rejected_when_built(self, name, bad):
+        stacks = {"Kx": np.zeros((3, 1, 2)), "Kz": np.zeros((3, 1, 2)), "Kf": np.zeros((2, 2, 1))}
+        stacks[name][-1, 0, 0] = bad
+        with pytest.raises(ValidationError, match=f"{name} has a non-finite entry"):
+            GainSchedule(**stacks)
+
     def test_filter_gain_shape_checked(self):
         with pytest.raises(DimensionMismatch):
             GainSchedule(
@@ -228,9 +243,7 @@ class TestNoisyInitialEstimate:
     estimate at z_1 instead, with the same gains and noise, lowers the cost
     on the model below at n = 2 (ROADMAP item 1)."""
 
-    MODEL = dict(horizon=10, n_agents=2, A=0.95, B=1.0, D=0.3, Q=1.0, R=0.5, P=1.0,
-                 Cx=1.0, Cz=0.4, Sigma_V=2.0, Sigma_X=4.0, Sigma_W=0.5, initial_mean=1.0,
-                 observation_mode="noisy")
+    MODEL = SMALL_NOISY_MODEL
 
     def test_replay_from_mu_matches_simulate(self):
         model = build_model(**self.MODEL)
@@ -253,3 +266,16 @@ class TestNoisyInitialEstimate:
         stderr = float(np.std(savings, ddof=1) / np.sqrt(len(savings)))
         print(f"paired saving of x_hat_1 = z_1: {mean:.3f} +/- {stderr:.3f}")
         assert abs(mean) <= 4.0 * stderr
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1(b)")
+    def test_single_agent_pays_the_full_observation_cost(self):
+        # at n = 1, z = x, so every controller observes its state exactly
+        # and the noisy model is its full-observation model in disguise
+        noisy = build_model(**dict(self.MODEL, n_agents=1))
+        full = build_model(**{name: value for name, value in self.MODEL.items()
+                              if name not in ("Cx", "Cz", "Sigma_V", "observation_mode")},
+                           n_agents=1)
+        got = exact_policy_cost(noisy, optimal_strategy(noisy)).total
+        want = exact_policy_cost(full, optimal_strategy(full)).total
+        print(f"exact cost at n = 1: noisy {got:.3f}, full observation {want:.3f}")
+        assert abs(got - want) <= 1e-9 * want

@@ -17,9 +17,8 @@ from mflqg import (
     model_from_dict,
     model_to_dict,
     solve_control_riccati,
-    step_cost,
 )
-from helpers import rand_pd, rand_psd, random_model
+from helpers import rand_pd, rand_psd, random_model, step_cost
 
 
 def scalar_model(**overrides):

@@ -19,7 +19,6 @@ from mflqg import (
     simulate,
     solve_control_riccati,
     solve_stacked_riccati,
-    step_cost,
     structured_gains,
 )
 from mflqg import oracle
@@ -27,7 +26,7 @@ from mflqg.model import LqMeanFieldModel
 from mflqg.oracle import STACKED_DIM_CAP, EquivalenceReport
 from mflqg.presets import heater_model
 from mflqg.riccati import ControlRiccatiSolution
-from helpers import rand_pd, rand_psd, random_model
+from helpers import rand_pd, rand_psd, random_model, step_cost
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 """Property sweep over small random models in both observation modes, each
 input given as a scalar, a single matrix or a per-step sequence: model
-construction, and the stacked oracle on full-observation models. Also: a
-re-pointed noise generator draws its fresh substream, and full-rank noise
-keeps the bits of RNG_SCHEME v1 where v2 promises them."""
+construction, the stacked oracle on full-observation models, and the exact
+policy cost against Monte Carlo in both modes and, under noisy observation,
+against the filter recursion. Also: a re-pointed noise generator draws its
+fresh substream, and full-rank noise keeps the bits of RNG_SCHEME v1 where
+v2 promises them."""
 import json
 from dataclasses import replace
 
@@ -145,6 +147,31 @@ def test_replace_normalizes_like_build_model(inputs, data):
 def test_stacked_oracle_confirms_meanfield_solution(inputs):
     report = check_equivalence(build_model(**inputs[0]), tolerance=1e-8)
     assert report.passed, report.to_dict()
+
+
+@SWEEP
+@given(models())
+def test_exact_cost_matches_monte_carlo(inputs):
+    model = build_model(**inputs[0])
+    policy = sim.optimal_strategy(model)
+    exact = sim.exact_policy_cost(model, policy).total
+    mc = sim.monte_carlo_cost(model, policy, runs=4000, seed=5, workers=1)
+    # a model without noise has one realized cost, up to rounding
+    assert abs(mc.mean - exact) <= 4.0 * mc.stderr + 1e-12 * abs(exact), model.observation_mode
+
+
+@SWEEP
+@given(models(noisy=True))
+def test_exact_blocks_carry_the_filter_error_covariance(inputs):
+    # x - xhat = (x - z) - (xhat - zhat) + (z - zhat), from blocks that are
+    # uncorrelated, z - zhat of mean zero: its covariance is the filter's
+    model = build_model(**inputs[0])
+    moments = sim._moments(model, sim.optimal_strategy(model))
+    split = np.hstack([np.eye(model.d_x), -np.eye(model.d_x)])
+    want = sim.solve_filter_riccati(model).Sigma_e
+    for k, (_, cov_dev, _, _, mf_cov) in enumerate(moments):
+        got = split @ cov_dev @ split.T + split @ mf_cov @ split.T
+        assert np.max(np.abs(got - want[k])) <= 1e-10 * max(1.0, np.max(np.abs(want[k]))), k
 
 
 U64 = st.integers(0, 2**64 - 1)

@@ -14,25 +14,32 @@ from mflqg import (
     NumericalFailure,
     ValidationError,
     build_model,
-    cost_identity_check,
-    decompose_auxiliary,
     exact_policy_cost,
     export_trace_csv,
     filter_update,
     heater_model,
     init_filter_state,
-    mean_over_agents,
     monte_carlo_cost,
     noisy_obs_action,
     optimal_strategy,
     simulate,
     solve_control_riccati,
     solve_filter_riccati,
-    step_cost,
 )
 from mflqg import sim
 from mflqg.linalg import symmetrize
-from helpers import rand_pd, rand_psd, random_model, v1_factor, v1_run_noise
+from helpers import (
+    SMALL_NOISY_MODEL,
+    cost_identity_check,
+    decompose_auxiliary,
+    mean_over_agents,
+    rand_pd,
+    rand_psd,
+    random_model,
+    step_cost,
+    v1_factor,
+    v1_run_noise,
+)
 
 
 def zero_policy(horizon, d_x, d_u):
@@ -256,7 +263,8 @@ class TestExactPolicyCost:
     def test_noisy_model_rejected(self):
         rng = np.random.default_rng(42)
         model = random_model(rng, mode="noisy")
-        with pytest.raises(IncompatibleStrategy):
+        # rejected for the policy's want of filter gains, not for the mode
+        with pytest.raises(IncompatibleStrategy, match="filter gains are required"):
             exact_policy_cost(model, zero_policy(model.horizon, model.d_x, model.d_u))
 
     def test_matches_monte_carlo(self):
@@ -266,6 +274,45 @@ class TestExactPolicyCost:
         exact = exact_policy_cost(model, strategy).total
         mc = monte_carlo_cost(model, strategy, runs=20000, seed=44)
         assert abs(mc.mean - exact) <= 3.0 * mc.stderr
+
+
+class TestNoisyExactCost:
+    """The exact evaluator under noisy observation, on the model whose
+    shipped-law costs ROADMAP item 1's table lists."""
+
+    SHIPPED = {1: 45.491, 2: 35.598, 5: 29.662, 20: 26.694, 100: 25.902}
+
+    @staticmethod
+    def model_and_policy(n):
+        model = build_model(**dict(SMALL_NOISY_MODEL, n_agents=n))
+        return model, optimal_strategy(model)
+
+    @pytest.mark.parametrize("n", sorted(SHIPPED))
+    def test_shipped_law_cost_is_pinned(self, n):
+        evaluation = exact_policy_cost(*self.model_and_policy(n))
+        assert abs(evaluation.total - self.SHIPPED[n]) <= 1e-3
+        assert evaluation.total == evaluation.step_costs.sum()
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_matches_monte_carlo(self, n):
+        model, policy = self.model_and_policy(n)
+        exact = exact_policy_cost(model, policy).total
+        mc = monte_carlo_cost(model, policy, runs=20000, seed=3)
+        assert abs(mc.mean - exact) <= 4.0 * mc.stderr
+
+    @pytest.mark.parametrize("n", [1, 2, 100])
+    def test_estimation_error_follows_the_filter_recursion(self, n):
+        # x - xhat is (x - z) - (xhat - zhat) plus (z - zhat), and the two
+        # blocks are uncorrelated, with z - zhat of mean zero
+        model, policy = self.model_and_policy(n)
+        split = np.hstack([np.eye(model.d_x), -np.eye(model.d_x)])
+        want = solve_filter_riccati(model).Sigma_e
+        steps = list(sim._moments(model, policy))
+        assert len(steps) == model.horizon
+        for k, (_, cov_dev, _, mf_mean, mf_cov) in enumerate(steps):
+            got = split @ cov_dev @ split.T + split @ mf_cov @ split.T
+            assert np.max(np.abs(got - want[k])) <= 1e-12 * np.max(np.abs(want[k])), k
+            assert np.max(np.abs(split @ mf_mean)) <= 1e-12 * np.max(np.abs(mf_mean))
 
 
 # ---------------------------------------------------------------------------
