@@ -46,7 +46,6 @@ from .oracle import (
     centralized_cost,
     check_equivalence,
     solve_stacked_riccati,
-    structured_gains,
 )
 from .presets import HEATER, heater_base_model, heater_model
 from .riccati import (
@@ -118,7 +117,6 @@ __all__ = [
     "solve_control_riccati",
     "solve_filter_riccati",
     "solve_stacked_riccati",
-    "structured_gains",
     "trace_summary",
     "validate_model",
 ]

@@ -8,6 +8,9 @@ structure (identical diagonal blocks, identical coupling blocks), and the
 centralized optimal cost must equal the decentralized controller's exact
 cost. This module deliberately shares no linear-algebra path with the
 production recursions: solves use plain LU, symmetrization is unchecked.
+Memory does not grow with the horizon: the backward recursion holds one
+value matrix and one gain at a time, and compares each gain with the
+structured one as it solves it.
 """
 from __future__ import annotations
 
@@ -74,7 +77,8 @@ def _exchangeable(diagonal: np.ndarray, coupling: np.ndarray | None, n: int) -> 
 
 @dataclass(frozen=True, eq=False)
 class StackedRiccatiSolution:
-    K: np.ndarray             # (T, dim_u, dim_x)
+    gain_residuals: np.ndarray  # (T,), relative Frobenius distance to the structured gains
+    K1: np.ndarray            # (dim_u, dim_x), the gain of step 1
     M1: np.ndarray            # (dim_x, dim_x), the value matrix of step 1
     noise_traces: np.ndarray  # (T-1,), trace(M_{k+1} Sigma_W) for k = 0..T-2
 
@@ -129,40 +133,59 @@ def _noise_trace(M: np.ndarray, stacked: StackedModel) -> float:
     return float(np.add.reduce(np.diagonal(products, axis1=1, axis2=2).reshape(-1)))
 
 
-def solve_stacked_riccati(stacked: StackedModel) -> StackedRiccatiSolution:
+def solve_stacked_riccati(stacked: StackedModel,
+                          policy: ControlRiccatiSolution) -> StackedRiccatiSolution:
     """Textbook finite-horizon backward recursion on the stacked problem.
 
     Kept independent of the production solver: plain LU solves, plain
-    symmetrization, no shared helpers. One value matrix is held at a time;
-    the gains are kept for every step, because they are the answer.
+    symmetrization, no shared helpers. One value matrix and one gain are
+    held at a time: each step's gain is compared with the `policy`'s
+    structured gain (`_gain_residual`) as it is solved, and only the
+    residuals and the gain of step 1 are kept. Raises `NumericalFailure`
+    at the first step whose residual is not finite.
     """
-    T = stacked.horizon
-    K = np.zeros((T, stacked.dim_u, stacked.dim_x))
+    T, n = stacked.horizon, stacked.n_agents
+    residuals = np.zeros(T)
     noise_traces = np.zeros(T - 1)
+    K = np.zeros((stacked.dim_u, stacked.dim_x))
     Q = stacked.step(T - 1)[2]
     M = (Q + Q.T) / 2.0
-    for k in range(T - 2, -1, -1):
-        noise_traces[k] = _noise_trace(M, stacked)
-        A, B, Q, R = stacked.step(k)
-        MB = M @ B
-        H = B.T @ MB + R
-        G = MB.T @ A
-        try:
-            K[k] = -np.linalg.solve(H, G)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"stacked recursion at step {k + 1}: {exc}") from None
-        Mk = Q + A.T @ M @ A + G.T @ K[k]
-        M = (Mk + Mk.T) / 2.0
-    return StackedRiccatiSolution(K=K, M1=M, noise_traces=noise_traces)
+    for k in range(T - 1, -1, -1):
+        if k < T - 1:  # the terminal step solves nothing: its gain is zero
+            noise_traces[k] = _noise_trace(M, stacked)
+            A, B, Q, R = stacked.step(k)
+            MB = M @ B
+            H = B.T @ MB + R
+            G = MB.T @ A
+            try:
+                K = -np.linalg.solve(H, G)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailure(f"stacked recursion at step {k + 1}: {exc}") from None
+            Mk = Q + A.T @ M @ A + G.T @ K
+            M = (Mk + Mk.T) / 2.0
+        residuals[k] = _gain_residual(K, _structured_gain(policy, n, k))
+        if not np.isfinite(residuals[k]):
+            raise NumericalFailure(f"stacked recursion at step {k + 1}: the gain residual "
+                                   "is not finite")
+    return StackedRiccatiSolution(gain_residuals=residuals, K1=K, M1=M,
+                                  noise_traces=noise_traces)
 
 
 def centralized_cost(stacked: StackedModel, solution: StackedRiccatiSolution) -> float:
     """Optimal expected cost of the stacked problem: the initial value
-    function plus the accumulated process-noise trace terms."""
+    function plus the accumulated process-noise trace terms. Raises
+    `NumericalFailure` at the first step whose term leaves the sum not
+    finite."""
     M1 = solution.M1
     cost = float(stacked.mu @ M1 @ stacked.mu + np.trace(M1 @ stacked.Sigma_X))
+    step = 1
     for term in solution.noise_traces:
+        if not np.isfinite(cost):
+            break
         cost += float(term)
+        step += 1
+    if not np.isfinite(cost):
+        raise NumericalFailure(f"centralized cost is not finite at step {step}")
     return cost
 
 
@@ -172,9 +195,12 @@ def _structured_gain(solution: ControlRiccatiSolution, n: int, k: int) -> np.nda
     return _exchangeable(solution.Kx[k], (solution.Kz[k] - solution.Kx[k]) * (1.0 / n), n)
 
 
-def structured_gains(solution: ControlRiccatiSolution, n: int) -> np.ndarray:
-    """`_structured_gain` of every step, stacked: (T, n*d_u, n*d_x)."""
-    return np.stack([_structured_gain(solution, n, k) for k in range(solution.horizon)])
+def _gain_residual(K: np.ndarray, structured: np.ndarray) -> float:
+    """Relative Frobenius distance of a stacked gain from the structured
+    one; the absolute distance when the stacked gain is zero."""
+    diff = float(np.linalg.norm(K - structured))
+    scale = float(np.linalg.norm(K))
+    return diff / scale if scale > 0.0 else diff
 
 
 def check_equivalence(model: LqMeanFieldModel, tolerance: float = 1e-8) -> EquivalenceReport:
@@ -187,7 +213,9 @@ def check_equivalence(model: LqMeanFieldModel, tolerance: float = 1e-8) -> Equiv
     relative terms. Passes iff both
     maxima are within tolerance, which must be finite and >= 0. The
     stacked oracle supports full observation only, so a noisy-observation
-    model raises `IncompatibleStrategy` before any solve.
+    model raises `IncompatibleStrategy` before any solve. A gain residual
+    or a centralized cost that is not finite raises `NumericalFailure`,
+    naming its step.
     """
     tolerance = float(tolerance)
     if not 0.0 <= tolerance < np.inf:
@@ -198,13 +226,7 @@ def check_equivalence(model: LqMeanFieldModel, tolerance: float = 1e-8) -> Equiv
 
     decentralized = solve_control_riccati(model)
     stacked = build_stacked_model(model)
-    central = solve_stacked_riccati(stacked)
-
-    residuals = np.zeros(model.horizon)
-    for k in range(model.horizon):
-        diff = float(np.linalg.norm(central.K[k] - _structured_gain(decentralized, n, k)))
-        scale = float(np.linalg.norm(central.K[k]))
-        residuals[k] = diff / scale if scale > 0.0 else diff
+    central = solve_stacked_riccati(stacked, decentralized)
 
     cost_central = centralized_cost(stacked, central)
     cost_decentral = exact_policy_cost(model, decentralized.gain_schedule()).total
@@ -212,12 +234,12 @@ def check_equivalence(model: LqMeanFieldModel, tolerance: float = 1e-8) -> Equiv
     if cost_central != 0.0:
         gap /= abs(cost_central)
 
-    max_residual = float(residuals.max())
+    max_residual = float(central.gain_residuals.max())
     return EquivalenceReport(
         n_agents=n,
         horizon=model.horizon,
         tolerance=tolerance,
-        gain_residuals=residuals,
+        gain_residuals=central.gain_residuals,
         max_gain_residual=max_residual,
         cost_centralized=cost_central,
         cost_decentralized=cost_decentral,

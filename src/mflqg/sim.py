@@ -295,12 +295,12 @@ def _closed_loop(
     return totals, recorded
 
 
-def _check_steps(what: str, where: str, fields: dict) -> None:
+def _check_steps(what: str, where: str, fields: dict, start: int = 0) -> None:
     """Raise NumericalFailure at the first non-finite step of the step-major
-    arrays (or None) in `fields`; a step at a time, since a mask of a whole
-    field would raise the peak memory of a large simulation."""
+    arrays (or None) in `fields`, the first at index `start`; a step at a
+    time, since a mask of a whole field would raise the peak memory."""
     for name, values in fields.items():
-        for k, values_k in enumerate(() if values is None else values):
+        for k, values_k in enumerate(() if values is None else values, start):
             if not np.isfinite(values_k).all():
                 raise NumericalFailure(
                     f"{what} {name} has a non-finite entry at step {k + 1}{where}")
@@ -518,8 +518,7 @@ def _mc_plan(model: LqMeanFieldModel, runs: int, workers: int | None) -> tuple[i
 
 # the (model, policy, seed) of the Monte Carlo job a forked worker process
 # steps chunks of; set when it starts. Inherited at the fork, not pickled
-# with each chunk: that took 17% of a chunk's time at d_x = d_u = 20,
-# T = 500 and 28% at d_x = d_u = 40, T = 200 (n = 30, 2 vCPUs)
+# with each chunk, which took up to 28% of a chunk's time
 _worker_job = None
 
 
@@ -609,65 +608,69 @@ def _labels(columns: dict) -> list[str]:
     return [f"{prefix}_{j}" for prefix, values in columns.items() for j in range(values.shape[-1])]
 
 
-def _write_csv(path: Path, header: list[str], index_columns: int, block: np.ndarray) -> None:
-    """Write the header, then a (steps, rows, columns) block of floats as
-    CRLF rows: the first `index_columns` columns with %d, the rest with
-    %.17g (round-trip exact), the bytes a default `csv.writer` writes for
-    `str(int(v))` and `format(v, ".17g")`.
-
-    A column that holds the same bits at every step, in every row, is
-    formatted once, into a template of one step's rows; each step fills
-    the template with its varying fields in one format call. Bits, not
-    values, are compared: -0.0 == 0.0, but the two print differently.
-    """
+def _csv_writer(header: list[str], index_columns: int, rows, steps: int):
+    """A function of a path that writes the header, then each step's float
+    rows `rows(k)` as a default `csv.writer` writes `str(int(v))` (first
+    `index_columns` columns) and `format(v, ".17g")` (the rest). A first
+    pass finds the columns that hold step 1's bits (-0.0 and 0.0 print
+    differently) at every step; they are formatted once, into a template
+    of one step's rows that each step fills in one format call."""
+    first = rows(0).copy()
+    fixed = np.ones(first.shape[1], bool)
+    for k in range(1, steps):
+        fixed &= (rows(k).view(np.uint64) == first.view(np.uint64)).all(axis=0)
     formats = ["%d"] * index_columns + ["%.17g"] * (len(header) - index_columns)
-    bits = block.view(np.uint64)
-    fixed = (bits == bits[0]).all(axis=(0, 1))
     template = "".join(",".join(fmt % value if keep else fmt
                                 for fmt, keep, value in zip(formats, fixed, row)) + "\r\n"
-                       for row in block[0].tolist())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for step in block:
-            fh.write(template % tuple(step[:, ~fixed].ravel().tolist()))
+                       for row in first.tolist())
+
+    def write(path: Path) -> Path:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\r\n")
+            for k in range(steps):
+                fh.write(template % tuple(rows(k)[:, ~fixed].ravel().tolist()))
+        return path
+
+    return write
 
 
+@np.errstate(over="ignore")
 def export_trace_csv(trace: SimulationTrace, out_dir) -> tuple[Path, Path]:
     """Write the per-agent and mean-field CSV files; returns their paths.
 
     State and mean-field columns are shifted by the model's reporting
     offset; actions and observations are written as recorded. A shifted
     value that overflows raises `NumericalFailure` before any file is made.
+    Each step's agent rows are formed in one reused buffer.
     """
     model = trace.model
-    d = model.d_x
-    steps = np.arange(1.0, model.horizon + 1)
+    T, n, d = model.horizon, model.n_agents, model.d_x
     columns = {"x": trace.states, "u": trace.actions}
     if trace.observations is not None:
         columns["y"] = trace.observations
-    # one (T, n, 2 + columns) block, its states shifted in place: no other
-    # population-sized array adds to the peak memory of a large export
-    width = 2 + sum(values.shape[-1] for values in columns.values())
-    agents = np.empty((model.horizon, model.n_agents, width))
-    agents[..., 0] = steps[:, np.newaxis]
-    agents[..., 1] = np.arange(model.n_agents)
-    np.concatenate(list(columns.values()), axis=2, out=agents[..., 2:])
+    buffer = np.empty((n, 2 + sum(v.shape[-1] for v in columns.values())))
+    buffer[:, 1] = np.arange(n)
+    where = " (the reporting offset overflows it)"
+
+    def agent_rows(k: int) -> np.ndarray:
+        buffer[:, 0] = k + 1
+        np.concatenate([v[k] for v in columns.values()], axis=1, out=buffer[:, 2:])
+        buffer[:, 2:2 + d] += model.state_offset
+        _check_steps("exported", where, {"states": [buffer[:, 2:2 + d]]}, k)
+        return buffer
+
+    write_agents = _csv_writer(["t", "agent", *_labels(columns)], 2, agent_rows, T)
     mf_columns = {"z": trace.meanfield, "uz": trace.mean_control}
-    meanfield = np.column_stack([steps, *mf_columns.values(), trace.step_costs])
-    with np.errstate(over="ignore"):
-        agents[..., 2:2 + d] += model.state_offset
-        meanfield[:, 1:1 + d] += model.state_offset
-    _check_steps("exported", " (the reporting offset overflows it)",
-                 {"states": agents[..., 2:2 + d], "meanfield": meanfield[:, 1:1 + d]})
+    meanfield = np.column_stack([np.arange(1.0, T + 1), *mf_columns.values(), trace.step_costs])
+    meanfield[:, 1:1 + d] += model.state_offset
+    _check_steps("exported", where, {"meanfield": meanfield[:, 1:1 + d]})
+    write_meanfield = _csv_writer(["t", *_labels(mf_columns), "step_cost"], 1,
+                                  meanfield[:, np.newaxis].__getitem__, T)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    agents_path = out_dir / "trace_agents.csv"
-    _write_csv(agents_path, ["t", "agent", *_labels(columns)], 2, agents)
-    meanfield_path = out_dir / "trace_meanfield.csv"
-    _write_csv(meanfield_path, ["t", *_labels(mf_columns), "step_cost"], 1, meanfield[:, None])
-
-    return agents_path, meanfield_path
+    return (write_agents(out_dir / "trace_agents.csv"),
+            write_meanfield(out_dir / "trace_meanfield.csv"))
 
 
 def trace_summary(trace: SimulationTrace) -> dict:

@@ -2,7 +2,8 @@
 the deviation / mean-field split on recorded traces and snapshots."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -64,6 +65,24 @@ def random_model(
         observation_mode=mode,
         **kwargs,
     )
+
+
+def repeated_horizon(model: LqMeanFieldModel, times: int) -> LqMeanFieldModel:
+    """The model with its per-step stacks repeated `times` times: the same
+    problem over a horizon `times` as long."""
+    stacks = {name: np.tile(getattr(model, name), (times, 1, 1))
+              for name in ("A", "B", "Q", "R", "D", "P", "Cx", "Cz")
+              if getattr(model, name) is not None}
+    return replace(model, horizon=times * model.horizon, **stacks)
+
+
+def nan_solving_numpy() -> SimpleNamespace:
+    """numpy as a module that imports it sees it, except that every
+    `np.linalg.solve` answer is NaN: patched in as one module's `np`, it
+    forces a non-finite result there and nowhere else."""
+    linalg = SimpleNamespace(**{**vars(np.linalg),
+                                "solve": lambda a, b: np.linalg.solve(a, b) * np.nan})
+    return SimpleNamespace(**{**vars(np), "linalg": linalg})
 
 
 def rel_err(value: float, reference: float) -> float:

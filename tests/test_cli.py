@@ -16,7 +16,7 @@ import pytest
 import mflqg
 from mflqg import RNG_SCHEME, ModelFormatError, build_model, load_model, oracle, save_model
 from mflqg.cli import build_parser, main
-from helpers import random_model
+from helpers import nan_solving_numpy, random_model
 
 
 def test_cli_import_does_not_load_scipy():
@@ -346,6 +346,27 @@ class TestVerify:
         assert "IncompatibleStrategy" in err and "stacked oracle" in err
         assert solves == []
         assert not (out / "verify.json").exists()
+
+
+    def test_non_finite_gain_exits_2_without_report(self, random_model_path, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(oracle, "np", nan_solving_numpy())
+        out = tmp_path / "out"
+        assert main(["verify", "--model", str(random_model_path), "--out", str(out)]) == 2
+        assert ("error: NumericalFailure: stacked recursion at step 4: the gain residual is "
+                "not finite") in capsys.readouterr().err
+        assert not (out / "verify.json").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_output_never_holds_nan_or_inf(value, scalar_model_path, tmp_path, capsys,
+                                            monkeypatch):
+    monkeypatch.setattr("mflqg.cli.trace_summary", lambda trace: {"total_cost": value})
+    out = tmp_path / "out"
+    assert main(["simulate", "--model", str(scalar_model_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NumericalFailure: summary.json not written: "), err
+    assert not (out / "summary.json").exists()
 
 
 # A = 10 with Q = 0: zero gains, and a state that overflows before T = 400

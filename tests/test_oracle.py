@@ -19,14 +19,20 @@ from mflqg import (
     simulate,
     solve_control_riccati,
     solve_stacked_riccati,
-    structured_gains,
 )
 from mflqg import oracle
 from mflqg.model import LqMeanFieldModel
 from mflqg.oracle import STACKED_DIM_CAP, EquivalenceReport
 from mflqg.presets import heater_model
 from mflqg.riccati import ControlRiccatiSolution
-from helpers import rand_pd, rand_psd, random_model, step_cost
+from helpers import (
+    nan_solving_numpy,
+    rand_pd,
+    rand_psd,
+    random_model,
+    repeated_horizon,
+    step_cost,
+)
 
 
 @pytest.fixture
@@ -104,11 +110,12 @@ class TestStackedSolution:
     def test_single_agent_gain_is_meanfield_gain(self):
         rng = np.random.default_rng(63)
         model = random_model(rng, n_agents=1, d_x=2, d_u=2)
-        central = solve_stacked_riccati(build_stacked_model(model))
         mf = solve_control_riccati(model)
-        for k in range(model.horizon):
-            scale = max(np.linalg.norm(mf.Kz[k]), 1e-30)
-            assert np.linalg.norm(central.K[k] - mf.Kz[k]) / scale <= 1e-10
+        central = solve_stacked_riccati(build_stacked_model(model), mf)
+        scale = max(np.linalg.norm(mf.Kz[0]), 1e-30)
+        assert np.linalg.norm(central.K1 - mf.Kz[0]) / scale <= 1e-10
+        # at n = 1 the structured gain of every step is Kx + (Kz - Kx) = Kz
+        assert central.gain_residuals.max() <= 1e-10
 
     def test_uncoupled_gain_is_block_diagonal_local_gain(self):
         # agents decouple only when both the dynamics coupling D and the
@@ -122,26 +129,32 @@ class TestStackedSolution:
             Q=np.stack([rand_psd(rng, d_x) for _ in range(T)]),
             R=np.stack([rand_pd(rng, d_u) for _ in range(T)]),
         )
-        central = solve_stacked_riccati(build_stacked_model(model))
         mf = solve_control_riccati(model)
-        expected = np.stack(
-            [np.kron(np.eye(3), mf.Kx[k]) for k in range(model.horizon)]
-        )
-        for k in range(model.horizon):
-            scale = max(np.linalg.norm(expected[k]), 1e-30)
-            assert np.linalg.norm(central.K[k] - expected[k]) / scale <= 1e-10
+        central = solve_stacked_riccati(build_stacked_model(model), mf)
+        expected = np.kron(np.eye(3), mf.Kx[0])
+        assert np.linalg.norm(central.K1 - expected) / np.linalg.norm(expected) <= 1e-10
+        # Kz = Kx, so the structured gain of every step is block diagonal
+        assert np.array_equal(mf.Kz, mf.Kx)
+        assert central.gain_residuals.max() <= 1e-10
 
     def test_terminal_gain_zero(self, small_model):
-        central = solve_stacked_riccati(build_stacked_model(small_model))
-        assert not np.any(central.K[-1])
+        mf = solve_control_riccati(small_model)
+        assert not np.any(mf.Kx[-1]) and not np.any(mf.Kz[-1])
+        central = solve_stacked_riccati(build_stacked_model(small_model), mf)
+        # a nonzero stacked gain lies at relative distance 1 from a zero one
+        assert central.gain_residuals[-1] == 0.0
+        # with one step, the gain of step 1 is the terminal gain
+        one_step = random_model(np.random.default_rng(72), n_agents=2, horizon=1, d_x=1)
+        central = solve_stacked_riccati(build_stacked_model(one_step),
+                                        solve_control_riccati(one_step))
+        assert central.K1.shape == (4, 2) and not np.any(central.K1)
 
     def test_scalar_fixture_two_agents(self):
         # A=1, B=1, Q=1, R=1, D=0, P=0, T=2: Kx_1 = -0.5 for each agent
         model = build_model(horizon=2, n_agents=2, A=1.0, B=1.0, Q=1.0, R=1.0)
-        central = solve_stacked_riccati(build_stacked_model(model))
-        assert np.allclose(central.K[0], -0.5 * np.eye(2), rtol=0, atol=1e-14)
-        implied = structured_gains(solve_control_riccati(model), 2)
-        assert np.allclose(central.K, implied, rtol=0, atol=1e-8)
+        central = solve_stacked_riccati(build_stacked_model(model), solve_control_riccati(model))
+        assert np.allclose(central.K1, -0.5 * np.eye(2), rtol=0, atol=1e-14)
+        assert central.gain_residuals.max() <= 1e-8
 
 
 class TestEquivalence:
@@ -159,7 +172,8 @@ class TestEquivalence:
     def test_centralized_cost_is_a_lower_bound(self, small_model):
         model = small_model
         stacked = build_stacked_model(model)
-        central = centralized_cost(stacked, solve_stacked_riccati(stacked))
+        central = centralized_cost(stacked,
+                                   solve_stacked_riccati(stacked, solve_control_riccati(model)))
         strategy = optimal_strategy(model)
         rng = np.random.default_rng(65)
         Fx = strategy.Kx + 0.05 * rng.standard_normal(strategy.Kx.shape)
@@ -185,6 +199,30 @@ class TestEquivalence:
         with pytest.raises(ValidationError, match="tolerance"):
             check_equivalence(small_model, tolerance=tolerance)
         assert solves == []
+
+    def test_non_finite_gain_names_its_step(self, small_model, monkeypatch):
+        # the terminal step solves nothing, so step T - 1 is the first hit
+        monkeypatch.setattr(oracle, "np", nan_solving_numpy())
+        step = small_model.horizon - 1
+        with pytest.raises(NumericalFailure, match=rf"^stacked recursion at step {step}: "
+                                                   "the gain residual is not finite$"):
+            check_equivalence(small_model)
+
+    @pytest.mark.parametrize("step", [2, 5])
+    def test_non_finite_cost_names_its_step(self, small_model, step, monkeypatch):
+        # noise_traces[k], solved for k = T-2 down to 0, is the noise that
+        # enters step k + 2: call c solves the term of step T + 1 - c
+        noise_trace, calls = oracle._noise_trace, []
+
+        def poisoned(M, stacked):
+            calls.append(None)
+            poison = small_model.horizon + 1 - len(calls) == step
+            return np.inf if poison else noise_trace(M, stacked)
+
+        monkeypatch.setattr(oracle, "_noise_trace", poisoned)
+        with pytest.raises(NumericalFailure, match=rf"^centralized cost is not finite at step "
+                                                   rf"{step}$"):
+            check_equivalence(small_model)
 
     def test_report_serialization(self, small_model):
         report = check_equivalence(small_model)
@@ -374,26 +412,29 @@ class TestMatchesDenseReference:
         model = replace(model, n_agents=n)
         assert check_equivalence(model).to_dict() == dense_check_equivalence(model).to_dict()
         stacked, dense = build_stacked_model(model), dense_build_stacked_model(model)
-        central, reference = solve_stacked_riccati(stacked), dense_solve_stacked_riccati(dense)
-        assert np.array_equal(central.K, reference.K)
+        central = solve_stacked_riccati(stacked, solve_control_riccati(model))
+        reference = dense_solve_stacked_riccati(dense)
+        assert np.array_equal(central.K1, reference.K[0])
+        assert np.array_equal(central.gain_residuals,
+                              dense_check_equivalence(model).gain_residuals)
         assert np.array_equal(central.M1, reference.M[0])
         assert centralized_cost(stacked, central) == dense_centralized_cost(dense, reference)
-        mf = solve_control_riccati(model)
-        assert np.array_equal(structured_gains(mf, n), dense_structured_gains(mf, n))
         for k in range(model.horizon):
             for got, want in zip(stacked.step(k), (dense.A[k], dense.B[k], dense.Q[k], dense.R[k])):
                 assert np.array_equal(got, want)
 
 
 def test_memory_does_not_grow_with_the_horizon():
-    # the heater at n=50 (stacked dimension 150, T=90): the dense oracle
-    # peaks at about 73 MB, one step's matrices plus the gain stack at 8 MB
-    model = heater_model()
-    tracemalloc.start()
-    try:
-        report = check_equivalence(replace(model, n_agents=50))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.passed
-    assert peak <= 12e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+    # the heater at n=50 (stacked dimension 150) over 90 and 360 steps: one
+    # step's stacked matrices take about 1.8 MB, and a stack of every
+    # step's gains would add 60 kB a step (23 MB at T = 360)
+    for repeats in (1, 4):
+        model = repeated_horizon(replace(heater_model(), n_agents=50), repeats)
+        tracemalloc.start()
+        try:
+            report = check_equivalence(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= 3e6, f"T={model.horizon}: tracemalloc peak {peak / 1e6:.1f} MB"

@@ -36,6 +36,7 @@ from helpers import (
     rand_pd,
     rand_psd,
     random_model,
+    repeated_horizon,
     step_cost,
     v1_factor,
     v1_run_noise,
@@ -1106,6 +1107,20 @@ class TestExport:
             for got_path, want_path in zip(got, want):
                 assert got_path.name == want_path.name
                 assert got_path.read_bytes() == want_path.read_bytes()
+
+    @pytest.mark.parametrize("n_agents, repeats", [(2000, 1), (500, 4)], ids=["n2000", "n500-T360"])
+    def test_memory_does_not_grow_with_the_trace(self, n_agents, repeats, tmp_path):
+        # one (T, n, width) block of the heater's rows is 8.6 MB in both
+        # cases; one step's rows are 96 kB at n = 2000 and 24 kB at n = 500
+        model = repeated_horizon(replace(heater_model(), n_agents=n_agents), repeats)
+        trace = simulate(model, optimal_strategy(model), seed=8)
+        tracemalloc.start()
+        try:
+            export_trace_csv(trace, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
     def test_csv_round_trip_precision(self, tmp_path):
         rng = np.random.default_rng(49)
