@@ -3,7 +3,10 @@
 Symmetry is checked before it is enforced, definiteness checks use fixed
 tolerances, and positive-definite solves go through a Cholesky
 factorization whose pivots are screened with a relative threshold so that
-uniformly tiny but well-conditioned matrices still pass.
+uniformly tiny but well-conditioned matrices still pass. Products of small
+matrices with stacks of component planes (`_matvec`, `_quadratic`) are
+declared left-to-right sums of numpy elementwise operations, so their
+digits do not depend on BLAS.
 """
 from __future__ import annotations
 
@@ -98,8 +101,39 @@ def psd_factor(cov: np.ndarray) -> np.ndarray:
     """
     eigvals, eigvecs = np.linalg.eigh(cov)
     top = max(float(eigvals[-1]), 0.0)
-    # eigh sorts ascending, so the kept eigenvalues are the last ones; a
-    # slice, unlike a mask, keeps the factor C-ordered, and the digits of
-    # the noise's BLAS products depend on that layout
+    # eigh sorts ascending, so the kept eigenvalues are the last ones
     kept = slice(eigvals.size - int(np.count_nonzero(eigvals > FACTOR_CLIP * top)), None)
     return eigvecs[:, kept] * np.sqrt(eigvals[kept])[np.newaxis, :]
+
+
+def _matvec(out, M, planes, tmp, add: bool = False) -> None:
+    """out[i] = M[i, 0] * planes[0] + M[i, 1] * planes[1] + ..., products
+    rounded and added left to right (onto out[i] when `add`); an empty sum
+    is +0.0. Numpy's elementwise operations never fuse: no FMA, no BLAS."""
+    tmp = tmp[:len(out)]
+    if not (add or len(planes)):
+        out.fill(0.0)
+    for j, plane in enumerate(planes):
+        if j or add:
+            np.multiply(M[:, j, None, None], plane, out=tmp)
+            out += tmp
+        else:
+            np.multiply(M[:, j, None, None], plane, out=out)
+
+
+def _quadratic(out, W, planes, h, tmp, add: bool = False) -> None:
+    """out = v'Wv of the planes v (out += each term, when `add`): the
+    left-to-right sum of v[i] * h[i], h[i] = W[i, i] * v[i] + (W[i, j] +
+    W[j, i]) * v[j] for j = i+1, ... in order, d(d+1)/2 products."""
+    d = len(planes)
+    h = h[:d]
+    np.multiply(np.diagonal(W)[:, None, None], planes, out=h)
+    for j in range(1, d):
+        np.multiply((W[:j, j] + W[j, :j])[:, None, None], planes[j], out=tmp[:j])
+        h[:j] += tmp[:j]
+    h *= planes
+    for i, term in enumerate(h):
+        if i or add:
+            out += term
+        else:
+            out[...] = term

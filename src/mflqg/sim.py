@@ -1,41 +1,17 @@
 """Closed-loop population simulation and policy cost evaluation.
 
-Randomness contract: all draws come from counter-based Philox streams
-derived from (seed, run, noise-kind). The scheme is named and versioned in
-RNG_SCHEME. The Philox key is (seed, 0x9E3779B97F4A8000) and the counter
-(0, 0, run, kind), both exact uint64 words, so every seed and run in
-[0, 2**64) names its own stream. A noise kind of covariance rank r draws r
-normals per (step, agent), in (step, agent, direction) order, and maps them
-through the r kept columns of its `psd_factor`: the directions a
-covariance does not excite (such as the noiseless reference components of
-a tracking model) draw nothing. A full-rank covariance keeps every
-column, so for seeds below 2**53 and runs below 2**63 its draws are those
-of scheme v1, which rounded key and counter words through float64 and
-always drew one normal per component. Process and observation noise are
-held as those rank-sized normals and mapped through the factor one step
-at a time, as the closed loop adds them (a simulation records their batched
-product, with the same digits); initial states are mapped when drawn.
-Initial states, process noise, and observation noise live in separate
-substreams, so full- and noisy-observation simulations of the same model
-and seed share identical state noise (common random numbers), and traces
-are bit-reproducible regardless of scheduling or concurrency. Each chunk
-of runs builds one generator and re-points it at the (run, kind) counter
-of every run and noise kind, which draws exactly what a new generator
-would.
-
-Every policy is a `GainSchedule` (filter gains present exactly when the
-model is noisy), and one batched closed-loop kernel steps a block of runs
-together: `simulate` is its batch of one with every step recorded, and
-`monte_carlo_cost` runs it per chunk for the realized costs only, so Monte
-Carlo run r equals simulate(run=r) bit for bit. Population and component
-sums run per run in a fixed order (ascending, except numpy's pairwise sum
-along a contiguous axis), never in one that follows the batch size.
+One kernel steps a block of runs, each value held as component planes of
+shape (d, runs, n), with noise drawn as `mflqg.noise` declares it:
+`simulate` is its batch of one with every step recorded, and
+`monte_carlo_cost` runs it per chunk for the costs only, so Monte Carlo
+run r equals simulate(run=r) bit for bit. Its arithmetic is declared: a
+product M v is, per component i, the left-to-right sum of the rounded
+products M[i, j] * v[j], in numpy elementwise operations, which never
+fuse; an agent mean is np.add.reduce along the contiguous agent axis
+divided by n. No digit depends on BLAS, the batch size or the chunking.
 `exact_policy_cost` propagates means and covariances of the pair
-(per-agent deviation from the mean-field, mean-field) through the closed
-loop, which has fixed dimension 2*d_x, or 4*d_x under noisy observation,
-regardless of the population size.
-`monte_carlo_cost` steps its chunks in forked worker processes, as its
-docstring says; no digit depends on the chunking. A closed loop whose cost
+(per-agent deviation from the mean-field, mean-field), of dimension 2*d_x
+(4*d_x if noisy) whatever the population. A closed loop whose cost
 overflows, or a simulation that records or exports a non-finite value,
 raises `NumericalFailure`.
 """
@@ -50,92 +26,15 @@ import numpy as np
 
 from .control import GainSchedule
 from .errors import IncompatibleStrategy, NumericalFailure, ValidationError
-from .linalg import psd_factor, symmetrize
+from .linalg import _matvec, _quadratic, symmetrize
 from .model import LqMeanFieldModel, _count, _whole
+from .noise import RNG_SCHEME, _draw_noise, _noise_factors, _stream_word
 from .riccati import solve_control_riccati, solve_filter_riccati
 
-RNG_SCHEME = "philox4x64-runkind-v2"
-_KEY_SALT = 0x9E3779B97F4A8000
-_KIND_INIT = 0
-_KIND_PROCESS = 1
-_KIND_OBS = 2
 # a Monte Carlo chunk holds, unless one run alone is larger, at most its
 # worker's share of _MC_CHUNK_BYTES: the chunks in flight together hold at
-# most that many bytes of pre-drawn noise and working arrays
+# most that many bytes of pre-drawn noise, working arrays and ufunc buffers
 _MC_CHUNK_BYTES = 16 * 2**20
-# an allowance, per agent and state component, for the floats that the
-# kernel's working arrays of one run take (initial and current state,
-# action, estimate and their temporaries)
-_MC_WORK_FLOATS = 12
-
-
-def _stream_word(value, name: str) -> int:
-    """A seed or run index: a whole number that fits one Philox word."""
-    word = _whole(value, name)
-    if not 0 <= word < 2**64:
-        raise ValidationError(f"{name} must be in [0, 2**64), got {word}")
-    return word
-
-
-def _counter(run: int, kind: int) -> np.ndarray:
-    """Philox counter of one (run, kind), exact in every word."""
-    return np.array([0, 0, run, kind], dtype=np.uint64)
-
-
-def _substream(seed: int, run: int, kind: int) -> np.random.Generator:
-    """Philox stream for one (run, kind); the low counter word is left free
-    for in-stream consumption, so substreams can never overlap."""
-    key = np.array([seed, _KEY_SALT], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=_counter(run, kind)))
-
-
-def _reusable_substream(seed: int):
-    """`_substream(seed, run, kind)` as a function of (run, kind) that
-    re-points one generator instead of building one per call.
-
-    A Philox stream is fully named by its key and counter: setting the
-    counter to [0, 0, run, kind] with an empty buffer gives the state of a
-    new `_substream(seed, run, kind)`, whatever was drawn before. Each call
-    invalidates the generator an earlier call returned.
-    """
-    generator = _substream(seed, 0, _KIND_INIT)
-    bits = generator.bit_generator
-    fresh = bits.state
-
-    def point(run: int, kind: int) -> np.random.Generator:
-        fresh["state"]["counter"] = _counter(run, kind)
-        bits.state = fresh
-        return generator
-
-    return point
-
-
-def _noise_factors(model: LqMeanFieldModel):
-    """Rank-sized factors of the three noise covariances (observation last,
-    or None)."""
-    Lv = psd_factor(model.Sigma_V) if model.observation_mode == "noisy" else None
-    return psd_factor(model.Sigma_X), psd_factor(model.Sigma_W), Lv
-
-
-def _draw_noise(model: LqMeanFieldModel, seed: int, first_run: int, Lx, x1, w, v) -> None:
-    """Fill x1 with the initial states of runs first_run.., one run per
-    leading index, and w (and v, when noisy) with the raw rank-sized normals
-    of their process (and observation) noise, in (step, agent, direction)
-    order. `_closed_loop` applies those factors one step at a time.
-
-    Every (run, kind) draws from one re-pointed generator; the initial
-    states are mapped through their factor `Lx` with one matmul per run,
-    written straight into the chunk.
-    """
-    substream = _reusable_substream(seed)
-    normals = np.empty((model.n_agents, Lx.shape[1]))
-    for i in range(x1.shape[0]):
-        substream(first_run + i, _KIND_INIT).standard_normal(out=normals)
-        np.matmul(normals, Lx.T, out=x1[i])
-        substream(first_run + i, _KIND_PROCESS).standard_normal(out=w[i])
-        if v is not None:
-            substream(first_run + i, _KIND_OBS).standard_normal(out=v[i])
-    x1 += model.mu_X
 
 
 # the CPU quota of this process's cgroup, as a cgroup v2 namespace (a
@@ -206,93 +105,111 @@ def _closed_loop(
 ):
     """Step runs first_run..first_run+runs-1 through the closed loop together.
 
-    Returns the realized total cost of each run, shape (runs,), summed
-    over steps in step order, and, when `record` is set, the trajectory,
-    the per-step costs and the noise (the batched product of the drawn
-    normals with their factor) as a dict keyed by `SimulationTrace` field,
-    each array with a leading run axis. Each run's arithmetic does not
-    depend on the batch it is stepped in. Raises `NumericalFailure` when a
+    Returns each run's total cost, summed in step order, and, when `record`
+    is set, a dict keyed by `SimulationTrace` field of arrays with a leading
+    run axis, written as the loop steps. The state moves to A x + (B u +
+    D z) + w, the estimate to A xhat + (B u + D z) + Kf e, where the
+    innovation e is Cx (x - xhat) + v. Raises `NumericalFailure` when a
     total, or a recorded value, is not finite.
     """
-    T, n, d_x = model.horizon, model.n_agents, model.d_x
+    T, n, d_x, d_u, d_y = model.horizon, model.n_agents, model.d_x, model.d_u, model.d_y
     noisy = model.observation_mode == "noisy"
     Fx, Fz = policy.Kx, policy.Kz - policy.Kx
     Lx, Lw, Lv = _noise_factors(model)
-
-    # process and observation noise stay rank-sized until their step; the
-    # factors are the transposed views, the operand layout the digits of
-    # RNG_SCHEME were fixed with
-    x1 = np.empty((runs, n, d_x))
-    w = np.empty((runs, T - 1, n, Lw.shape[1]))
-    v = np.empty((runs, T, n, Lv.shape[1])) if noisy else None
-    _draw_noise(model, seed, first_run, Lx, x1, w, v)
-
-    x = x1
-    xhat = np.broadcast_to(model.mu_X, (runs, n, d_x)).copy() if noisy else None
-    y = None
-    steps = []
+    wide = max(d_x, d_u, d_y if noisy else 0)
+    w = np.empty((Lw.shape[1], runs, T - 1, n))
+    v = np.empty((Lv.shape[1], runs, T, n)) if noisy else None
+    x, x_next = np.empty((2, d_x, runs, n))
+    xhat, xhat_next = np.empty((2, d_x, runs, n)) if noisy else (None, None)
+    u, innovation = np.empty((d_u, runs, n)), np.empty((d_y, runs, n)) if noisy else None
+    h, tmp = np.empty((2, wide, runs, n))
+    q = np.empty((runs, n))
+    # per run: the mean-field, its products and the costs
+    z = np.empty((d_x, runs, 1))
+    zf, h_z, tmp_z = np.empty((3, wide, runs, 1))
+    cost, zq, totals = np.empty((3, runs, 1))
+    _draw_noise(model, seed, first_run, Lx, x, w, v, x_next, h)
+    if noisy:
+        xhat[...] = model.mu_X[:, None, None]
+    if record:
+        shapes = {"states": (T, n, d_x), "actions": (T, n, d_u), "meanfield": (T, d_x),
+                  "mean_control": (T, d_u), "observations": (T, n, d_y),
+                  "estimates": (T, n, d_x), "step_costs": (T,),
+                  "process_noise": (T - 1, n, d_x), "obs_noise": (T, n, d_y)}
+        out = {name: np.empty((runs, *shape))
+               if noisy or name not in ("observations", "estimates", "obs_noise") else None
+               for name, shape in shapes.items()}
+        # the per-agent fields as component planes, (d, runs, T, n)
+        planes = {name: np.moveaxis(values, -1, 0) for name, values in out.items()
+                  if values is not None and values.ndim == 4}
     for k in range(T):
-        # the mean-field keeps a singleton agent axis, so every product with
-        # it is one small matmul per run and a run's digits never depend on
-        # how many runs share the batch. Each such term is repeated over the
-        # agents where it is added: one contiguous add of equal shapes with
-        # the digits of a broadcast add, without its short inner loops, and
-        # no population-sized copy outlives the add
-        z = _agent_mean(x)
-        basis = xhat if noisy else x
-        u = basis @ Fx[k].T
-        u += np.repeat(z @ Fz[k].T, n, axis=1)
-        quad = _quadratic(x, model.Q[k])
-        quad += _quadratic(u, model.R[k])
-        cost = np.add.reduce(quad, axis=1) / n
-        cost += _quadratic(z, model.P[k])[:, 0]
-        # step 0 copied, not added to zeros: the float operations of a
-        # step-order sum of the per-step costs
-        if k == 0:
-            totals = cost.copy()
-        else:
+        np.add.reduce(x, axis=-1, keepdims=True, out=z)
+        z /= n
+        _matvec(u, Fx[k], xhat if noisy else x, tmp)
+        _matvec(zf[:d_u], Fz[k], z, tmp_z)
+        u += zf[:d_u]
+        _quadratic(q, model.Q[k], x, h, tmp)
+        _quadratic(q, model.R[k], u, h, tmp, add=True)
+        np.add.reduce(q, axis=-1, keepdims=True, out=cost)
+        cost /= n
+        _quadratic(zq, model.P[k], z, h_z, tmp_z)
+        cost += zq
+        # step 0 copied, not added to zeros: a step-order sum of the costs
+        if k:
             totals += cost
-        if noisy:
-            z_obs = z @ model.Cz[k].T
-            y = x @ model.Cx[k].T
-            y += np.repeat(z_obs, n, axis=1)
-            obs_noise = v[:, k] @ Lv.T
-            y += obs_noise
+        else:
+            totals[...] = cost
+        if noisy:  # the mapped observation noise, in h
+            _matvec(h[:d_y], Lv, v[:, :, k], tmp)
         if record:
-            steps.append((x, u, z[:, 0], np.add.reduce(u, axis=1) / n, y, xhat, cost))
-        if k + 1 < T:
-            drift = z @ model.D[k].T
+            for name, value in (("states", x), ("actions", u), ("estimates", xhat)):
+                if value is not None:
+                    planes[name][:, :, k] = value
+            out["meanfield"][:, k] = z[..., 0].T
+            mean_u = out["mean_control"][:, k].T
+            np.add.reduce(u, axis=-1, out=mean_u)
+            mean_u /= n
+            out["step_costs"][:, k] = cost[:, 0]
             if noisy:
-                innovation = y - xhat @ model.Cx[k].T
-                innovation -= np.repeat(z_obs, n, axis=1)
-                xhat = xhat @ model.A[k].T
-                xhat += u @ model.B[k].T
-                xhat += np.repeat(drift, n, axis=1)
-                xhat += innovation @ policy.Kf[k].T
-            x = x @ model.A[k].T
-            x += u @ model.B[k].T
-            x += np.repeat(drift, n, axis=1)
-            process_noise = w[:, k] @ Lw.T
-            x += process_noise
+                y = planes["observations"][:, :, k]
+                _matvec(y, model.Cx[k], x, tmp)
+                _matvec(zf[:d_y], model.Cz[k], z, tmp_z)
+                y += zf[:d_y]
+                y += h[:d_y]
+                planes["obs_noise"][:, :, k] = h[:d_y]
+        if k + 1 == T:
+            break
+        if noisy:
+            np.subtract(x, xhat, out=x_next)
+            _matvec(innovation, model.Cx[k], x_next, tmp)
+            innovation += h[:d_y]
+        # the drive B u + D z that the state and the estimate share, in h
+        drive = h[:d_x]
+        _matvec(drive, model.B[k], u, tmp)
+        _matvec(zf[:d_x], model.D[k], z, tmp_z)
+        drive += zf[:d_x]
+        if noisy:
+            _matvec(xhat_next, model.A[k], xhat, tmp)
+            xhat_next += drive
+            _matvec(xhat_next, policy.Kf[k], innovation, tmp, add=True)
+            xhat, xhat_next = xhat_next, xhat
+        _matvec(x_next, model.A[k], x, tmp)
+        x_next += drive
+        _matvec(h[:d_x], Lw, w[:, :, k], tmp)
+        x_next += h[:d_x]
+        if record:
+            planes["process_noise"][:, :, k] = h[:d_x]
+        x, x_next = x_next, x
 
+    totals = totals[:, 0]
+    where = f" in runs {first_run}..{first_run + runs - 1}"
     if not np.isfinite(totals).all():
-        raise NumericalFailure(
-            f"closed-loop cost is not finite in runs {first_run}..{first_run + runs - 1}"
-        )
+        raise NumericalFailure(f"closed-loop cost is not finite{where}")
     if not record:
         return totals, None
-    names = ("states", "actions", "meanfield", "mean_control", "observations", "estimates",
-             "step_costs")
-    recorded = {
-        name: None if column[0] is None else np.stack(column, axis=1)
-        for name, column in zip(names, zip(*steps))
-    }
-    del steps  # before the noise products, out of the peak memory
-    recorded.update(process_noise=w @ Lw.T, obs_noise=v @ Lv.T if noisy else None)
-    _check_steps("closed-loop", f" in runs {first_run}..{first_run + runs - 1}",
-                 {name: None if values is None else values.swapaxes(0, 1)
-                  for name, values in recorded.items()})
-    return totals, recorded
+    _check_steps("closed-loop", where, {name: None if values is None else values.swapaxes(0, 1)
+                                        for name, values in out.items()})
+    return totals, out
 
 
 def _check_steps(what: str, where: str, fields: dict, start: int = 0) -> None:
@@ -304,41 +221,6 @@ def _check_steps(what: str, where: str, fields: dict, start: int = 0) -> None:
             if not np.isfinite(values_k).all():
                 raise NumericalFailure(
                     f"{what} {name} has a non-finite entry at step {k + 1}{where}")
-
-
-def _agent_mean(x: np.ndarray) -> np.ndarray:
-    """Population average over axis 1, keeping it: the digits of
-    `np.add.reduce(x, axis=1, keepdims=True) / n`, which are per-run.
-
-    Over a strided axis numpy reduces by an ascending fold, which
-    `np.add.accumulate` repeats without the short strided inner loops (the
-    two differ only in the sign of an all -0.0 sum, and no state is -0.0:
-    each is a matmul result plus further terms, and matmul returns +0.0).
-    With one component the agent axis is the contiguous one, which numpy
-    sums pairwise, so the reduce stays there.
-    """
-    n = x.shape[1]
-    if x.shape[-1] == 1:
-        return np.add.reduce(x, axis=1, keepdims=True) / n
-    return np.add.accumulate(x, axis=1)[:, -1:] / n
-
-
-def _quadratic(vectors: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """v' W v over the last axis, with per-run arithmetic (einsum's summation
-    order changes with the batch size for some shapes).
-
-    Fewer than 8 components are summed left to right by sliced adds, the
-    digits of `np.add.reduce` there (numpy sums 8 and more pairwise, so the
-    reduce stays for those) without its per-element inner loop.
-    """
-    terms = vectors @ weight
-    terms *= vectors
-    if terms.shape[-1] >= 8:
-        return np.add.reduce(terms, axis=-1)
-    total = terms[..., 0].copy()
-    for j in range(1, terms.shape[-1]):
-        total += terms[..., j]
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +256,15 @@ def simulate(model: LqMeanFieldModel, policy: GainSchedule, seed: int, run: int 
     """
     policy = _check_policy(model, policy)
     seed, run = _stream_word(seed, "seed"), _stream_word(run, "run")
+    # before the loop, so that its transient JSON and the trace never coexist
+    fingerprint = model.fingerprint()
     totals, recorded = _closed_loop(model, policy, seed, run, 1, record=True)
     return SimulationTrace(
         model=model,
         seed=seed,
         run=run,
         rng_scheme=RNG_SCHEME,
-        model_fingerprint=model.fingerprint(),
+        model_fingerprint=fingerprint,
         total_cost=float(totals[0]),
         **{name: None if arr is None else arr[0] for name, arr in recorded.items()},
     )
@@ -497,22 +381,26 @@ def _mc_plan(model: LqMeanFieldModel, runs: int, workers: int | None) -> tuple[i
     at a time, and the runs in each (the last may hold fewer).
 
     `workers` defaults to the usable CPUs. The chunks in flight share
-    `_MC_CHUNK_BYTES`: each worker gets an equal share, there are no more
-    workers than shares that hold a whole run, and a chunk holds one run
-    even when that run alone is larger. There are no more processes than
-    chunks.
+    `_MC_CHUNK_BYTES` equally, with no more workers than shares that hold a
+    run, nor than chunks; a chunk holds one run even if that alone is larger.
     """
     if workers is None:
         workers = _usable_cpus()
     _, Lw, Lv = _noise_factors(model)
-    T = model.horizon
-    # a run's rank-sized noise and the kernel's working arrays, per agent
-    agent_floats = _MC_WORK_FLOATS * model.d_x + (T - 1) * Lw.shape[1]
-    if Lv is not None:
-        agent_floats += T * Lv.shape[1]
-    run_bytes = 8 * model.n_agents * agent_floats
-    workers = max(1, min(workers, _MC_CHUNK_BYTES // run_bytes))
-    chunk = max(1, _MC_CHUNK_BYTES // workers // run_bytes)
+    T, d_x, d_u = model.horizon, model.d_x, model.d_u
+    d_y = 0 if Lv is None else model.d_y
+    wide = max(d_x, d_u, d_y)
+    # per agent, `_closed_loop`'s planes: the rank-sized noise, x and x_next
+    # (xhat, xhat_next), u (innovation), h, tmp and q
+    agent_floats = ((T - 1) * Lw.shape[1] + (0 if Lv is None else T * Lv.shape[1])
+                    + (4 if d_y else 2) * d_x + d_u + d_y + 2 * wide + 1)
+    # per run: z, zf, h_z, tmp_z and three costs
+    run_bytes = 8 * (model.n_agents * agent_floats + d_x + 3 * wide + 3)
+    # once per process: numpy's ufunc buffers, np.getbufsize() elements for
+    # each of an operation's three operands at most
+    fixed = 24 * np.getbufsize()
+    workers = max(1, min(workers, _MC_CHUNK_BYTES // (fixed + run_bytes)))
+    chunk = max(1, (_MC_CHUNK_BYTES // workers - fixed) // run_bytes)
     return min(workers, -(-runs // chunk)), chunk
 
 
@@ -550,17 +438,14 @@ def monte_carlo_cost(
     independent closed-loop runs (run indices 0..runs-1, so run r is
     simulate(model, policy, seed, run=r) exactly).
 
-    Chunks of runs are stepped in `workers` processes forked from this one,
-    by default one per CPU the process may run on (`_usable_cpus`), never
-    more than the byte budget holds whole runs and never more than there
-    are chunks. Each worker inherits the job when it is forked, and only
-    each chunk's costs travel back. With one worker or one chunk, where the
-    platform cannot fork, or when this process runs more than one thread,
-    the chunks are stepped in this process. A chunk's size follows from the
-    model and the worker count (the chunks in flight share the budget), but
-    each run's arithmetic does not depend on its chunk, so neither does any
-    reported digit. Raises `NumericalFailure`, with its run range, when a
-    run's cost is not finite, whichever process stepped the run.
+    Chunks of runs are stepped in `workers` processes forked from this one
+    (`_mc_plan`, by default one per usable CPU). Each worker inherits the
+    job when it is forked, and only each chunk's costs travel back. With
+    one worker or one chunk, where the platform cannot fork, or when this
+    process runs more than one thread, the chunks are stepped in this
+    process. No reported digit depends on the chunking. Raises
+    `NumericalFailure`, with its run range, when a run's cost is not
+    finite, whichever process stepped the run.
     """
     policy = _check_policy(model, policy)
     runs = _whole(runs, "runs")

@@ -101,31 +101,50 @@ def v1_factor(cov: np.ndarray) -> np.ndarray:
     return eigvecs * np.sqrt(np.where(eigvals > FACTOR_CLIP * top, eigvals, 0.0))
 
 
-def v1_run_noise(model: LqMeanFieldModel, seed: int, run: int):
-    """(x1, w, v) of one run under RNG_SCHEME philox4x64-runkind-v1: a new
-    Philox per (run, kind) with key and counter given as lists (numpy
-    converts them through float64 once a word reaches 2**63), and d normals
-    per (step, agent) for a d x d covariance, mapped through its `v1_factor`."""
+def v1_run_normals(model: LqMeanFieldModel, seed: int, run: int):
+    """The raw normals (init, process, observation or None) of one run under
+    RNG_SCHEME philox4x64-runkind-v1: a new Philox per (run, kind) with key
+    and counter given as lists (numpy converts them through float64 once a
+    word reaches 2**63), and d normals per (step, agent) for a d x d
+    covariance."""
 
     def normals(kind, shape):
         bits = np.random.Philox(key=[seed, V1_KEY_SALT], counter=[0, 0, run, kind])
         return np.random.Generator(bits).standard_normal(shape)
 
     T, n = model.horizon, model.n_agents
-    x1 = model.mu_X + normals(0, (n, model.d_x)) @ v1_factor(model.Sigma_X).T
-    w = normals(1, (T - 1, n, model.d_x)) @ v1_factor(model.Sigma_W).T
-    v = None
-    if model.observation_mode == "noisy":
-        v = normals(2, (T, n, model.d_y)) @ v1_factor(model.Sigma_V).T
+    noisy = model.observation_mode == "noisy"
+    return (normals(0, (n, model.d_x)), normals(1, (T - 1, n, model.d_x)),
+            normals(2, (T, n, model.d_y)) if noisy else None)
+
+
+def v1_run_noise(model: LqMeanFieldModel, seed: int, run: int):
+    """(x1, w, v) of one run under RNG_SCHEME v1: its `v1_run_normals`
+    mapped through their `v1_factor`s by matmul."""
+    init, process, obs = v1_run_normals(model, seed, run)
+    x1 = model.mu_X + init @ v1_factor(model.Sigma_X).T
+    w = process @ v1_factor(model.Sigma_W).T
+    v = None if obs is None else obs @ v1_factor(model.Sigma_V).T
     return x1, w, v
+
+
+def declared_map(normals: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Normals (..., r) mapped through a (d, r) factor as RNG_SCHEME v3
+    declares it: component i is the left-to-right sum of the rounded
+    products factor[i, j] * normals[..., j]."""
+    mapped = normals[..., 0, None] * factor[:, 0]
+    for j in range(1, factor.shape[1]):
+        mapped = mapped + normals[..., j, None] * factor[:, j]
+    return mapped
 
 
 # ---------------------------------------------------------------------------
 # population cost and mean
 
 def mean_over_agents(values: np.ndarray) -> np.ndarray:
-    """Population average with a fixed summation order (ascending agent index)."""
-    return np.add.reduce(values, axis=0) / values.shape[0]
+    """Population average of (n, d) values as the closed loop takes it:
+    np.add.reduce of each component's contiguous row of n agents, over n."""
+    return np.add.reduce(np.ascontiguousarray(values.T), axis=-1) / values.shape[0]
 
 
 def step_cost(

@@ -3,8 +3,8 @@ input given as a scalar, a single matrix or a per-step sequence: model
 construction, the stacked oracle on full-observation models, and the exact
 policy cost against Monte Carlo in both modes and, under noisy observation,
 against the filter recursion. Also: a re-pointed noise generator draws its
-fresh substream, and full-rank noise keeps the bits of RNG_SCHEME v1 where
-v2 promises them."""
+fresh substream, and full-rank noise draws the normals of RNG_SCHEME v1
+where v3 promises them, mapped by v3's declared sum."""
 import json
 from dataclasses import replace
 
@@ -15,8 +15,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from mflqg import build_model, check_equivalence, model_from_dict, model_to_dict
-from mflqg import sim
-from helpers import V1_KEY_SALT, random_model, v1_run_noise
+from mflqg import noise, sim
+from helpers import V1_KEY_SALT, declared_map, random_model, v1_factor, v1_run_normals
 
 ARRAYS = ("A", "B", "D", "Q", "R", "P", "Sigma_X", "Sigma_W", "mu_X", "Cx", "Cz", "Sigma_V",
           "state_offset")
@@ -175,7 +175,7 @@ def test_exact_blocks_carry_the_filter_error_covariance(inputs):
 
 
 U64 = st.integers(0, 2**64 - 1)
-KINDS = st.sampled_from([sim._KIND_INIT, sim._KIND_PROCESS, sim._KIND_OBS])
+KINDS = st.sampled_from([noise._KIND_INIT, noise._KIND_PROCESS, noise._KIND_OBS])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -184,7 +184,7 @@ KINDS = st.sampled_from([sim._KIND_INIT, sim._KIND_PROCESS, sim._KIND_OBS])
 @example(seed=2**60 + 1, run=2**64 - 1, kind=1, earlier=None)
 @example(seed=2**60 + 100, run=2**63 + 1, kind=0, earlier=(2**64 - 1, 2))
 def test_repointed_generator_draws_the_fresh_substream(seed, run, kind, earlier):
-    substream = sim._reusable_substream(seed)
+    substream = noise._reusable_substream(seed)
     if earlier is not None:
         # a partial draw leaves the Philox buffer half used
         substream(*earlier).standard_normal(5)
@@ -194,7 +194,7 @@ def test_repointed_generator_draws_the_fresh_substream(seed, run, kind, earlier)
     assert state["counter"].tolist() == [0, 0, run, kind]
     got = np.empty((3, 4))
     generator.standard_normal(out=got)
-    assert np.array_equal(got, sim._substream(seed, run, kind).standard_normal((3, 4)))
+    assert np.array_equal(got, noise._substream(seed, run, kind).standard_normal((3, 4)))
     if seed < 2**53 and run < 2**63:
         # the key and counter given as lists, as RNG_SCHEME v1 defined them
         listed = np.random.Philox(key=[seed, V1_KEY_SALT], counter=[0, 0, run, kind])
@@ -205,14 +205,20 @@ def test_repointed_generator_draws_the_fresh_substream(seed, run, kind, earlier)
 @given(st.sampled_from(["full", "noisy"]), st.integers(1, 4), st.integers(1, 4),
        st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1),
        st.integers(0, 2**53 - 1), st.integers(0, 2**63 - 2))
-def test_full_rank_noise_keeps_v1_bits(mode, n, T, d_x, d_y, model_seed, seed, run):
+def test_full_rank_noise_maps_the_v1_normals(mode, n, T, d_x, d_y, model_seed, seed, run):
+    # full-rank noise draws v1's (and v2's) normals; v3 maps them through
+    # the factor by its declared left-to-right sum, and adds mu_X last
     model = random_model(np.random.default_rng(model_seed), mode=mode, n_agents=n,
                          horizon=T, d_x=d_x, d_y=d_y)
-    assert all(L.shape[0] == L.shape[1] for L in sim._noise_factors(model) if L is not None)
+    factors = noise._noise_factors(model)
+    assert all(L.shape[0] == L.shape[1] for L in factors if L is not None)
     policy = sim.optimal_strategy(model)
     for i in range(2):
         trace = sim.simulate(model, policy, seed, run + i)
-        want = v1_run_noise(model, seed, run + i)
+        normals = v1_run_normals(model, seed, run + i)
+        want = [None if g is None else declared_map(g, v1_factor(cov))
+                for g, cov in zip(normals, (model.Sigma_X, model.Sigma_W, model.Sigma_V))]
+        want[0] = want[0] + model.mu_X
         for got, ref in zip((trace.states[0], trace.process_noise, trace.obs_noise), want):
             assert (got is None) == (ref is None)
             if ref is not None:

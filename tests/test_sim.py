@@ -1,4 +1,6 @@
+import ast
 import csv
+import inspect
 import os
 import threading
 import tracemalloc
@@ -26,7 +28,7 @@ from mflqg import (
     solve_control_riccati,
     solve_filter_riccati,
 )
-from mflqg import sim
+from mflqg import linalg, noise, sim
 from mflqg.linalg import symmetrize
 from helpers import (
     SMALL_NOISY_MODEL,
@@ -48,13 +50,24 @@ def zero_policy(horizon, d_x, d_u):
 
 
 def mc_run_bytes(model):
-    """Bytes one Monte Carlo run holds: rank-sized process and observation
-    noise and the kernel's working arrays, per agent."""
-    _, Lw, Lv = sim._noise_factors(model)
-    rank_v = 0 if Lv is None else Lv.shape[1]
-    T = model.horizon
-    return 8 * model.n_agents * (sim._MC_WORK_FLOATS * model.d_x + (T - 1) * Lw.shape[1]
-                                 + T * rank_v)
+    """Bytes one Monte Carlo run holds. Per agent: its rank-sized process
+    and observation noise, and the kernel's planes by component kind: two
+    of the state (four, with the estimate), one of the action (and of the
+    innovation), two scratch planes of the widest kind and one of cost
+    terms. Per run: the mean-field, three planes of the widest kind for its
+    products, and three costs."""
+    _, Lw, Lv = noise._noise_factors(model)
+    T, d_x, d_u = model.horizon, model.d_x, model.d_u
+    d_y, rank_v = (0, 0) if Lv is None else (model.d_y, Lv.shape[1])
+    wide = max(d_x, d_u, d_y)
+    per_agent = ((T - 1) * Lw.shape[1] + T * rank_v + (4 if Lv is not None else 2) * d_x
+                 + d_u + d_y + 2 * wide + 1)
+    return 8 * (model.n_agents * per_agent + d_x + 3 * wide + 3)
+
+
+# numpy's ufunc buffers, which each process holds once: at most
+# np.getbufsize() floats for each of an operation's three operands
+UFUNC_BYTES = 24 * np.getbufsize()
 
 
 class TestSimulate:
@@ -82,12 +95,16 @@ class TestSimulate:
             assert np.allclose(trace.states[k + 1, 0], expected, rtol=0, atol=1e-13)
 
     def test_meanfield_matches_fixed_summation(self):
+        # 12 agents: numpy sums a contiguous row of 8 or more pairwise, so
+        # this pins that the agent axis is the contiguous one
         rng = np.random.default_rng(30)
-        model = random_model(rng, n_agents=5)
-        trace = simulate(model, optimal_strategy(model), seed=3)
-        for k in range(model.horizon):
-            assert np.array_equal(trace.meanfield[k], mean_over_agents(trace.states[k]))
-            assert np.array_equal(trace.mean_control[k], mean_over_agents(trace.actions[k]))
+        for n_agents in (5, 12):
+            model = random_model(rng, n_agents=n_agents)
+            trace = simulate(model, optimal_strategy(model), seed=3)
+            for k in range(model.horizon):
+                assert np.array_equal(trace.meanfield[k], mean_over_agents(trace.states[k]))
+                assert np.array_equal(trace.mean_control[k],
+                                      mean_over_agents(trace.actions[k]))
 
     def test_recorded_costs_match_recomputation(self):
         rng = np.random.default_rng(31)
@@ -528,17 +545,16 @@ class TestMonteCarlo:
 
 
     # float.hex of simulate(seed, run=3).total_cost and of the Monte Carlo
-    # mean and stderr, recorded before the noise was held rank-sized in the
-    # chunk. The product with the covariance factor runs in whichever BLAS
-    # kernel numpy picks for the operands' shapes and layout, so these
-    # digits also pin that choice.
+    # mean and stderr under RNG_SCHEME v3. Every product in the closed loop
+    # is a declared left-to-right sum of numpy elementwise operations, so
+    # these digits follow from that arithmetic alone, not from a BLAS kernel
     PINNED = {
         "heater": (heater_model, 7, 600,
-                   "0x1.96268861c3f92p+8", "0x1.7949c2b20cd1ep+8", "0x1.efdfae165d5f7p+0"),
+                   "0x1.96268861c3f91p+8", "0x1.7949c2b20cd1dp+8", "0x1.efdfae165d5f8p+0"),
         "noisy_full_rank": (
             lambda: random_model(np.random.default_rng(70), mode="noisy", n_agents=4, d_x=3,
                                  d_u=2, d_y=2, horizon=12),
-            9, 300, "0x1.cc4a711eb8d2dp+7", "0x1.590b4de0c27dap+7", "0x1.7b649ac60b432p+1"),
+            9, 300, "0x1.cc4a711eb8d2cp+7", "0x1.590b4de0c27d9p+7", "0x1.7b649ac60b432p+1"),
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
@@ -577,8 +593,9 @@ class TestMonteCarlo:
             # processes start than there are chunks; a budget below one run
             # still steps one run per chunk, in one process
             for budget, shares, per_chunk in [
-                (run_bytes // 2, 1, 1), (count * run_bytes, count, 1),
-                (count * (3 * run_bytes + 7), count, 3), (6 * run_bytes + 7, count, 6 // count),
+                (run_bytes // 2, 1, 1), (count * (UFUNC_BYTES + run_bytes), count, 1),
+                (count * (UFUNC_BYTES + 3 * run_bytes + 7), count, 3),
+                (6 * run_bytes + count * UFUNC_BYTES + 7, count, 6 // count),
             ]:
                 monkeypatch.setattr(sim, "_MC_CHUNK_BYTES", budget)
                 sizes = [per_chunk] * (8 // per_chunk) + ([8 % per_chunk] if 8 % per_chunk else [])
@@ -592,25 +609,28 @@ class TestMonteCarlo:
                     assert monte_carlo_cost(model, policy, runs=8, seed=1,
                                             workers=workers) == reference
                 assert chunks == sizes
-                assert all(size * run_bytes <= budget // shares or size == 1 for size in chunks)
+                assert all(UFUNC_BYTES + size * run_bytes <= budget // shares or size == 1
+                           for size in chunks)
 
     def test_worker_count_is_capped(self, monkeypatch):
         # however many CPUs there are, no count starts more processes than
         # the byte budget holds whole runs, nor more than there are chunks: a
-        # heater run at n = 2,000 holds 2 MB, so 16 runs stepped one per
-        # process would keep 32 MB in flight
+        # heater run at n = 2,000 holds 1.6 MB, so 16 runs stepped one per
+        # process would keep 26 MB in flight
         model = replace(heater_model(), n_agents=2000)
-        assert mc_run_bytes(model) == 2_000_000
-        shares = sim._MC_CHUNK_BYTES // 2_000_000
+        run_bytes = mc_run_bytes(model)
+        assert run_bytes == 1_648_120
+        shares = sim._MC_CHUNK_BYTES // (UFUNC_BYTES + run_bytes)
         monkeypatch.setattr(sim, "_usable_cpus", lambda: 64)
         for workers in (None, 64):
             assert sim._mc_plan(model, 16, workers) == (shares, 1)
             assert sim._mc_plan(model, 3, workers) == (3, 1)
-        assert sim._mc_plan(model, 16, 3) == (3, sim._MC_CHUNK_BYTES // 3 // 2_000_000)
+        assert sim._mc_plan(model, 16, 3) == (
+            3, (sim._MC_CHUNK_BYTES // 3 - UFUNC_BYTES) // run_bytes)
         # the capped count in use, at a budget of three runs: three processes
         policy = optimal_strategy(model)
         reference = monte_carlo_cost(model, policy, runs=6, seed=2, workers=1)
-        monkeypatch.setattr(sim, "_MC_CHUNK_BYTES", 3 * 2_000_000)
+        monkeypatch.setattr(sim, "_MC_CHUNK_BYTES", 3 * (UFUNC_BYTES + run_bytes))
         assert sim._mc_plan(model, 6, 64) == (3, 1)
         assert monte_carlo_cost(model, policy, runs=6, seed=2, workers=64) == reference
 
@@ -621,7 +641,7 @@ class TestMonteCarlo:
         model = build_model(horizon=400, n_agents=3, A=10.0, B=1.0, Q=0.0, R=1.0,
                             Sigma_X=1.0, Sigma_W=1.0)
         policy = optimal_strategy(model)
-        monkeypatch.setattr(sim, "_MC_CHUNK_BYTES", 4 * mc_run_bytes(model))
+        monkeypatch.setattr(sim, "_MC_CHUNK_BYTES", 2 * (UFUNC_BYTES + 2 * mc_run_bytes(model)))
         assert sim._mc_plan(model, 4, 2) == (2, 2)
         with pytest.raises(NumericalFailure, match=r"not finite in runs 0\.\.1$"):
             monte_carlo_cost(model, policy, runs=4, seed=0, workers=2)
@@ -663,108 +683,118 @@ class TestUsableCpus:
 
 
 # ---------------------------------------------------------------------------
-# Reference implementation: the closed-loop kernel with a new Philox
-# generator built per (run, kind), each run's noise drawn into temporaries
-# and copied into the chunk, and the population and component sums taken by
-# np.add.reduce. Its noise half is written independently from the RNG_SCHEME
-# v2 definition: exact uint64 key and counter, rank(Sigma) normals per
-# (step, agent), mapped through the eigenvector columns whose clipped
-# eigenvalue is nonzero. The kernel must reproduce it bit for bit, zero
-# signs included.
+# Reference implementation: the closed loop's declared arithmetic, stepped
+# one run, one agent and one component at a time in Python floats. Its
+# noise half is written independently from the RNG_SCHEME v3 definition:
+# exact uint64 key and counter, a new Philox generator per (run, kind),
+# rank(Sigma) normals per (step, agent) in (step, agent, direction) order,
+# mapped through the eigenvector columns whose clipped eigenvalue is
+# nonzero. A product M v is the left-to-right sum of the rounded products
+# M[i][j] * v[j]; an agent sum is np.add.reduce of a contiguous 1-D row.
+# The kernel must reproduce it bit for bit, zero signs included.
 
-V2_KEY_SALT = 0x9E3779B97F4A8000
+V3_KEY_SALT = 0x9E3779B97F4A8000
 
 
-def parent_substream(seed: int, run: int, kind: int) -> np.random.Generator:
+def reference_substream(seed: int, run: int, kind: int) -> np.random.Generator:
     """A new Philox stream for one (run, kind), key and counter as exact uint64."""
-    key = np.array([seed, V2_KEY_SALT], dtype=np.uint64)
+    key = np.array([seed, V3_KEY_SALT], dtype=np.uint64)
     counter = np.array([0, 0, run, kind], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def kept_factor(cov):
-    """The nonzero columns of the clipped eigen-factor of `cov`, C-ordered:
-    BLAS picks its kernel by the operands' layout, so the digits of a
-    product with the factor depend on it."""
+    """The nonzero columns of the clipped eigen-factor of `cov`."""
     square = v1_factor(cov)
-    return np.ascontiguousarray(square[:, np.any(square != 0.0, axis=0)])
+    return square[:, np.any(square != 0.0, axis=0)]
 
 
-def parent_noise_factors(model):
-    """Kept factors of the three noise covariances (observation last, or None)."""
-    Lv = kept_factor(model.Sigma_V) if model.observation_mode == "noisy" else None
-    return kept_factor(model.Sigma_X), kept_factor(model.Sigma_W), Lv
+def fold(terms, start=None):
+    """The left-to-right sum of `terms` onto `start`, or, without one, from
+    the first term on; an empty sum is +0.0."""
+    total = start
+    for term in terms:
+        total = term if total is None else total + term
+    return 0.0 if total is None else total
 
 
-def parent_draw_run_noise(model, seed: int, run: int, factors):
-    """All randomness for one run, in the (step, agent, direction) layout,
-    given the kept factors of the model."""
-    T, n = model.horizon, model.n_agents
-    Lx, Lw, Lv = factors
-    init = parent_substream(seed, run, 0).standard_normal((n, Lx.shape[1]))
-    x1 = model.mu_X + init @ Lx.T
-    proc = parent_substream(seed, run, 1).standard_normal((T - 1, n, Lw.shape[1]))
-    w = proc @ Lw.T
-    v = None
-    if model.observation_mode == "noisy":
-        obs = parent_substream(seed, run, 2).standard_normal((T, n, Lv.shape[1]))
-        v = obs @ Lv.T
-    return x1, w, v
+def dot(row, values, start=None):
+    return fold([coefficient * value for coefficient, value in zip(row, values)], start)
 
 
-def parent_closed_loop(model, policy, seed: int, first_run: int, runs: int, record: bool = False):
-    """Step runs first_run..first_run+runs-1 through the closed loop together."""
-    T, n, d_x, d_y = model.horizon, model.n_agents, model.d_x, model.d_y
+def matvec(M, values):
+    return [dot(row, values) for row in M.tolist()]
+
+
+def quadratic(W, values, start=None):
+    """v'Wv as the left-to-right sum of v[i] * h[i], onto `start`: h[i] is
+    W[i][i] * v[i], then + (W[i][j] + W[j][i]) * v[j] for j = i+1, ..."""
+    W, d = W.tolist(), len(values)
+    return fold([values[i] * fold([(W[i][j] + W[j][i]) * values[j] for j in range(i + 1, d)],
+                                  W[i][i] * values[i])
+                 for i in range(d)], start)
+
+
+def agent_mean(values) -> float:
+    return float(np.add.reduce(np.array(values))) / len(values)
+
+
+def reference_run(model, policy, seed: int, run: int):
+    """One run: its per-step costs and every recorded field, step-major."""
+    T, n, d_x = model.horizon, model.n_agents, model.d_x
     noisy = model.observation_mode == "noisy"
     Fx, Fz = policy.Kx, policy.Kz - policy.Kx
-
-    factors = parent_noise_factors(model)
-    x1 = np.empty((runs, n, d_x))
-    w = np.empty((runs, T - 1, n, d_x))
-    v = np.empty((runs, T, n, d_y)) if noisy else None
-    for i in range(runs):
-        xi, wi, vi = parent_draw_run_noise(model, seed, first_run + i, factors)
-        x1[i], w[i] = xi, wi
-        if noisy:
-            v[i] = vi
-
-    x = x1
-    xhat = np.broadcast_to(model.mu_X, (runs, n, d_x)).copy() if noisy else None
-    y = None
-    per_step = np.zeros((T, runs))
-    steps = []
+    Lx, Lw = kept_factor(model.Sigma_X), kept_factor(model.Sigma_W)
+    g_x = reference_substream(seed, run, 0).standard_normal((n, Lx.shape[1])).tolist()
+    g_w = reference_substream(seed, run, 1).standard_normal((T - 1, n, Lw.shape[1])).tolist()
+    if noisy:
+        Lv = kept_factor(model.Sigma_V)
+        g_v = reference_substream(seed, run, 2).standard_normal((T, n, Lv.shape[1])).tolist()
+    mu = model.mu_X.tolist()
+    x = [[m + e for m, e in zip(mu, matvec(Lx, g_x[a]))] for a in range(n)]
+    xhat = [list(mu) for _ in range(n)] if noisy else None
+    fields = {name: [] for name in ("states", "actions", "meanfield", "mean_control",
+                                    "observations", "estimates", "step_costs",
+                                    "process_noise", "obs_noise")}
     for k in range(T):
-        z = np.add.reduce(x, axis=1, keepdims=True) / n
+        z = [agent_mean([x[a][j] for a in range(n)]) for j in range(d_x)]
         basis = xhat if noisy else x
-        u = basis @ Fx[k].T + z @ Fz[k].T
-        quad = parent_quadratic(x, model.Q[k]) + parent_quadratic(u, model.R[k])
-        per_step[k] = np.add.reduce(quad, axis=1) / n
-        per_step[k] += parent_quadratic(z, model.P[k])[:, 0]
+        zf = matvec(Fz[k], z)
+        u = [[e + f for e, f in zip(matvec(Fx[k], basis[a]), zf)] for a in range(n)]
+        per_agent = [quadratic(model.R[k], u[a], quadratic(model.Q[k], x[a]))
+                     for a in range(n)]
+        cost = float(np.add.reduce(np.array(per_agent))) / n + quadratic(model.P[k], z)
+        fields["states"].append(x)
+        fields["actions"].append(u)
+        fields["meanfield"].append(z)
+        fields["mean_control"].append([agent_mean([u[a][j] for a in range(n)])
+                                       for j in range(model.d_u)])
+        fields["step_costs"].append(cost)
         if noisy:
-            z_obs = z @ model.Cz[k].T
-            y = x @ model.Cx[k].T + z_obs + v[:, k]
-        if record:
-            steps.append((x, u, z[:, 0], np.add.reduce(u, axis=1) / n, y, xhat))
-        if k + 1 < T:
-            drift = z @ model.D[k].T
-            if noisy:
-                innovation = y - xhat @ model.Cx[k].T - z_obs
-                xhat = xhat @ model.A[k].T + u @ model.B[k].T + drift + innovation @ policy.Kf[k].T
-            x = x @ model.A[k].T + u @ model.B[k].T + drift + w[:, k]
-
-    if not record:
-        return per_step, None
-    names = ("states", "actions", "meanfield", "mean_control", "observations", "estimates")
-    recorded = {
-        name: None if column[0] is None else np.stack(column, axis=1)
-        for name, column in zip(names, zip(*steps))
-    }
-    return per_step, {**recorded, "process_noise": w, "obs_noise": v}
-
-
-def parent_quadratic(vectors: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """v' W v over the last axis, with per-run arithmetic."""
-    return np.add.reduce((vectors @ weight) * vectors, axis=-1)
+            noise = [matvec(Lv, g_v[k][a]) for a in range(n)]
+            z_obs = matvec(model.Cz[k], z)
+            y = [[(c + o) + e for c, o, e in zip(matvec(model.Cx[k], x[a]), z_obs, noise[a])]
+                 for a in range(n)]
+            fields["observations"].append(y)
+            fields["estimates"].append(xhat)
+            fields["obs_noise"].append(noise)
+        if k + 1 == T:
+            break
+        dz = matvec(model.D[k], z)
+        drive = [[b + e for b, e in zip(matvec(model.B[k], u[a]), dz)] for a in range(n)]
+        if noisy:
+            innovation = [[c + e for c, e in zip(
+                matvec(model.Cx[k], [s - t for s, t in zip(x[a], xhat[a])]), noise[a])]
+                for a in range(n)]
+            xhat = [[dot(kf, innovation[a], ax + b)
+                     for kf, ax, b in zip(policy.Kf[k].tolist(), matvec(model.A[k], xhat[a]),
+                                          drive[a])]
+                    for a in range(n)]
+        w = [matvec(Lw, g_w[k][a]) for a in range(n)]
+        x = [[(ax + b) + e for ax, b, e in zip(matvec(model.A[k], x[a]), drive[a], w[a])]
+             for a in range(n)]
+        fields["process_noise"].append(w)
+    return {name: np.array(values) if values else None for name, values in fields.items()}
 
 
 def assert_same_bits(got, want, name):
@@ -797,6 +827,8 @@ KERNEL_MODELS = {
 
 
 class TestKernelMatchesParentReference:
+    """The kernel against `reference_run`, the declared arithmetic."""
+
     @pytest.mark.parametrize("case", sorted(KERNEL_MODELS))
     @pytest.mark.parametrize("first_run, runs, record", [(5, 7, False), (3, 1, True)])
     def test_bits_match(self, case, first_run, runs, record):
@@ -805,22 +837,19 @@ class TestKernelMatchesParentReference:
             assert np.any(model.D) and model.d_y == 2
         policy = optimal_strategy(model)
         got_totals, got = sim._closed_loop(model, policy, 11, first_run, runs, record)
-        want_costs, want = parent_closed_loop(model, policy, 11, first_run, runs, record)
-        # the reference's per-step costs, folded in step order from a copy of
-        # the first step's
-        want_totals = want_costs[0].copy()
-        for step in want_costs[1:]:
-            want_totals += step
-        assert_same_bits(got_totals, want_totals, "totals")
+        want = [reference_run(model, policy, 11, first_run + i) for i in range(runs)]
+        # each run's per-step costs folded in step order from the first step's
+        assert_same_bits(got_totals, np.array([fold(r["step_costs"].tolist()) for r in want]),
+                         "totals")
         if not record:
-            assert got is None and want is None
+            assert got is None
             return
-        want = {**want, "step_costs": want_costs.T}
-        assert got.keys() == want.keys()
-        for name in want:
-            assert (got[name] is None) == (want[name] is None), name
-            if want[name] is not None:
-                assert_same_bits(got[name], want[name], name)
+        assert got.keys() == want[0].keys()
+        for name, values in want[0].items():
+            if values is None or not values.size:
+                assert got[name] is None or not got[name].size, name
+            else:
+                assert_same_bits(got[name], np.array([r[name] for r in want]), name)
 
 
 class CountingGenerator:
@@ -838,13 +867,13 @@ class CountingGenerator:
 
 def count_normals(monkeypatch):
     counts = {}
-    reusable = sim._reusable_substream
+    reusable = noise._reusable_substream
 
     def spy(seed):
         point = reusable(seed)
         return lambda run, kind: CountingGenerator(point(run, kind), (run, kind), counts)
 
-    monkeypatch.setattr(sim, "_reusable_substream", spy)
+    monkeypatch.setattr(noise, "_reusable_substream", spy)
     return counts
 
 
@@ -859,7 +888,7 @@ class TestRankSizedDraws:
         assert counts == {
             (run, kind): size
             for run in range(3)
-            for kind, size in [(sim._KIND_INIT, n), (sim._KIND_PROCESS, (T - 1) * n)]
+            for kind, size in [(noise._KIND_INIT, n), (noise._KIND_PROCESS, (T - 1) * n)]
         }
         assert sum(counts[run, kind] for run, kind in counts if run == 0) == T * n * 1
 
@@ -871,15 +900,15 @@ class TestRankSizedDraws:
                             observation_mode="noisy")
         counts = count_normals(monkeypatch)
         trace = simulate(model, optimal_strategy(model), seed=5, run=9)
-        assert counts == {(9, sim._KIND_INIT): 4 * 2, (9, sim._KIND_PROCESS): 2 * 4 * 2,
-                          (9, sim._KIND_OBS): 3 * 4 * 1}
+        assert counts == {(9, noise._KIND_INIT): 4 * 2, (9, noise._KIND_PROCESS): 2 * 4 * 2,
+                          (9, noise._KIND_OBS): 3 * 4 * 1}
         assert not np.any(trace.obs_noise[..., 0]) and np.all(trace.obs_noise[..., 1])
 
     def test_zero_covariance_draws_nothing(self, monkeypatch):
         model = KERNEL_MODELS["zero_noise"]()
         counts = count_normals(monkeypatch)
         trace = simulate(model, optimal_strategy(model), seed=5, run=2)
-        assert counts == {(2, sim._KIND_INIT): 0, (2, sim._KIND_PROCESS): 0}
+        assert counts == {(2, noise._KIND_INIT): 0, (2, noise._KIND_PROCESS): 0}
         # the same values and zero signs as RNG_SCHEME v1, which drew
         # normals and multiplied them by a zero factor
         x1, w, _ = v1_run_noise(model, 5, 2)
@@ -906,11 +935,11 @@ class TestExactStreamAddressing:
 def test_monte_carlo_memory_bound():
     # the chunks in flight together hold at most 16 MiB of rank-sized noise
     # and working arrays, whatever the worker count: one worker steps 1,024
-    # heater runs as whole-budget chunks of 559 runs in this process, where
+    # heater runs as whole-budget chunks of 667 runs in this process, where
     # tracemalloc sees them (it sees nothing a forked worker allocates)
     model = heater_model()
     policy = optimal_strategy(model)
-    assert sim._mc_plan(model, 1024, 1) == (1, 559)
+    assert sim._mc_plan(model, 1024, 1) == (1, 667)
     tracemalloc.start()
     try:
         monte_carlo_cost(model, policy, 1024, 7, workers=1)
@@ -918,6 +947,47 @@ def test_monte_carlo_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak <= 20e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+BUDGET_MODELS = {
+    # wide actions and wide observations on one state component: the
+    # planes of each kind count, not only the state's
+    "full_du8": lambda: random_model(np.random.default_rng(3), n_agents=50, d_x=1, d_u=8,
+                                     horizon=6),
+    "noisy_dy6": lambda: random_model(np.random.default_rng(4), mode="noisy", n_agents=50,
+                                      d_x=1, d_u=1, d_y=6, horizon=6),
+    "heater": heater_model,
+    "noisy_dx4": lambda: random_model(np.random.default_rng(5), mode="noisy", n_agents=100,
+                                      d_x=4, d_u=2, d_y=2, horizon=50),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUDGET_MODELS))
+def test_chunk_peak_within_budget(case):
+    # one worker's chunk, as large as the plan makes it, holds at most the
+    # whole budget, numpy's ufunc buffers included, and not much less
+    model = BUDGET_MODELS[case]()
+    policy = optimal_strategy(model)
+    processes, chunk = sim._mc_plan(model, 10**6, 1)
+    assert processes == 1 and chunk > 1
+    tracemalloc.start()
+    try:
+        sim._closed_loop(model, policy, 7, 0, chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.9 * sim._MC_CHUNK_BYTES <= peak <= sim._MC_CHUNK_BYTES, f"peak {peak} bytes"
+
+
+def test_closed_loop_calls_no_blas():
+    # every product in the closed loop and its noise is a declared sum of
+    # elementwise operations: no matrix product that BLAS would carry out
+    for function in (sim._closed_loop, noise._draw_noise, linalg._matvec, linalg._quadratic):
+        for node in ast.walk(ast.parse(inspect.getsource(function))):
+            assert not isinstance(getattr(node, "op", None), ast.MatMult), function.__name__
+            name = getattr(node, "attr", getattr(node, "id", None))
+            assert name not in {"matmul", "dot", "einsum", "vdot", "inner", "tensordot"}, (
+                function.__name__, name)
 
 
 def test_long_horizon_memory_bound():
