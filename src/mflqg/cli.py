@@ -203,6 +203,9 @@ def main(argv: list[str] | None = None) -> int:
     except MeanFieldLqgError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:  # a run count or population too large to hold
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -68,9 +68,12 @@ def _reusable_substream(seed: int):
 
 def _noise_factors(model: LqMeanFieldModel):
     """Rank-sized factors of the three noise covariances (observation last,
-    or None)."""
-    Lv = psd_factor(model.Sigma_V) if model.observation_mode == "noisy" else None
-    return psd_factor(model.Sigma_X), psd_factor(model.Sigma_W), Lv
+    or None), factored once and kept on the model for its forked workers."""
+    if "_noise_factors" not in vars(model):
+        Lv = psd_factor(model.Sigma_V) if model.observation_mode == "noisy" else None
+        object.__setattr__(model, "_noise_factors",
+                           (psd_factor(model.Sigma_X), psd_factor(model.Sigma_W), Lv))
+    return model._noise_factors
 
 
 def _draw_noise(model: LqMeanFieldModel, seed: int, first_run: int, Lx, x, w, v, scratch,

@@ -18,10 +18,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .control import GainSchedule
 from .errors import CapExceeded, IncompatibleStrategy, NumericalFailure, ValidationError
 from .model import LqMeanFieldModel
-from .riccati import ControlRiccatiSolution, solve_control_riccati
-from .sim import exact_policy_cost
+from .sim import exact_policy_cost, optimal_strategy
 
 STACKED_DIM_CAP = 400
 
@@ -133,8 +133,7 @@ def _noise_trace(M: np.ndarray, stacked: StackedModel) -> float:
     return float(np.add.reduce(np.diagonal(products, axis1=1, axis2=2).reshape(-1)))
 
 
-def solve_stacked_riccati(stacked: StackedModel,
-                          policy: ControlRiccatiSolution) -> StackedRiccatiSolution:
+def solve_stacked_riccati(stacked: StackedModel, policy: GainSchedule) -> StackedRiccatiSolution:
     """Textbook finite-horizon backward recursion on the stacked problem.
 
     Kept independent of the production solver: plain LU solves, plain
@@ -189,10 +188,10 @@ def centralized_cost(stacked: StackedModel, solution: StackedRiccatiSolution) ->
     return cost
 
 
-def _structured_gain(solution: ControlRiccatiSolution, n: int, k: int) -> np.ndarray:
-    """Stacked gain of step k implied by the mean-field solution:
-    identical diagonal blocks Kx plus uniform coupling (Kz - Kx)/n."""
-    return _exchangeable(solution.Kx[k], (solution.Kz[k] - solution.Kx[k]) * (1.0 / n), n)
+def _structured_gain(policy: GainSchedule, n: int, k: int) -> np.ndarray:
+    """Stacked gain of step k implied by the mean-field policy: identical
+    diagonal blocks Kx plus uniform coupling (Kz - Kx)/n."""
+    return _exchangeable(policy.Kx[k], (policy.Kz[k] - policy.Kx[k]) * (1.0 / n), n)
 
 
 def _gain_residual(K: np.ndarray, structured: np.ndarray) -> float:
@@ -206,16 +205,16 @@ def _gain_residual(K: np.ndarray, structured: np.ndarray) -> float:
 def check_equivalence(model: LqMeanFieldModel, tolerance: float = 1e-8) -> EquivalenceReport:
     """Compare the mean-field answer against the stacked oracle.
 
-    Checks two things at the model's population size n = n_agents: (1)
-    every stacked-optimal gain matrix equals its mean-field-structured
-    counterpart in relative Frobenius norm; (2) the decentralized
-    controller's exact expected cost equals the centralized optimal cost in
-    relative terms. Passes iff both
-    maxima are within tolerance, which must be finite and >= 0. The
-    stacked oracle supports full observation only, so a noisy-observation
-    model raises `IncompatibleStrategy` before any solve. A gain residual
-    or a centralized cost that is not finite raises `NumericalFailure`,
-    naming its step.
+    Checks two things of the one policy `optimal_strategy` gives, at the
+    model's population size n = n_agents: (1) every stacked-optimal gain
+    matrix equals the policy's structured counterpart in relative Frobenius
+    norm; (2) the policy's exact expected cost equals the centralized
+    optimal cost in relative terms. Passes iff both maxima are within
+    tolerance, which must be finite and >= 0. The stacked oracle supports
+    full observation only, so a noisy-observation model raises
+    `IncompatibleStrategy` before any solve. A gain residual or a
+    centralized cost that is not finite raises `NumericalFailure`, naming
+    its step.
     """
     tolerance = float(tolerance)
     if not 0.0 <= tolerance < np.inf:
@@ -224,12 +223,12 @@ def check_equivalence(model: LqMeanFieldModel, tolerance: float = 1e-8) -> Equiv
         raise IncompatibleStrategy("the stacked oracle supports full observation only")
     n = model.n_agents
 
-    decentralized = solve_control_riccati(model)
+    policy = optimal_strategy(model)
     stacked = build_stacked_model(model)
-    central = solve_stacked_riccati(stacked, decentralized)
+    central = solve_stacked_riccati(stacked, policy)
 
     cost_central = centralized_cost(stacked, central)
-    cost_decentral = exact_policy_cost(model, decentralized.gain_schedule()).total
+    cost_decentral = exact_policy_cost(model, policy).total
     gap = abs(cost_central - cost_decentral)
     if cost_central != 0.0:
         gap /= abs(cost_central)

@@ -4,8 +4,8 @@ The optimal population controller needs two value recursions of state size
 d_x instead of one of size n*d_x: one in deviation-from-mean coordinates
 (weight Q_t, dynamics A_t) and one in mean-field coordinates (weight
 Q_t + P_t, dynamics A_t + D_t). Neither depends on the population size or
-on any noise covariance. The filter recursion propagates the per-subsystem
-estimation error covariance forward and yields the local filter gains.
+on any noise covariance. The filter recursion, the same step run forward on
+the dual (A_t', Cx_t', Sigma_W, Sigma_V), yields the local filter gains.
 """
 from __future__ import annotations
 
@@ -82,14 +82,16 @@ def solve_control_riccati(model: LqMeanFieldModel) -> ControlRiccatiSolution:
     return ControlRiccatiSolution(Mx=Mx, Mz=Mz, Kx=Kx, Kz=Kz)
 
 
-def _riccati_step(A, B, Qeff, R, M_next):
-    """One backward step: gain K = -(B'MB + R)^{-1} B'MA and updated value."""
+def _riccati_step(A, B, Qeff, R, M_next, names=("control recursion", "B'MB + R", "value matrix")):
+    """One backward step: gain K = -(B'MB + R)^{-1} B'MA and updated value,
+    a failure naming the recursion, B'MB + R and the value as `names` does."""
+    recursion, curvature, value = names
     MB = M_next @ B
-    H = symmetrize(B.T @ MB + R, "B'MB + R")
+    H = symmetrize(MB.T @ B + R, curvature)
     G = MB.T @ A
-    K = -spd_solve(H, G, context="control recursion (B'MB + R)")
+    K = -spd_solve(H, G, context=f"{recursion} ({curvature})")
     M = Qeff + A.T @ M_next @ A + G.T @ K
-    return K, symmetrize(M, "value matrix")
+    return K, symmetrize(M, value)
 
 
 def _check_finite(context: str, **arrays: np.ndarray) -> None:
@@ -102,10 +104,10 @@ def _check_finite(context: str, **arrays: np.ndarray) -> None:
 def solve_filter_riccati(model: LqMeanFieldModel) -> FilterRiccatiSolution:
     """Run the forward error-covariance recursion for the local estimator.
 
-    Starting from the initial-state covariance, each step computes the
-    innovation covariance Cx S Cx' + Sigma_V, the gain
-    Kf_t = A_t S Cx' (innovation)^{-1}, and the next covariance
-    S' = A_t S A_t' + Sigma_W - A_t S Cx' (innovation)^{-1} Cx S A_t'.
+    From S = Sigma_X, each step is `_riccati_step` on the dual system
+    (A_t', Cx_t', Sigma_W, Sigma_V, S): the innovation covariance
+    Cx S Cx' + Sigma_V, the gain Kf_t = A_t S Cx' (innovation)^{-1} = -K',
+    and the next covariance S' = Sigma_W + A_t S A_t' - Kf_t Cx S A_t'.
     The mean-field observation term cancels in the innovation, so the
     result does not depend on Cz or on n_agents. A singular innovation
     covariance or an overflow is reported as NumericalFailure (an
@@ -122,15 +124,11 @@ def solve_filter_riccati(model: LqMeanFieldModel) -> FilterRiccatiSolution:
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(T - 1):
-            A, Cx = model.A[k], model.Cx[k]
-            S = Sigma_e[k]
-            innovation = symmetrize(Cx @ S @ Cx.T + model.Sigma_V, "innovation covariance")
-            CSA = Cx @ S @ A.T
-            gain_t = spd_solve(innovation, CSA,
-                               context="filter recursion (innovation covariance)")
-            Kf[k] = gain_t.T
-            S_next = A @ S @ A.T + model.Sigma_W - CSA.T @ gain_t
-            Sigma_e[k + 1] = symmetrize(S_next, "error covariance")
+            # S' is S exactly; passed as S', the product S Cx' rounds as Cx S does
+            K, Sigma_e[k + 1] = _riccati_step(
+                model.A[k].T, model.Cx[k].T, model.Sigma_W, model.Sigma_V, Sigma_e[k].T,
+                ("filter recursion", "innovation covariance", "error covariance"))
+            Kf[k] = -K.T
             _check_finite(f"filter recursion at step {k + 2}", Sigma_e=Sigma_e[k + 1])
 
     _check_finite("filter recursion", Sigma_e=Sigma_e, Kf=Kf)

@@ -17,6 +17,7 @@ raises `NumericalFailure`.
 """
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -98,6 +99,19 @@ def _check_policy(model: LqMeanFieldModel, policy) -> GainSchedule:
 # ---------------------------------------------------------------------------
 # closed loop
 
+def _chunk_shapes(model: LqMeanFieldModel, runs: int) -> list:
+    """The shape of every array `_closed_loop` holds for `runs` runs, each
+    with a run axis, in the order it unpacks them (false where none)."""
+    T, n, d_x, d_u, d_y = model.horizon, model.n_agents, model.d_x, model.d_u, model.d_y
+    _, Lw, Lv = _noise_factors(model)
+    noisy = Lv is not None
+    wide = max(d_x, d_u, d_y if noisy else 0)
+    planes = (d_x, d_x, noisy and d_x, noisy and d_x, d_u, noisy and d_y, wide, wide)
+    return ([(Lw.shape[1], runs, T - 1, n), noisy and (Lv.shape[1], runs, T, n)]
+            + [d and (d, runs, n) for d in planes] + [(runs, n), (d_x, runs, 1)]
+            + [(wide, runs, 1)] * 3 + [(runs, 1)] * 3)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _closed_loop(
     model: LqMeanFieldModel, policy: GainSchedule, seed: int, first_run: int, runs: int,
@@ -116,18 +130,8 @@ def _closed_loop(
     noisy = model.observation_mode == "noisy"
     Fx, Fz = policy.Kx, policy.Kz - policy.Kx
     Lx, Lw, Lv = _noise_factors(model)
-    wide = max(d_x, d_u, d_y if noisy else 0)
-    w = np.empty((Lw.shape[1], runs, T - 1, n))
-    v = np.empty((Lv.shape[1], runs, T, n)) if noisy else None
-    x, x_next = np.empty((2, d_x, runs, n))
-    xhat, xhat_next = np.empty((2, d_x, runs, n)) if noisy else (None, None)
-    u, innovation = np.empty((d_u, runs, n)), np.empty((d_y, runs, n)) if noisy else None
-    h, tmp = np.empty((2, wide, runs, n))
-    q = np.empty((runs, n))
-    # per run: the mean-field, its products and the costs
-    z = np.empty((d_x, runs, 1))
-    zf, h_z, tmp_z = np.empty((3, wide, runs, 1))
-    cost, zq, totals = np.empty((3, runs, 1))
+    (w, v, x, x_next, xhat, xhat_next, u, innovation, h, tmp, q, z, zf, h_z, tmp_z, cost, zq,
+     totals) = (np.empty(shape) if shape else None for shape in _chunk_shapes(model, runs))
     _draw_noise(model, seed, first_run, Lx, x, w, v, x_next, h)
     if noisy:
         xhat[...] = model.mu_X[:, None, None]
@@ -382,20 +386,12 @@ def _mc_plan(model: LqMeanFieldModel, runs: int, workers: int | None) -> tuple[i
 
     `workers` defaults to the usable CPUs. The chunks in flight share
     `_MC_CHUNK_BYTES` equally, with no more workers than shares that hold a
-    run, nor than chunks; a chunk holds one run even if that alone is larger.
+    run (the arrays of `_chunk_shapes` at one run), nor than chunks; a chunk
+    holds one run even if that alone is larger.
     """
     if workers is None:
         workers = _usable_cpus()
-    _, Lw, Lv = _noise_factors(model)
-    T, d_x, d_u = model.horizon, model.d_x, model.d_u
-    d_y = 0 if Lv is None else model.d_y
-    wide = max(d_x, d_u, d_y)
-    # per agent, `_closed_loop`'s planes: the rank-sized noise, x and x_next
-    # (xhat, xhat_next), u (innovation), h, tmp and q
-    agent_floats = ((T - 1) * Lw.shape[1] + (0 if Lv is None else T * Lv.shape[1])
-                    + (4 if d_y else 2) * d_x + d_u + d_y + 2 * wide + 1)
-    # per run: z, zf, h_z, tmp_z and three costs
-    run_bytes = 8 * (model.n_agents * agent_floats + d_x + 3 * wide + 3)
+    run_bytes = 8 * sum(math.prod(shape) for shape in _chunk_shapes(model, 1) if shape)
     # once per process: numpy's ufunc buffers, np.getbufsize() elements for
     # each of an operation's three operands at most
     fixed = 24 * np.getbufsize()
@@ -440,11 +436,11 @@ def monte_carlo_cost(
 
     Chunks of runs are stepped in `workers` processes forked from this one
     (`_mc_plan`, by default one per usable CPU). Each worker inherits the
-    job when it is forked, and only each chunk's costs travel back. With
-    one worker or one chunk, where the platform cannot fork, or when this
-    process runs more than one thread, the chunks are stepped in this
-    process. No reported digit depends on the chunking. Raises
-    `NumericalFailure`, with its run range, when a run's cost is not
+    job, noise factors included, when it is forked, and only each chunk's
+    costs travel back. With one worker or one chunk, where the platform
+    cannot fork, or when this process runs more than one thread, the chunks
+    are stepped in this process. No reported digit depends on the chunking.
+    Raises `NumericalFailure`, with its run range, when a run's cost is not
     finite, whichever process stepped the run.
     """
     policy = _check_policy(model, policy)
@@ -455,10 +451,11 @@ def monte_carlo_cost(
     if workers is not None:
         workers = _count(workers, "workers")
 
+    # allocated first: a run count that cannot be held fails before any work
+    costs = np.empty(runs)
     processes, chunk = _mc_plan(model, runs, workers)
     starts = range(0, runs, chunk)
-    counts = [min(chunk, runs - start) for start in starts]
-    costs = np.empty(runs)
+    counts = (min(chunk, runs - start) for start in starts)
     if processes > 1 and _can_fork():
         # imported here, not at module level: the pool's modules cost an
         # import that only this branch needs

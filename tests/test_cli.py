@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import mflqg
-from mflqg import RNG_SCHEME, ModelFormatError, build_model, load_model, oracle, save_model
+from mflqg import (RNG_SCHEME, ModelFormatError, build_model, heater_model, load_model, oracle,
+                   save_model)
 from mflqg.cli import build_parser, main
 from helpers import nan_solving_numpy, random_model
 
@@ -446,6 +447,19 @@ def test_overflowing_closed_loop_exits_2_with_one_line(command, model_kwargs, ex
                                                        tmp_path):
     result, out = run_cli_on(build_model(**model_kwargs), command, tmp_path, *extra)
     assert_one_error_line(result, out, message)
+
+
+@pytest.mark.parametrize("command, extra", [("evaluate", ("--runs", str(10**15))),
+                                            ("simulate", ("--n", str(10**13)))])
+def test_too_large_to_allocate_exits_2_with_one_line(command, extra, tmp_path):
+    # 7 PiB of run costs, or of process noise: more than a 128 TiB address
+    # space holds, so the first allocation fails whatever the overcommit
+    # setting, before any run is stepped or any file written
+    result, out = run_cli_on(heater_model(), command, tmp_path, *extra)
+    assert result.returncode == 2
+    assert result.stderr.count("\n") == 1, result.stderr
+    assert result.stderr.startswith("error: MemoryError: "), result.stderr
+    assert not out.exists()
 
 
 class TestPresetHeater:

@@ -194,7 +194,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-8])
     def test_tolerance_must_be_finite_and_nonnegative(self, small_model, tolerance, monkeypatch):
         solves = []
-        monkeypatch.setattr(oracle, "solve_control_riccati", solves.append)
+        monkeypatch.setattr(oracle, "optimal_strategy", solves.append)
         monkeypatch.setattr(oracle, "solve_stacked_riccati", solves.append)
         with pytest.raises(ValidationError, match="tolerance"):
             check_equivalence(small_model, tolerance=tolerance)

@@ -281,7 +281,7 @@ class TestFilterRecursion:
 
     def test_singular_innovation_reported(self):
         model = noisy_scalar(Cx=0.0, Sigma_V=0.0)
-        with pytest.raises(NumericalFailure):
+        with pytest.raises(NumericalFailure, match=r"^filter recursion \(innovation covariance\)"):
             solve_filter_riccati(model)
 
 

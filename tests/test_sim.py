@@ -979,6 +979,22 @@ def test_chunk_peak_within_budget(case):
     assert 0.9 * sim._MC_CHUNK_BYTES <= peak <= sim._MC_CHUNK_BYTES, f"peak {peak} bytes"
 
 
+@pytest.mark.parametrize("mode, factors", [("full", 2), ("noisy", 3)])
+def test_noise_factored_once_per_job(mode, factors, monkeypatch):
+    # each noise covariance is factored once, in the calling process, not
+    # again by the plan or by each of the job's four chunks; the budget is
+    # sized on a copy, since sizing factors the model it is given
+    model = random_model(np.random.default_rng(8), mode=mode, n_agents=2, horizon=5)
+    policy = optimal_strategy(model)
+    monkeypatch.setattr(sim, "_MC_CHUNK_BYTES", UFUNC_BYTES + 2 * mc_run_bytes(replace(model)))
+    calls = []
+    factor = noise.psd_factor
+    monkeypatch.setattr(noise, "psd_factor", lambda cov: calls.append(cov) or factor(cov))
+    monte_carlo_cost(model, policy, runs=8, seed=3, workers=1)
+    assert sim._mc_plan(model, 8, 1) == (1, 2)
+    assert len(calls) == factors
+
+
 def test_closed_loop_calls_no_blas():
     # every product in the closed loop and its noise is a declared sum of
     # elementwise operations: no matrix product that BLAS would carry out
