@@ -109,15 +109,11 @@ def _write_json(data: dict, path: Path) -> None:
     print(f"wrote {path}")
 
 
-def _simulate_and_write(
-    model: LqMeanFieldModel, policy, args: argparse.Namespace
-) -> SimulationTrace:
-    """Simulate run 0 at --seed; write the trace CSVs and summary.json under --out."""
-    trace = simulate(model, policy, args.seed)
-    for path in export_trace_csv(trace, args.out):
+def _write_trace(trace: SimulationTrace, out: Path) -> None:
+    """Write the trace CSVs and summary.json under `out`."""
+    for path in export_trace_csv(trace, out):
         print(f"wrote {path}")
-    _write_json(trace_summary(trace), args.out / "summary.json")
-    return trace
+    _write_json(trace_summary(trace), out / "summary.json")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -133,7 +129,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = _load(args)
-    trace = _simulate_and_write(model, optimal_strategy(model), args)
+    trace = simulate(model, optimal_strategy(model), args.seed)
+    _write_trace(trace, args.out)
     print(f"total cost = {trace.total_cost:.17g}")
     return EXIT_OK
 
@@ -172,18 +169,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_preset_heater(args: argparse.Namespace) -> int:
     model = _with_population(heater_model(), args.n)
+    policy = optimal_strategy(model)
+    trace = simulate(model, policy, args.seed)
+    offset = model.state_offset[0]
+    z_first = trace.meanfield[0, 0] + offset
+    z_last = trace.meanfield[-1, 0] + offset
     args.out.mkdir(parents=True, exist_ok=True)
     model_path = args.out / "model.json"
     save_model(model, model_path)
     print(f"wrote {model_path}")
-
-    policy = optimal_strategy(model)
     _write_json(policy.to_dict(), args.out / "gains.json")
-    trace = _simulate_and_write(model, policy, args)
-
-    offset = model.state_offset[0]
-    z_first = trace.meanfield[0, 0] + offset
-    z_last = trace.meanfield[-1, 0] + offset
+    _write_trace(trace, args.out)
     print(f"mean temperature: {z_first:.2f} at t=1 -> {z_last:.2f} at t={model.horizon}")
     print(f"total cost = {trace.total_cost:.17g}")
     return EXIT_OK
@@ -193,10 +189,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: cannot parse {args.model}: line {exc.lineno} column {exc.colno}: "
-              f"{exc.msg}", file=sys.stderr)
-        return EXIT_IO
     except (OSError, ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

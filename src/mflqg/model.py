@@ -224,6 +224,13 @@ def validate_model(model: LqMeanFieldModel) -> LqMeanFieldModel:
 # ---------------------------------------------------------------------------
 # serialization
 
+# the matrix sections of a model file, in file order: the _REQUIRED
+# entries must be given, the others may be null or missing
+_LAYOUT = {"dynamics": ("A", "B", "D"), "cost": ("Q", "R", "P"),
+           "observation": ("Cx", "Cz"), "noise": ("Sigma_X", "Sigma_W", "Sigma_V")}
+_REQUIRED = ("A", "B", "Q", "R")
+
+
 def model_to_dict(model: LqMeanFieldModel) -> dict:
     """Plain-dict form of a model, suitable for JSON."""
 
@@ -235,14 +242,8 @@ def model_to_dict(model: LqMeanFieldModel) -> dict:
         "horizon": model.horizon,
         "n_agents": model.n_agents,
         "dims": {"d_x": model.d_x, "d_u": model.d_u, "d_y": model.d_y},
-        "dynamics": {"A": stack(model.A), "B": stack(model.B), "D": stack(model.D)},
-        "cost": {"Q": stack(model.Q), "R": stack(model.R), "P": stack(model.P)},
-        "observation": {"Cx": stack(model.Cx), "Cz": stack(model.Cz)},
-        "noise": {
-            "Sigma_X": stack(model.Sigma_X),
-            "Sigma_W": stack(model.Sigma_W),
-            "Sigma_V": stack(model.Sigma_V),
-        },
+        **{section: {key: stack(getattr(model, key)) for key in keys}
+           for section, keys in _LAYOUT.items()},
         "initial_mean": model.mu_X.tolist(),
         "observation_mode": model.observation_mode,
         **({"state_offset": offset.tolist()} if np.any(offset) else {}),
@@ -258,30 +259,21 @@ def model_from_dict(data: dict) -> LqMeanFieldModel:
     """
     try:
         dims = data["dims"]
-        dyn = data["dynamics"]
-        cost = data["cost"]
-        obs = data.get("observation") or {}
-        noise = data.get("noise") or {}
+        matrices = {key: (data.get(section) or {}).get(key)
+                    for section, keys in _LAYOUT.items() for key in keys}
+        for key in _REQUIRED:
+            if matrices[key] is None:
+                raise KeyError(key)
         model = build_model(
             horizon=data["horizon"],
             n_agents=data["n_agents"],
-            A=dyn["A"],
-            B=dyn["B"],
-            D=dyn.get("D"),
-            Q=cost["Q"],
-            R=cost["R"],
-            P=cost.get("P"),
-            Cx=obs.get("Cx"),
-            Cz=obs.get("Cz"),
-            Sigma_X=noise.get("Sigma_X"),
-            Sigma_W=noise.get("Sigma_W"),
-            Sigma_V=noise.get("Sigma_V"),
             initial_mean=data.get("initial_mean"),
             observation_mode=data.get("observation_mode", "full"),
             state_offset=data.get("state_offset"),
+            **matrices,
         )
         declared = tuple(_whole(dims[key], f"dims.{key}") for key in ("d_x", "d_u", "d_y"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ModelFormatError(f"model document is malformed: {exc!r}") from None
     actual = (model.d_x, model.d_u, model.d_y)
     if declared != actual:
@@ -304,6 +296,10 @@ def load_model(path) -> LqMeanFieldModel:
     except UnicodeDecodeError as exc:
         raise ModelFormatError(
             f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(
+            f"cannot parse {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
     if not isinstance(data, dict):
         raise ModelFormatError("model document must be a JSON object")

@@ -112,6 +112,14 @@ def _chunk_shapes(model: LqMeanFieldModel, runs: int) -> list:
             + [(wide, runs, 1)] * 3 + [(runs, 1)] * 3)
 
 
+def _empty(shape) -> np.ndarray:
+    """np.empty; a size whose byte count numpy cannot count is a MemoryError."""
+    try:
+        return np.empty(shape)
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from None
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _closed_loop(
     model: LqMeanFieldModel, policy: GainSchedule, seed: int, first_run: int, runs: int,
@@ -131,7 +139,7 @@ def _closed_loop(
     Fx, Fz = policy.Kx, policy.Kz - policy.Kx
     Lx, Lw, Lv = _noise_factors(model)
     (w, v, x, x_next, xhat, xhat_next, u, innovation, h, tmp, q, z, zf, h_z, tmp_z, cost, zq,
-     totals) = (np.empty(shape) if shape else None for shape in _chunk_shapes(model, runs))
+     totals) = (_empty(shape) if shape else None for shape in _chunk_shapes(model, runs))
     _draw_noise(model, seed, first_run, Lx, x, w, v, x_next, h)
     if noisy:
         xhat[...] = model.mu_X[:, None, None]
@@ -140,7 +148,7 @@ def _closed_loop(
                   "mean_control": (T, d_u), "observations": (T, n, d_y),
                   "estimates": (T, n, d_x), "step_costs": (T,),
                   "process_noise": (T - 1, n, d_x), "obs_noise": (T, n, d_y)}
-        out = {name: np.empty((runs, *shape))
+        out = {name: _empty((runs, *shape))
                if noisy or name not in ("observations", "estimates", "obs_noise") else None
                for name, shape in shapes.items()}
         # the per-agent fields as component planes, (d, runs, T, n)
@@ -452,7 +460,7 @@ def monte_carlo_cost(
         workers = _count(workers, "workers")
 
     # allocated first: a run count that cannot be held fails before any work
-    costs = np.empty(runs)
+    costs = _empty(runs)
     processes, chunk = _mc_plan(model, runs, workers)
     starts = range(0, runs, chunk)
     counts = (min(chunk, runs - start) for start in starts)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,12 @@ class TestSolve:
         path.write_text(json.dumps(data))
         assert "NaN" in path.read_text()
         assert main(["solve", "--model", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_malformed_json_is_format_error(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"horizon": 2,,}')
+        with pytest.raises(ModelFormatError, match=r"^cannot parse .*: line 1 column 15"):
+            load_model(path)
 
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -450,11 +457,14 @@ def test_overflowing_closed_loop_exits_2_with_one_line(command, model_kwargs, ex
 
 
 @pytest.mark.parametrize("command, extra", [("evaluate", ("--runs", str(10**15))),
-                                            ("simulate", ("--n", str(10**13)))])
+                                            ("simulate", ("--n", str(10**13))),
+                                            ("evaluate", ("--runs", str(2**61))),
+                                            ("simulate", ("--n", str(10**17)))])
 def test_too_large_to_allocate_exits_2_with_one_line(command, extra, tmp_path):
     # 7 PiB of run costs, or of process noise: more than a 128 TiB address
     # space holds, so the first allocation fails whatever the overcommit
-    # setting, before any run is stepped or any file written
+    # setting, before any run is stepped or any file written. 2**64 bytes of
+    # costs, or 10**17 agents' noise, is more than numpy can even count
     result, out = run_cli_on(heater_model(), command, tmp_path, *extra)
     assert result.returncode == 2
     assert result.stderr.count("\n") == 1, result.stderr
@@ -463,6 +473,21 @@ def test_too_large_to_allocate_exits_2_with_one_line(command, extra, tmp_path):
 
 
 class TestPresetHeater:
+    def test_too_large_population_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "heater"
+        assert main(["preset-heater", "--n", str(10**13), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: MemoryError: ")
+        assert not out.exists()
+
+    def test_model_file_is_save_model_bytes(self, tmp_path):
+        # model.json is streamed by save_model, which never holds its whole text
+        out = tmp_path / "heater"
+        assert main(["preset-heater", "--n", "5", "--out", str(out)]) == 0
+        save_model(replace(heater_model(), n_agents=5), tmp_path / "saved.json")
+        assert (out / "model.json").read_bytes() == (tmp_path / "saved.json").read_bytes()
+
     def test_artifacts_and_round_trip(self, tmp_path):
         out = tmp_path / "heater"
         assert main(["preset-heater", "--seed", "11", "--out", str(out)]) == 0

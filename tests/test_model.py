@@ -216,6 +216,19 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             model_from_dict(data)
 
+    @pytest.mark.parametrize("section", ["dynamics", "noise"])
+    def test_section_not_an_object_is_format_error(self, section):
+        data = model_to_dict(scalar_model())
+        data[section] = [1.0]
+        with pytest.raises(ModelFormatError):
+            model_from_dict(data)
+
+    def test_null_required_matrix_is_format_error(self):
+        data = model_to_dict(scalar_model())
+        data["cost"]["R"] = None
+        with pytest.raises(ModelFormatError, match="'R'"):
+            model_from_dict(data)
+
     def test_zero_offset_omitted_from_document(self):
         data = model_to_dict(scalar_model())
         assert "state_offset" not in data

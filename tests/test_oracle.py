@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -206,6 +207,19 @@ class TestEquivalence:
         step = small_model.horizon - 1
         with pytest.raises(NumericalFailure, match=rf"^stacked recursion at step {step}: "
                                                    "the gain residual is not finite$"):
+            check_equivalence(small_model)
+
+    def test_singular_stacked_solve_names_its_step(self, small_model, monkeypatch):
+        # numpy as the oracle sees it, with every np.linalg.solve singular:
+        # the production recursions keep the real numpy
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        linalg = SimpleNamespace(**{**vars(np.linalg), "solve": singular})
+        monkeypatch.setattr(oracle, "np", SimpleNamespace(**{**vars(np), "linalg": linalg}))
+        step = small_model.horizon - 1
+        with pytest.raises(NumericalFailure,
+                           match=rf"^stacked recursion at step {step}: Singular matrix$"):
             check_equivalence(small_model)
 
     @pytest.mark.parametrize("step", [2, 5])

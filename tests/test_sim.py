@@ -150,6 +150,20 @@ class TestSimulate:
         with pytest.raises(IncompatibleStrategy):
             simulate(noisy, solve_control_riccati(noisy).gain_schedule(), seed=0)
 
+    def test_policy_type_enforced(self):
+        model = random_model(np.random.default_rng(37))
+        with pytest.raises(IncompatibleStrategy, match="^policy must be a GainSchedule, "
+                                                       "got ControlRiccatiSolution$"):
+            simulate(model, solve_control_riccati(model), 0)
+
+    def test_filter_gain_width_enforced(self):
+        model = random_model(np.random.default_rng(38), mode="noisy", d_y=2)
+        schedule = optimal_strategy(model)
+        narrow = GainSchedule(Kx=schedule.Kx, Kz=schedule.Kz, Kf=schedule.Kf[:, :, :1])
+        with pytest.raises(IncompatibleStrategy,
+                           match="^policy d_y=1 does not match model d_y=2$"):
+            simulate(model, narrow, 0)
+
     def test_strategy_dims_enforced(self):
         rng = np.random.default_rng(35)
         model = random_model(rng, d_x=2)
@@ -278,7 +292,7 @@ class TestExactPolicyCost:
         )
         assert np.array_equal(ev2.meanfield_mean_costs, ev5.meanfield_mean_costs)
 
-    def test_noisy_model_rejected(self):
+    def test_policy_without_filter_gains_rejected(self):
         rng = np.random.default_rng(42)
         model = random_model(rng, mode="noisy")
         # rejected for the policy's want of filter gains, not for the mode
