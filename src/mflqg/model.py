@@ -301,6 +301,8 @@ def load_model(path) -> LqMeanFieldModel:
         raise ModelFormatError(
             f"cannot parse {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except (RecursionError, ValueError) as exc:  # nested too deep, or too many digits
+        raise ModelFormatError(f"cannot parse {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ModelFormatError("model document must be a JSON object")
     return model_from_dict(data)

@@ -13,7 +13,9 @@ divided by n. No digit depends on BLAS, the batch size or the chunking.
 (per-agent deviation from the mean-field, mean-field), of dimension 2*d_x
 (4*d_x if noisy) whatever the population. A closed loop whose cost
 overflows, or a simulation that records or exports a non-finite value,
-raises `NumericalFailure`.
+raises `NumericalFailure`. `export_trace_csv` fills a large file's steps
+in ranges, one per usable CPU, all but the first in forked children
+(`mflqg._ranges`), with the bytes of one process.
 """
 from __future__ import annotations
 
@@ -146,10 +148,9 @@ def _closed_loop(
     if record:
         shapes = {"states": (T, n, d_x), "actions": (T, n, d_u), "meanfield": (T, d_x),
                   "mean_control": (T, d_u), "observations": (T, n, d_y),
-                  "estimates": (T, n, d_x), "step_costs": (T,),
-                  "process_noise": (T - 1, n, d_x), "obs_noise": (T, n, d_y)}
+                  "estimates": (T, n, d_x), "step_costs": (T,)}
         out = {name: _empty((runs, *shape))
-               if noisy or name not in ("observations", "estimates", "obs_noise") else None
+               if noisy or name not in ("observations", "estimates") else None
                for name, shape in shapes.items()}
         # the per-agent fields as component planes, (d, runs, T, n)
         planes = {name: np.moveaxis(values, -1, 0) for name, values in out.items()
@@ -188,7 +189,6 @@ def _closed_loop(
                 _matvec(zf[:d_y], model.Cz[k], z, tmp_z)
                 y += zf[:d_y]
                 y += h[:d_y]
-                planes["obs_noise"][:, :, k] = h[:d_y]
         if k + 1 == T:
             break
         if noisy:
@@ -209,8 +209,6 @@ def _closed_loop(
         x_next += drive
         _matvec(h[:d_x], Lw, w[:, :, k], tmp)
         x_next += h[:d_x]
-        if record:
-            planes["process_noise"][:, :, k] = h[:d_x]
         x, x_next = x_next, x
 
     totals = totals[:, 0]
@@ -255,8 +253,6 @@ class SimulationTrace:
     mean_control: np.ndarray           # (T, d_u)
     step_costs: np.ndarray             # (T,)
     total_cost: float
-    process_noise: np.ndarray          # (T-1, n, d_x)
-    obs_noise: np.ndarray | None       # (T, n, d_y), noisy mode
 
 
 def simulate(model: LqMeanFieldModel, policy: GainSchedule, seed: int, run: int = 0) -> SimulationTrace:
@@ -420,12 +416,10 @@ def _start_worker(*job) -> None:
 
 
 def _can_fork() -> bool:
-    """Whether Monte Carlo workers may be forked from this process: the
-    platform has `fork`, and this process runs one thread, since a lock
-    that another thread holds at the fork would stay held in the child."""
-    import multiprocessing
-
-    return threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods()
+    """Whether children may be forked from this process: the platform has
+    `fork`, and this process runs one thread, since a lock that another
+    thread holds at the fork would stay held in the child."""
+    return threading.active_count() == 1 and hasattr(os, "fork")
 
 
 def _worker_costs(start: int, count: int) -> np.ndarray:
@@ -498,13 +492,20 @@ def _labels(columns: dict) -> list[str]:
     return [f"{prefix}_{j}" for prefix, values in columns.items() for j in range(values.shape[-1])]
 
 
+# a file with this many fields left to fill, about 30 ms of formatting, is
+# filled in forked step ranges: a fork, a wait and a copy cost 3-5 ms
+_FORK_FIELDS = 2**16
+
+
 def _csv_writer(header: list[str], index_columns: int, rows, steps: int):
     """A function of a path that writes the header, then each step's float
     rows `rows(k)` as a default `csv.writer` writes `str(int(v))` (first
     `index_columns` columns) and `format(v, ".17g")` (the rest). A first
     pass finds the columns that hold step 1's bits (-0.0 and 0.0 print
     differently) at every step; they are formatted once, into a template
-    of one step's rows that each step fills in one format call."""
+    of one step's rows that each step fills in one format call. With at
+    least _FORK_FIELDS fields left to fill, and children that may be
+    forked, the steps are filled in one contiguous range per usable CPU."""
     first = rows(0).copy()
     fixed = np.ones(first.shape[1], bool)
     for k in range(1, steps):
@@ -513,12 +514,23 @@ def _csv_writer(header: list[str], index_columns: int, rows, steps: int):
     template = "".join(",".join(fmt % value if keep else fmt
                                 for fmt, keep, value in zip(formats, fixed, row)) + "\r\n"
                        for row in first.tolist())
+    free = ~fixed
+    fields = steps * len(first) * int(np.count_nonzero(free))
+
+    def fill(fh, start: int, stop: int) -> None:
+        for k in range(start, stop):
+            fh.write(template % tuple(rows(k)[:, free].ravel().tolist()))
 
     def write(path: Path) -> Path:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\r\n")
-            for k in range(steps):
-                fh.write(template % tuple(rows(k)[:, ~fixed].ravel().tolist()))
+            processes = _usable_cpus() if fields >= _FORK_FIELDS else 1
+            if processes > 1 and _can_fork():
+                from ._ranges import fill_in_ranges
+
+                fill_in_ranges(fh, path.parent, fill, steps, processes)
+            else:
+                fill(fh, 0, steps)
         return path
 
     return write

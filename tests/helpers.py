@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from mflqg import LqMeanFieldModel, SimulationTrace, build_model
-from mflqg.linalg import FACTOR_CLIP
+from mflqg.linalg import FACTOR_CLIP, _matvec
+from mflqg.noise import _draw_noise, _noise_factors
 
 
 # a scalar noisy model whose shipped law pays visibly more than the best
@@ -138,6 +139,27 @@ def declared_map(normals: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return mapped
 
 
+def run_noise(model: LqMeanFieldModel, seed: int, run: int):
+    """The process noise (T-1, n, d_x) and the observation noise (T, n, d_y),
+    or None, of one run as the closed loop adds them: the normals that
+    `noise._draw_noise` draws, mapped through the rank-sized factors by
+    `linalg._matvec`."""
+    T, n = model.horizon, model.n_agents
+    Lx, Lw, Lv = _noise_factors(model)
+    wide = max(model.d_x, model.d_y)
+    w, v = (None if L is None else np.empty((L.shape[1], 1, steps, n))
+            for L, steps in ((Lw, T - 1), (Lv, T)))
+    _draw_noise(model, seed, run, Lx, np.empty((model.d_x, 1, n)), w, v,
+                np.empty((model.d_x, 1, n)), np.empty((wide, 1, n)))
+
+    def mapped(normals, L):
+        out = np.empty((L.shape[0], *normals.shape[2:]))
+        _matvec(out, L, normals[:, 0], np.empty_like(out))
+        return np.moveaxis(out, 0, -1)
+
+    return mapped(w, Lw), None if v is None else mapped(v, Lv)
+
+
 # ---------------------------------------------------------------------------
 # population cost and mean
 
@@ -172,7 +194,7 @@ class AuxiliaryTrace:
 
     The residual fields report how exactly the recorded trajectory
     satisfies the decoupled deviation and mean-field dynamics when the
-    recorded noise is substituted back in.
+    run's noise (`run_noise`) is substituted back in.
     """
 
     deviations: np.ndarray          # (T, n, d_x), x^i - z
@@ -187,9 +209,10 @@ class AuxiliaryTrace:
 
 def decompose_auxiliary(trace: SimulationTrace) -> AuxiliaryTrace:
     """Split a trace into deviation and mean-field coordinates and verify
-    both closed-form dynamics against the recorded noise."""
+    both closed-form dynamics against the run's noise."""
     model = trace.model
     T = model.horizon
+    process_noise = run_noise(model, trace.seed, trace.run)[0]
     xbar = trace.states - trace.meanfield[:, np.newaxis, :]
     ubar = trace.actions - trace.mean_control[:, np.newaxis, :]
 
@@ -199,8 +222,8 @@ def decompose_auxiliary(trace: SimulationTrace) -> AuxiliaryTrace:
     dev_res = 0.0
     mf_res = 0.0
     for k in range(T - 1):
-        w_mean = mean_over_agents(trace.process_noise[k])
-        w_dev = trace.process_noise[k] - w_mean
+        w_mean = mean_over_agents(process_noise[k])
+        w_dev = process_noise[k] - w_mean
         pred_dev = xbar[k] @ model.A[k].T + ubar[k] @ model.B[k].T + w_dev
         dev_res = max(dev_res, float(np.max(np.abs(xbar[k + 1] - pred_dev))))
         abar = model.A[k] + model.D[k]

@@ -123,7 +123,7 @@ def test_4_cost_identity_and_auxiliary_dynamics():
     assert worst <= 1e-12
 
     # recorded trajectories satisfy the decoupled deviation and mean-field
-    # dynamics to 1e-10 once the recorded noise is substituted back
+    # dynamics to 1e-10 once each run's noise is substituted back
     traces = []
     for model in (
         random_model(rng, n_agents=5, horizon=8),

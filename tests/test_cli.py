@@ -227,6 +227,28 @@ class TestSolve:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+        ('{"horizon": ' + "9" * 5_000 + "}", "digits"),
+    ], ids=["nested-100000-deep", "integer-of-5000-digits"])
+    def test_json_the_parser_cannot_hold_exits_1(self, tmp_path, text, message):
+        if message == "digits" and not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python has no limit on integer digits")
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        with pytest.raises(ModelFormatError, match=rf"^cannot parse .*{message}"):
+            load_model(path)
+        out = tmp_path / "out"
+        src = Path(mflqg.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "mflqg.cli", "solve", "--model", str(path), "--out", str(out)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: cannot parse ") and message in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert not out.exists()
+
     def test_json_array_exits_1(self, tmp_path, capsys):
         path = tmp_path / "array.json"
         path.write_text("[2, 2]")

@@ -18,7 +18,7 @@ from mflqg import (
     solve_control_riccati,
     solve_filter_riccati,
 )
-from helpers import SMALL_NOISY_MODEL, random_model, step_cost
+from helpers import SMALL_NOISY_MODEL, random_model, run_noise, step_cost
 
 
 def scalar_gains():
@@ -220,8 +220,9 @@ class TestGainScheduleType:
 def replay_cost(model, policy, trace, x_hat_1):
     """Total cost of the run recorded in `trace`, replayed through the
     per-agent noisy laws with every estimate starting at `x_hat_1` and the
-    trace's initial states and noise."""
+    trace's initial states and run noise."""
     x = trace.states[0]
+    process_noise, obs_noise = run_noise(model, trace.seed, trace.run)
     filters = [LocalFilterState(x_hat=np.array(x_hat_1, dtype=float), time=1) for _ in x]
     total = 0.0
     for t in range(1, model.horizon + 1):
@@ -230,10 +231,10 @@ def replay_cost(model, policy, trace, x_hat_1):
         u = np.stack([noisy_obs_action(policy, f, z, t) for f in filters])
         total += step_cost(x, u, z, model.Q[k], model.R[k], model.P[k])
         if t < model.horizon:
-            y = x @ model.Cx[k].T + z @ model.Cz[k].T + trace.obs_noise[k]
+            y = x @ model.Cx[k].T + z @ model.Cz[k].T + obs_noise[k]
             filters = [filter_update(model, f, policy, y[i], z, u[i], t)
                        for i, f in enumerate(filters)]
-            x = x @ model.A[k].T + u @ model.B[k].T + z @ model.D[k].T + trace.process_noise[k]
+            x = x @ model.A[k].T + u @ model.B[k].T + z @ model.D[k].T + process_noise[k]
     return total
 
 

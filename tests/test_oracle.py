@@ -32,6 +32,7 @@ from helpers import (
     rand_psd,
     random_model,
     repeated_horizon,
+    run_noise,
     step_cost,
 )
 
@@ -72,11 +73,12 @@ class TestStackedConstruction:
     def test_one_step_propagation_matches_population(self, small_model):
         model = small_model
         trace = simulate(model, optimal_strategy(model), seed=60)
+        process_noise = run_noise(model, 60, 0)[0]
         stacked = build_stacked_model(model)
         for k in range(model.horizon - 1):
             xs = trace.states[k].ravel()
             us = trace.actions[k].ravel()
-            ws = trace.process_noise[k].ravel()
+            ws = process_noise[k].ravel()
             A, B, _, _ = stacked.step(k)
             nxt = A @ xs + B @ us + ws
             assert np.allclose(nxt, trace.states[k + 1].ravel(), rtol=0, atol=1e-14)

@@ -16,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from mflqg import build_model, check_equivalence, model_from_dict, model_to_dict
 from mflqg import noise, sim
-from helpers import V1_KEY_SALT, declared_map, random_model, v1_factor, v1_run_normals
+from helpers import (V1_KEY_SALT, declared_map, random_model, run_noise, v1_factor,
+                     v1_run_normals)
 
 ARRAYS = ("A", "B", "D", "Q", "R", "P", "Sigma_X", "Sigma_W", "mu_X", "Cx", "Cz", "Sigma_V",
           "state_offset")
@@ -219,7 +220,7 @@ def test_full_rank_noise_maps_the_v1_normals(mode, n, T, d_x, d_y, model_seed, s
         want = [None if g is None else declared_map(g, v1_factor(cov))
                 for g, cov in zip(normals, (model.Sigma_X, model.Sigma_W, model.Sigma_V))]
         want[0] = want[0] + model.mu_X
-        for got, ref in zip((trace.states[0], trace.process_noise, trace.obs_noise), want):
+        for got, ref in zip((trace.states[0], *run_noise(model, seed, run + i)), want):
             assert (got is None) == (ref is None)
             if ref is not None:
                 assert np.array_equal(got, ref)

@@ -2,6 +2,7 @@ import ast
 import csv
 import inspect
 import os
+import signal
 import threading
 import tracemalloc
 from dataclasses import dataclass, replace
@@ -28,7 +29,8 @@ from mflqg import (
     solve_control_riccati,
     solve_filter_riccati,
 )
-from mflqg import linalg, noise, sim
+from mflqg import linalg, noise, save_model, sim
+from mflqg.cli import main
 from mflqg.linalg import symmetrize
 from helpers import (
     SMALL_NOISY_MODEL,
@@ -39,6 +41,7 @@ from helpers import (
     rand_psd,
     random_model,
     repeated_horizon,
+    run_noise,
     step_cost,
     v1_factor,
     v1_run_noise,
@@ -85,12 +88,13 @@ class TestSimulate:
         )
         strategy = optimal_strategy(model)
         trace = simulate(model, strategy, seed=2)
+        process_noise = run_noise(model, 2, 0)[0]
         assert np.array_equal(trace.meanfield, trace.states[:, 0, :])
         for k in range(model.horizon - 1):
             expected = (
                 (model.A[k] + model.D[k]) @ trace.states[k, 0]
                 + model.B[k] @ trace.actions[k, 0]
-                + trace.process_noise[k, 0]
+                + process_noise[k, 0]
             )
             assert np.allclose(trace.states[k + 1, 0], expected, rtol=0, atol=1e-13)
 
@@ -136,7 +140,7 @@ class TestSimulate:
         tn = simulate(noisy, schedule, seed=6)
         tf = simulate(full, optimal_strategy(full), seed=6)
         assert np.array_equal(tn.states[0], tf.states[0])
-        assert np.array_equal(tn.process_noise, tf.process_noise)
+        assert np.array_equal(run_noise(noisy, 6, 0)[0], run_noise(full, 6, 0)[0])
 
     def test_strategy_type_enforced(self):
         rng = np.random.default_rng(34)
@@ -858,6 +862,13 @@ class TestKernelMatchesParentReference:
         if not record:
             assert got is None
             return
+        # the reference adds the run's noise that the contract declares
+        for name, contract in zip(("process_noise", "obs_noise"), run_noise(model, 11, first_run)):
+            values = want[0].pop(name)
+            if values is None:
+                assert contract is None or not contract.size, name
+            else:
+                assert_same_bits(contract, values, name)
         assert got.keys() == want[0].keys()
         for name, values in want[0].items():
             if values is None or not values.size:
@@ -916,7 +927,8 @@ class TestRankSizedDraws:
         trace = simulate(model, optimal_strategy(model), seed=5, run=9)
         assert counts == {(9, noise._KIND_INIT): 4 * 2, (9, noise._KIND_PROCESS): 2 * 4 * 2,
                           (9, noise._KIND_OBS): 3 * 4 * 1}
-        assert not np.any(trace.obs_noise[..., 0]) and np.all(trace.obs_noise[..., 1])
+        obs_noise = run_noise(model, 5, 9)[1]
+        assert not np.any(obs_noise[..., 0]) and np.all(obs_noise[..., 1])
 
     def test_zero_covariance_draws_nothing(self, monkeypatch):
         model = KERNEL_MODELS["zero_noise"]()
@@ -927,7 +939,7 @@ class TestRankSizedDraws:
         # normals and multiplied them by a zero factor
         x1, w, _ = v1_run_noise(model, 5, 2)
         assert_same_bits(trace.states[0], x1, "states")
-        assert_same_bits(trace.process_noise, w, "process_noise")
+        assert_same_bits(run_noise(model, 5, 2)[0], w, "process_noise")
 
 
 class TestExactStreamAddressing:
@@ -1253,3 +1265,119 @@ class TestExport:
         a2, m2 = export_trace_csv(trace2, tmp_path / "two")
         assert a1.read_bytes() == a2.read_bytes()
         assert m1.read_bytes() == m2.read_bytes()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that os.fork starts in this process."""
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def export_with(processes, trace, out, monkeypatch, threshold=1):
+    """export_trace_csv with `processes` usable CPUs and, for the files it
+    forks for, a threshold of `threshold` fields."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "_usable_cpus", lambda: processes)
+        patch.setattr(sim, "_FORK_FIELDS", threshold)
+        return export_trace_csv(trace, out)
+
+
+class TestForkedExport:
+    @pytest.mark.parametrize("case, processes", [("heater", 3), ("noisy", 2), ("noisy", 16)],
+                             ids=["full-3-ranges", "noisy-2-ranges", "more-ranges-than-steps"])
+    def test_forked_ranges_write_the_in_process_bytes(self, case, processes, tmp_path,
+                                                      monkeypatch, forks):
+        model = EXPORT_MODELS[case]()
+        trace = simulate(model, optimal_strategy(model), seed=8)
+        assert (trace.observations is not None) == (case == "noisy")
+        # a child per range but the first, for each of the two files
+        children = 2 * (min(processes, model.horizon) - 1)
+        # the last action column holds a signed zero that flips at one step
+        candidates = [trace, with_signed_zeros(trace, 0.0), with_signed_zeros(trace, -0.0)]
+        for i, candidate in enumerate(candidates):
+            want = export_with(1, candidate, tmp_path / f"serial{i}", monkeypatch)
+            assert not forks
+            got = export_with(processes, candidate, tmp_path / f"forked{i}", monkeypatch)
+            assert len(forks) == children
+            forks.clear()
+            for got_path, want_path in zip(got, want):
+                assert got_path.read_bytes() == want_path.read_bytes()
+            assert sorted(path.name for path in (tmp_path / f"forked{i}").iterdir()) == [
+                "trace_agents.csv", "trace_meanfield.csv"]
+
+    @pytest.mark.parametrize("n_agents, children", [(30, 0), (242, 0), (243, 1)])
+    def test_fields_left_to_fill_set_the_threshold(self, n_agents, children, tmp_path,
+                                                   monkeypatch, forks):
+        # the heater's agent rows vary in t, x_0 and u_0 only: 90 * n * 3
+        # fields, 8,100 at n = 30 and 65,340 < 2**16 <= 65,610 at n = 242 and
+        # 243; its mean-field rows hold 360
+        assert sim._FORK_FIELDS == 2**16
+        model = replace(heater_model(), n_agents=n_agents)
+        trace = simulate(model, optimal_strategy(model), seed=8)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        export_trace_csv(trace, tmp_path)
+        assert len(forks) == children
+
+    def test_no_child_with_a_second_thread_or_one_cpu(self, tmp_path, monkeypatch, forks):
+        model = heater_model()
+        trace = simulate(model, optimal_strategy(model), seed=8)
+        one_cpu = export_with(1, trace, tmp_path / "one-cpu", monkeypatch)
+        assert not forks
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            two_threads = export_with(2, trace, tmp_path / "two-threads", monkeypatch)
+        finally:
+            release.set()
+            thread.join()
+        assert not forks
+        forked = export_with(2, trace, tmp_path / "forked", monkeypatch)
+        assert len(forks) == 2
+        for paths in zip(one_cpu, two_threads, forked):
+            assert len({path.read_bytes() for path in paths}) == 1
+
+    @pytest.mark.parametrize("how, cause", [("raise", "exit status 1"), ("kill", "signal 9")])
+    def test_failed_child_is_an_error_that_leaves_no_temporary_file(
+            self, how, cause, tmp_path, monkeypatch, forks, capsys):
+        # every check of an exported step fails in a child: raising there,
+        # or killed there by SIGKILL
+        parent, check = os.getpid(), sim._check_steps
+
+        def check_in_parent_only(*args):
+            if os.getpid() != parent:
+                if how == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ValueError("a failing child")
+            return check(*args)
+
+        monkeypatch.setattr(sim, "_check_steps", check_in_parent_only)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(sim, "_FORK_FIELDS", 1)
+        model_path = tmp_path / "model.json"
+        save_model(heater_model(), model_path)
+        trace = simulate(heater_model(), optimal_strategy(heater_model()), seed=0)
+        with pytest.raises(OSError, match=rf"steps 31\.\.60 ended with {cause}$"):
+            export_trace_csv(trace, tmp_path / "direct")
+        out = tmp_path / "cli"
+        assert main(["simulate", "--model", str(model_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and cause in err[0], err
+        # the first range was written; no temporary file is left
+        for directory in (tmp_path / "direct", out):
+            assert [path.name for path in directory.iterdir()] == ["trace_agents.csv"]
+        # every child was reaped
+        assert len(forks) == 4
+        for pid in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
