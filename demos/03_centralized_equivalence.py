@@ -23,7 +23,11 @@ model = build_model(
 
 # stack the 4 subsystems into one 4-dimensional system and solve the
 # plain textbook recursion on it, comparing each step's centralized gain
-# with the one the mean-field solution implies as it goes
+# with the one the mean-field solution implies as it goes. The stacked
+# A, B, Q and R are kron(I, block) + kron(11', coupling): the oracle
+# applies them as Kronecker operators without forming them, while the
+# value matrix M, H = B'MB + R and the gain K stay dense, and H is solved
+# by plain LU
 stacked = build_stacked_model(model)
 central = solve_stacked_riccati(stacked, solve_control_riccati(model))
 print("centralized gain at t=1:")

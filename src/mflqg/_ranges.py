@@ -10,23 +10,24 @@ import shutil
 import tempfile
 
 
-def fill_in_ranges(fh, directory, fill, steps: int, processes: int) -> None:
-    """Write steps 0..steps-1 to the text file `fh` as `fill(file, start,
-    stop)` writes steps start..stop-1, split into `processes` contiguous
-    ranges of nearly equal size (one per step, if there are fewer steps).
+def fill_in_ranges(fh, path, fill, steps: int, processes: int) -> None:
+    """Write steps 0..steps-1 to the text file `fh`, which becomes `path`,
+    as `fill(file, start, stop)` writes steps start..stop-1, split into
+    `processes` contiguous ranges of nearly equal size (one per step, if
+    there are fewer steps).
 
     This process fills the first range straight into `fh`. A forked child
-    fills each other range into an unnamed temporary file in `directory`,
-    which this process appends to `fh` in range order. Every child is
-    reaped, and every temporary file closed, whatever happens. Raises
-    OSError when a child does not exit with status 0.
+    fills each other range into an unnamed temporary file in `path`'s
+    directory, which this process appends to `fh` in range order. Every
+    child is reaped, and every temporary file closed, whatever happens.
+    Raises OSError, naming `path`, when a child does not exit with status 0.
     """
     bounds = sorted({steps * i // processes for i in range(processes + 1)})
     ranges = list(zip(bounds, bounds[1:]))
     parts, pids = [], []
     try:
         for start, stop in ranges[1:]:
-            parts.append(tempfile.TemporaryFile(dir=directory))
+            parts.append(tempfile.TemporaryFile(dir=path.parent))
             pids.append(_fork_fill(fill, parts[-1], start, stop))
         fill(fh, *ranges[0])
         fh.flush()
@@ -34,7 +35,7 @@ def fill_in_ranges(fh, directory, fill, steps: int, processes: int) -> None:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code:
                 cause = f"signal {-code}" if code < 0 else f"exit status {code}"
-                raise OSError(f"{fh.name}: the process writing steps {start + 1}..{stop} "
+                raise OSError(f"{path}: the process writing steps {start + 1}..{stop} "
                               f"ended with {cause}")
             part.seek(0)
             shutil.copyfileobj(part, fh.buffer)

@@ -158,7 +158,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     model = _load(args)
     report = check_equivalence(model, tolerance=args.tol)
-    _write_json(report.to_dict(), args.out / "verify.json")
+    _write_json({"model_fingerprint": model.fingerprint(), **report.to_dict()},
+                args.out / "verify.json")
     print(f"max gain residual = {report.max_gain_residual:.3e}")
     print(f"cost gap = {report.cost_gap:.3e} "
           f"(centralized {report.cost_centralized:.12g}, "

@@ -7,10 +7,11 @@ centralized optimal gain must carry the exchangeable-plus-mean-field
 structure (identical diagonal blocks, identical coupling blocks), and the
 centralized optimal cost must equal the decentralized controller's exact
 cost. This module deliberately shares no linear-algebra path with the
-production recursions: solves use plain LU, symmetrization is unchecked.
-Memory does not grow with the horizon: the backward recursion holds one
-value matrix and one gain at a time, and compares each gain with the
-structured one as it solves it.
+production recursions: symmetrization is unchecked. The stacked A, B, Q
+and R are applied as Kronecker operators, never formed; M, H = B'MB + R
+and K are dense, and H is solved by plain LU. Memory does not grow with
+the horizon: one value matrix and one gain are held at a time, and each
+gain is compared with the structured one as it is solved.
 """
 from __future__ import annotations
 
@@ -30,49 +31,45 @@ STACKED_DIM_CAP = 400
 class StackedModel:
     """The n-subsystem problem as one centralized system of size n*d_x.
 
-    Only the step-invariant parts are held; `step(k)` forms step k's dense
-    matrices from the subsystem model, so memory does not grow with T. The
-    process-noise covariance kron(I, Sigma_W) is not formed: only its
-    trace against a value matrix is needed (`_noise_trace`).
+    Only the subsystem model is held; kron(I, Sigma_X) and kron(I,
+    Sigma_W) enter only as traces (`_block_trace`).
     """
 
     n_agents: int
     horizon: int
     dim_x: int            # n * d_x
     dim_u: int            # n * d_u
-    Sigma_X: np.ndarray   # (dim_x, dim_x)
     mu: np.ndarray        # (dim_x,)
     model: LqMeanFieldModel  # the subsystem problem that is stacked
 
-    def step(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Dense (A, B, Q, R) of step k: (dim_x, dim_x), (dim_x, dim_u),
-        (dim_x, dim_x), (dim_u, dim_u).
-
-        The mean-field coupling becomes a rank-one-in-blocks term: every
-        block row of the stacked dynamics sees the average of all subsystem
-        states.
-        """
+    def blocks(self, k: int) -> tuple[tuple, tuple, tuple, tuple]:
+        """(diagonal, coupling) of step k's stacked A, B, Q and R, each
+        kron(I, diagonal) + kron(11', coupling) (no coupling if None)."""
         m, n = self.model, self.n_agents
-        A = _exchangeable(m.A[k], m.D[k] * (1.0 / n), n)
-        B = _exchangeable(m.B[k], None, n)
-        Q = _exchangeable(m.Q[k] / n, m.P[k] / n**2, n)
-        R = _exchangeable(m.R[k] / n, None, n)
-        return A, B, Q, R
+        return ((m.A[k], m.D[k] * (1.0 / n)), (m.B[k], None),
+                (m.Q[k] / n, m.P[k] / n**2), (m.R[k] / n, None))
 
 
-def _exchangeable(diagonal: np.ndarray, coupling: np.ndarray | None, n: int) -> np.ndarray:
-    """The (n*r, n*c) matrix whose every (r, c) block is `coupling` (zero
-    when None), plus `diagonal` on the diagonal blocks: the entries of
-    kron(I, diagonal) + kron(ones, coupling), without forming either."""
-    r, c = diagonal.shape
-    if coupling is None:
-        stacked = np.zeros((n * r, n * c))
-    else:
-        stacked = np.tile(coupling, (n, n))
-    blocks = stacked.reshape(n, r, n, c)
+def _transposed_times(operator: tuple, X: np.ndarray) -> np.ndarray:
+    """S' @ X for an (n*d, r) X and S = kron(I, diagonal) + kron(11',
+    coupling) of (d, c) blocks: a new (n*c, r) array."""
+    diagonal, coupling = operator
+    (d, c), n = diagonal.shape, X.shape[0] // diagonal.shape[0]
+    product = np.matmul(diagonal.T, X.reshape(n, d, -1))
+    if coupling is not None:
+        product += np.tile(coupling.T, n) @ X
+    return product.reshape(n * c, -1)
+
+
+def _add_blocks(X: np.ndarray, operator: tuple) -> None:
+    """X += kron(I, diagonal) + kron(11', coupling), in place, for a
+    C-contiguous (n*r, n*c) X and (r, c) blocks."""
+    diagonal, coupling = operator
+    (r, c), n = diagonal.shape, X.shape[0] // diagonal.shape[0]
+    if coupling is not None:
+        X.reshape(n, r, n * c)[...] += np.tile(coupling, n)
     agents = np.arange(n)
-    blocks[agents, :, agents, :] += diagonal
-    return stacked
+    X.reshape(n, r, n, c)[agents, :, agents, :] += diagonal
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,27 +107,23 @@ def build_stacked_model(model: LqMeanFieldModel) -> StackedModel:
             f"stacked dimension n*d_x = {n * model.d_x} exceeds the cap {STACKED_DIM_CAP}; "
             "the stacked solve is a desk-scale verification oracle"
         )
-    return StackedModel(
-        n_agents=n,
-        horizon=model.horizon,
-        dim_x=n * model.d_x,
-        dim_u=n * model.d_u,
-        Sigma_X=_exchangeable(model.Sigma_X, None, n),
-        mu=np.tile(model.mu_X, n),
-        model=model,
-    )
+    return StackedModel(n_agents=n, horizon=model.horizon, dim_x=n * model.d_x,
+                        dim_u=n * model.d_u, mu=np.tile(model.mu_X, n), model=model)
+
+
+def _block_trace(M: np.ndarray, covariance: np.ndarray) -> float:
+    """trace(M kron(I, covariance)) from M's diagonal blocks alone, summed
+    in the order `np.trace` sums it."""
+    d = covariance.shape[0]
+    n = M.shape[0] // d
+    agents = np.arange(n)
+    products = M.reshape(n, d, n, d)[agents, :, agents, :] @ covariance
+    return float(np.add.reduce(np.diagonal(products, axis1=1, axis2=2).reshape(-1)))
 
 
 def _noise_trace(M: np.ndarray, stacked: StackedModel) -> float:
-    """trace(M kron(I, Sigma_W)), the process-noise term of one step, from
-    M's diagonal blocks alone: one (d_x, d_x) product per agent instead of
-    a full (n*d_x)^3 one. The diagonal is summed in the order `np.trace`
-    sums it, and on the models tested each block product has the digits of
-    the full product's diagonal."""
-    n, d = stacked.n_agents, stacked.model.d_x
-    agents = np.arange(n)
-    products = M.reshape(n, d, n, d)[agents, :, agents, :] @ stacked.model.Sigma_W
-    return float(np.add.reduce(np.diagonal(products, axis1=1, axis2=2).reshape(-1)))
+    """trace(M kron(I, Sigma_W)), the process-noise term of one step."""
+    return _block_trace(M, stacked.model.Sigma_W)
 
 
 def solve_stacked_riccati(stacked: StackedModel, policy: GainSchedule) -> StackedRiccatiSolution:
@@ -143,26 +136,32 @@ def solve_stacked_riccati(stacked: StackedModel, policy: GainSchedule) -> Stacke
     residuals and the gain of step 1 are kept. Raises `NumericalFailure`
     at the first step whose residual is not finite.
     """
-    T, n = stacked.horizon, stacked.n_agents
+    T = stacked.horizon
     residuals = np.zeros(T)
     noise_traces = np.zeros(T - 1)
     K = np.zeros((stacked.dim_u, stacked.dim_x))
-    Q = stacked.step(T - 1)[2]
-    M = (Q + Q.T) / 2.0
+    M = np.zeros((stacked.dim_x, stacked.dim_x))
+    _add_blocks(M, stacked.blocks(T - 1)[2])
+    M = (M + M.T) / 2.0
     for k in range(T - 1, -1, -1):
         if k < T - 1:  # the terminal step solves nothing: its gain is zero
             noise_traces[k] = _noise_trace(M, stacked)
-            A, B, Q, R = stacked.step(k)
-            MB = M @ B
-            H = B.T @ MB + R
-            G = MB.T @ A
+            A, B, Q, R = stacked.blocks(k)
+            # M is exactly symmetric: MB = (B'M)', G = B'MA = (A'MB)' and
+            # A'MA = A'(A'M)'
+            MB = _transposed_times(B, M).T
+            H = _transposed_times(B, MB)
+            _add_blocks(H, R)
+            G = _transposed_times(A, MB).T
             try:
                 K = -np.linalg.solve(H, G)
             except np.linalg.LinAlgError as exc:
                 raise NumericalFailure(f"stacked recursion at step {k + 1}: {exc}") from None
-            Mk = Q + A.T @ M @ A + G.T @ K
+            Mk = _transposed_times(A, _transposed_times(A, M).T)
+            _add_blocks(Mk, Q)
+            Mk += G.T @ K
             M = (Mk + Mk.T) / 2.0
-        residuals[k] = _gain_residual(K, _structured_gain(policy, n, k))
+        residuals[k] = _gain_residual(K, policy, k)
         if not np.isfinite(residuals[k]):
             raise NumericalFailure(f"stacked recursion at step {k + 1}: the gain residual "
                                    "is not finite")
@@ -176,7 +175,7 @@ def centralized_cost(stacked: StackedModel, solution: StackedRiccatiSolution) ->
     `NumericalFailure` at the first step whose term leaves the sum not
     finite."""
     M1 = solution.M1
-    cost = float(stacked.mu @ M1 @ stacked.mu + np.trace(M1 @ stacked.Sigma_X))
+    cost = float(stacked.mu @ M1 @ stacked.mu + _block_trace(M1, stacked.model.Sigma_X))
     step = 1
     for term in solution.noise_traces:
         if not np.isfinite(cost):
@@ -188,16 +187,13 @@ def centralized_cost(stacked: StackedModel, solution: StackedRiccatiSolution) ->
     return cost
 
 
-def _structured_gain(policy: GainSchedule, n: int, k: int) -> np.ndarray:
-    """Stacked gain of step k implied by the mean-field policy: identical
-    diagonal blocks Kx plus uniform coupling (Kz - Kx)/n."""
-    return _exchangeable(policy.Kx[k], (policy.Kz[k] - policy.Kx[k]) * (1.0 / n), n)
-
-
-def _gain_residual(K: np.ndarray, structured: np.ndarray) -> float:
-    """Relative Frobenius distance of a stacked gain from the structured
-    one; the absolute distance when the stacked gain is zero."""
-    diff = float(np.linalg.norm(K - structured))
+def _gain_residual(K: np.ndarray, policy: GainSchedule, k: int) -> float:
+    """Relative Frobenius distance of a stacked gain K from the policy's
+    step-k gain kron(I, Kx) + kron(11', (Kz - Kx)/n); absolute if K = 0."""
+    Kx, n = policy.Kx[k], K.shape[0] // policy.Kx[k].shape[0]
+    diff = K.copy()
+    _add_blocks(diff, (-Kx, (Kx - policy.Kz[k]) * (1.0 / n)))
+    diff = float(np.linalg.norm(diff))
     scale = float(np.linalg.norm(K))
     return diff / scale if scale > 0.0 else diff
 
@@ -221,8 +217,6 @@ def check_equivalence(model: LqMeanFieldModel, tolerance: float = 1e-8) -> Equiv
         raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance}")
     if model.observation_mode != "full":
         raise IncompatibleStrategy("the stacked oracle supports full observation only")
-    n = model.n_agents
-
     policy = optimal_strategy(model)
     stacked = build_stacked_model(model)
     central = solve_stacked_riccati(stacked, policy)
@@ -235,7 +229,7 @@ def check_equivalence(model: LqMeanFieldModel, tolerance: float = 1e-8) -> Equiv
 
     max_residual = float(central.gain_residuals.max())
     return EquivalenceReport(
-        n_agents=n,
+        n_agents=model.n_agents,
         horizon=model.horizon,
         tolerance=tolerance,
         gain_residuals=central.gain_residuals,

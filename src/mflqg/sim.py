@@ -15,7 +15,8 @@ divided by n. No digit depends on BLAS, the batch size or the chunking.
 overflows, or a simulation that records or exports a non-finite value,
 raises `NumericalFailure`. `export_trace_csv` fills a large file's steps
 in ranges, one per usable CPU, all but the first in forked children
-(`mflqg._ranges`), with the bytes of one process.
+(`mflqg._ranges`), with the bytes of one process, each file renamed
+into place once whole.
 """
 from __future__ import annotations
 
@@ -505,7 +506,8 @@ def _csv_writer(header: list[str], index_columns: int, rows, steps: int):
     differently) at every step; they are formatted once, into a template
     of one step's rows that each step fills in one format call. With at
     least _FORK_FIELDS fields left to fill, and children that may be
-    forked, the steps are filled in one contiguous range per usable CPU."""
+    forked, the steps are filled in one contiguous range per usable CPU.
+    The file is renamed into place once whole; a failed write leaves none."""
     first = rows(0).copy()
     fixed = np.ones(first.shape[1], bool)
     for k in range(1, steps):
@@ -522,15 +524,21 @@ def _csv_writer(header: list[str], index_columns: int, rows, steps: int):
             fh.write(template % tuple(rows(k)[:, free].ravel().tolist()))
 
     def write(path: Path) -> Path:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\r\n")
-            processes = _usable_cpus() if fields >= _FORK_FIELDS else 1
-            if processes > 1 and _can_fork():
-                from ._ranges import fill_in_ranges
+        part = path.with_name(f".{path.name}.{os.getpid()}.part")
+        try:
+            with open(part, "w", newline="", encoding="utf-8") as fh:
+                fh.write(",".join(header) + "\r\n")
+                processes = _usable_cpus() if fields >= _FORK_FIELDS else 1
+                if processes > 1 and _can_fork():
+                    from ._ranges import fill_in_ranges
 
-                fill_in_ranges(fh, path.parent, fill, steps, processes)
-            else:
-                fill(fh, 0, steps)
+                    fill_in_ranges(fh, path, fill, steps, processes)
+                else:
+                    fill(fh, 0, steps)
+            os.replace(part, path)
+        except BaseException:
+            part.unlink(missing_ok=True)
+            raise
         return path
 
     return write

@@ -10,6 +10,7 @@ import numpy as np
 from mflqg import LqMeanFieldModel, SimulationTrace, build_model
 from mflqg.linalg import FACTOR_CLIP, _matvec
 from mflqg.noise import _draw_noise, _noise_factors
+from mflqg.riccati import solve_control_riccati
 
 
 # a scalar noisy model whose shipped law pays visibly more than the best
@@ -84,6 +85,22 @@ def nan_solving_numpy() -> SimpleNamespace:
     linalg = SimpleNamespace(**{**vars(np.linalg),
                                 "solve": lambda a, b: np.linalg.solve(a, b) * np.nan})
     return SimpleNamespace(**{**vars(np), "linalg": linalg})
+
+
+def closed_form_cost(model: LqMeanFieldModel) -> float:
+    """The optimal full-observation cost from the two d_x-sized recursions'
+    value matrices alone: with S_X = Sigma_X, S_W = Sigma_W and mu = mu_X,
+    J* = (1-1/n) tr(Mx_1 S_X) + mu' Mz_1 mu + tr(Mz_1 S_X)/n
+         + sum_{t=2..T} [(1-1/n) tr(Mx_t S_W) + tr(Mz_t S_W)/n],
+    the deviation part and the mean-field part of each noise term."""
+    n, values = model.n_agents, solve_control_riccati(model)
+    Mx, Mz, mu = values.Mx, values.Mz, model.mu_X
+
+    def noise(k: int, cov: np.ndarray) -> float:
+        return (1.0 - 1.0 / n) * np.trace(Mx[k] @ cov) + np.trace(Mz[k] @ cov) / n
+
+    cost = float(mu @ Mz[0] @ mu + noise(0, model.Sigma_X))
+    return cost + sum(noise(k, model.Sigma_W) for k in range(1, model.horizon))
 
 
 def rel_err(value: float, reference: float) -> float:

@@ -355,6 +355,22 @@ class TestVerify:
         report = json.loads((out / "verify.json").read_text())
         assert report["n_agents"] == 4
 
+    def test_fingerprint_is_evaluate_s_after_the_population_override(self, random_model_path,
+                                                                      tmp_path):
+        fingerprints = []
+        for population in ([], ["--n", "4"]):
+            reports = []
+            for command in (["verify"], ["evaluate", "--runs", "4"]):
+                out = tmp_path / command[0] / str(len(population))
+                assert main([*command, "--model", str(random_model_path), *population,
+                             "--out", str(out)]) == 0
+                reports.append(json.loads((out / f"{command[0]}.json").read_text()))
+            verify, evaluate = reports
+            assert verify["model_fingerprint"] == evaluate["model_fingerprint"]
+            fingerprints.append(verify["model_fingerprint"])
+        # the fingerprint is the model's after the --n override
+        assert fingerprints[0] != fingerprints[1]
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_tolerance_must_be_finite_and_nonnegative(self, random_model_path, tmp_path,
                                                       tol, capsys):

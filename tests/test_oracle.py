@@ -23,18 +23,27 @@ from mflqg import (
 )
 from mflqg import oracle
 from mflqg.model import LqMeanFieldModel
-from mflqg.oracle import STACKED_DIM_CAP, EquivalenceReport
+from mflqg.oracle import STACKED_DIM_CAP, EquivalenceReport, _transposed_times
 from mflqg.presets import heater_model
 from mflqg.riccati import ControlRiccatiSolution
 from helpers import (
+    closed_form_cost,
     nan_solving_numpy,
     rand_pd,
     rand_psd,
     random_model,
+    rel_err,
     repeated_horizon,
     run_noise,
     step_cost,
 )
+
+
+def applied(stacked, k):
+    """Step k's stacked (A, B, Q, R) as the oracle applies them: each
+    Kronecker operator S, as S' applied to the identity, transposed."""
+    return tuple(_transposed_times(op, np.eye(len(op[0]) * stacked.n_agents)).T
+                 for op in stacked.blocks(k))
 
 
 @pytest.fixture
@@ -49,7 +58,7 @@ class TestStackedConstruction:
         model = random_model(rng, n_agents=1, d_x=2, d_u=2)
         stacked = build_stacked_model(model)
         for k in range(model.horizon):
-            A, B, Q, R = stacked.step(k)
+            A, B, Q, R = applied(stacked, k)
             assert np.allclose(A, model.A[k] + model.D[k], rtol=0, atol=1e-15)
             assert np.allclose(Q, model.Q[k] + model.P[k], rtol=0, atol=1e-15)
             assert np.array_equal(R, model.R[k])
@@ -61,7 +70,7 @@ class TestStackedConstruction:
         stacked = build_stacked_model(model)
         d = model.d_x
         for k in range(model.horizon):
-            A = stacked.step(k)[0]
+            A = applied(stacked, k)[0]
             for i in range(3):
                 for j in range(3):
                     block = A[i * d:(i + 1) * d, j * d:(j + 1) * d]
@@ -79,7 +88,7 @@ class TestStackedConstruction:
             xs = trace.states[k].ravel()
             us = trace.actions[k].ravel()
             ws = process_noise[k].ravel()
-            A, B, _, _ = stacked.step(k)
+            A, B, _, _ = applied(stacked, k)
             nxt = A @ xs + B @ us + ws
             assert np.allclose(nxt, trace.states[k + 1].ravel(), rtol=0, atol=1e-14)
 
@@ -94,7 +103,7 @@ class TestStackedConstruction:
                 trace.states[k], trace.actions[k], trace.meanfield[k],
                 model.Q[k], model.R[k], model.P[k],
             )
-            _, _, Q, R = stacked.step(k)
+            _, _, Q, R = applied(stacked, k)
             quad = xs @ Q @ xs + us @ R @ us
             assert abs(quad - direct) <= 1e-12 * max(abs(direct), 1.0)
 
@@ -249,10 +258,22 @@ class TestEquivalence:
         assert data["cost_gap"] == report.cost_gap
 
 
+class TestClosedFormCost:
+    # an anchor that shares nothing with the stacked recursion: the optimal
+    # cost from the d_x-sized value matrices Mx and Mz alone
+    @pytest.mark.parametrize("n", [1, 2, 30, 100])
+    def test_heater(self, n):
+        model = replace(heater_model(), n_agents=n)
+        stacked = build_stacked_model(model)
+        central = solve_stacked_riccati(stacked, solve_control_riccati(model))
+        assert rel_err(centralized_cost(stacked, central), closed_form_cost(model)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
-# A dense stacked oracle that holds every step's stacked matrices and value
-# matrices as (T, ., .) arrays: the reference that `mflqg.oracle`, which
-# forms them one step at a time, must reproduce digit for digit.
+# A dense stacked oracle that holds every step's stacked matrices, built
+# with np.kron, and value matrices as (T, ., .) arrays: the reference that
+# `mflqg.oracle`, which applies A, B, Q and R as Kronecker operators one
+# step at a time, must reproduce to rounding, its operators exactly.
 
 @dataclass(frozen=True, eq=False)
 class DenseStackedModel:
@@ -425,19 +446,35 @@ class TestMatchesDenseReference:
 
     @staticmethod
     def assert_same(model, n):
+        # the operators reproduce the dense A, B, Q and R exactly; their
+        # products round differently from the dense ones, so the solutions
+        # agree to rounding
         model = replace(model, n_agents=n)
-        assert check_equivalence(model).to_dict() == dense_check_equivalence(model).to_dict()
+        report, dense_report = check_equivalence(model), dense_check_equivalence(model)
+        for field in ("n_agents", "horizon", "tolerance", "cost_decentralized", "passed"):
+            assert getattr(report, field) == getattr(dense_report, field), field
+        assert rel_err(report.cost_centralized, dense_report.cost_centralized) <= 1e-12
+        # the gain residuals and the cost gap are relative distances already
+        assert np.abs(report.gain_residuals - dense_report.gain_residuals).max() <= 1e-12
+        assert abs(report.max_gain_residual - dense_report.max_gain_residual) <= 1e-12
+        assert abs(report.cost_gap - dense_report.cost_gap) <= 1e-12
         stacked, dense = build_stacked_model(model), dense_build_stacked_model(model)
         central = solve_stacked_riccati(stacked, solve_control_riccati(model))
         reference = dense_solve_stacked_riccati(dense)
-        assert np.array_equal(central.K1, reference.K[0])
-        assert np.array_equal(central.gain_residuals,
-                              dense_check_equivalence(model).gain_residuals)
-        assert np.array_equal(central.M1, reference.M[0])
-        assert centralized_cost(stacked, central) == dense_centralized_cost(dense, reference)
+        assert relative_distance(central.K1, reference.K[0]) <= 1e-12
+        assert relative_distance(central.M1, reference.M[0]) <= 1e-12
+        assert rel_err(centralized_cost(stacked, central),
+                       dense_centralized_cost(dense, reference)) <= 1e-12
         for k in range(model.horizon):
-            for got, want in zip(stacked.step(k), (dense.A[k], dense.B[k], dense.Q[k], dense.R[k])):
+            dense_k = (dense.A[k], dense.B[k], dense.Q[k], dense.R[k])
+            for got, want in zip(applied(stacked, k), dense_k):
                 assert np.array_equal(got, want)
+
+
+def relative_distance(got, want):
+    """Frobenius distance relative to `want`; absolute when `want` is zero."""
+    scale = np.linalg.norm(want)
+    return np.linalg.norm(got - want) / scale if scale > 0.0 else np.linalg.norm(got - want)
 
 
 def test_memory_does_not_grow_with_the_horizon():

@@ -2,9 +2,12 @@
 input given as a scalar, a single matrix or a per-step sequence: model
 construction, the stacked oracle on full-observation models, and the exact
 policy cost against Monte Carlo in both modes and, under noisy observation,
-against the filter recursion. Also: a re-pointed noise generator draws its
-fresh substream, and full-rank noise draws the normals of RNG_SCHEME v1
-where v3 promises them, mapped by v3's declared sum."""
+against the filter recursion. The stacked oracle's Kronecker operators
+reproduce the np.kron-built matrices and, on small integers, their
+products exactly, and its cost equals the closed form from the d_x-sized
+value matrices. Also: a re-pointed noise generator draws its fresh
+substream, and full-rank noise draws the normals of RNG_SCHEME v1 where
+v3 promises them, mapped by v3's declared sum."""
 import json
 from dataclasses import replace
 
@@ -14,10 +17,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from mflqg import build_model, check_equivalence, model_from_dict, model_to_dict
-from mflqg import noise, sim
-from helpers import (V1_KEY_SALT, declared_map, random_model, run_noise, v1_factor,
-                     v1_run_normals)
+from mflqg import (build_model, build_stacked_model, centralized_cost, check_equivalence,
+                   model_from_dict, model_to_dict, solve_control_riccati, solve_stacked_riccati)
+from mflqg import noise, oracle, sim
+from helpers import (V1_KEY_SALT, closed_form_cost, declared_map, random_model, rel_err,
+                     run_noise, v1_factor, v1_run_normals)
+from test_oracle import dense_build_stacked_model
 
 ARRAYS = ("A", "B", "D", "Q", "R", "P", "Sigma_X", "Sigma_W", "mu_X", "Cx", "Cz", "Sigma_V",
           "state_offset")
@@ -148,6 +153,57 @@ def test_replace_normalizes_like_build_model(inputs, data):
 def test_stacked_oracle_confirms_meanfield_solution(inputs):
     report = check_equivalence(build_model(**inputs[0]), tolerance=1e-8)
     assert report.passed, report.to_dict()
+
+
+@SWEEP
+@given(models(noisy=False))
+def test_stacked_cost_is_the_closed_form(inputs):
+    model = build_model(**inputs[0])  # n * d_x <= 12
+    stacked = build_stacked_model(model)
+    central = solve_stacked_riccati(stacked, solve_control_riccati(model))
+    assert rel_err(centralized_cost(stacked, central), closed_form_cost(model)) <= 1e-13
+
+
+@SWEEP
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_stacked_operators_are_the_kron_matrices(n, d_x, d_u, seed):
+    # each operator applied to the identity, and added to zero, is the
+    # np.kron-built matrix entry for entry (a signed zero equals its
+    # unsigned one); D != 0 and P != 0 give A and Q their coupling blocks
+    model = random_model(np.random.default_rng(seed), n_agents=n, horizon=2, d_x=d_x, d_u=d_u)
+    assert np.all(model.D) and np.all(model.P)
+    stacked, dense = build_stacked_model(model), dense_build_stacked_model(model)
+    for k in range(model.horizon):
+        dense_k = (dense.A[k], dense.B[k], dense.Q[k], dense.R[k])
+        for op, want in zip(stacked.blocks(k), dense_k):
+            assert np.array_equal(oracle._transposed_times(op, np.eye(len(want))), want.T)
+            added = np.zeros(want.shape)
+            oracle._add_blocks(added, op)
+            assert np.array_equal(added, want)
+
+
+@SWEEP
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.booleans(),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_stacked_operator_products_are_exact(n, d, c, r, coupled, transposed, seed):
+    # on small integers every product and sum is exact, so the operators'
+    # arithmetic gives the dense products' values whatever its order; X is
+    # drawn in either memory layout, as the oracle passes both
+    rng = np.random.default_rng(seed)
+
+    def ints(*shape):
+        return rng.integers(-4, 5, shape).astype(float)
+
+    diagonal, coupling = ints(d, c), ints(d, c) if coupled else None
+    S = np.kron(np.eye(n), diagonal)
+    if coupled:
+        S += np.kron(np.ones((n, n)), coupling)
+    X = ints(r, n * d).T if transposed else ints(n * d, r)
+    assert np.array_equal(oracle._transposed_times((diagonal, coupling), X), S.T @ X)
+    Y = ints(n * d, n * c)
+    want = Y + S
+    oracle._add_blocks(Y, (diagonal, coupling))
+    assert np.array_equal(Y, want)
 
 
 @SWEEP

@@ -1,5 +1,6 @@
 import ast
 import csv
+import errno
 import inspect
 import os
 import signal
@@ -1373,11 +1374,50 @@ class TestForkedExport:
         assert main(["simulate", "--model", str(model_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and cause in err[0], err
-        # the first range was written; no temporary file is left
+        # no partial trace_agents.csv and no temporary file is left
         for directory in (tmp_path / "direct", out):
-            assert [path.name for path in directory.iterdir()] == ["trace_agents.csv"]
+            assert list(directory.iterdir()) == []
         # every child was reaped
         assert len(forks) == 4
         for pid in forks:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
+
+    def test_disk_full_mid_write_leaves_no_file(self, tmp_path, monkeypatch, forks, capsys):
+        # one CPU, so the file is written in process, on a disk that fills
+        # after 64 kB: the heater's agent file (about 180 kB) fails part way
+        model_path = tmp_path / "model.json"
+        save_model(heater_model(), model_path)
+        trace = simulate(heater_model(), optimal_strategy(heater_model()), seed=0)
+        earlier = tmp_path / "earlier"
+        export_trace_csv(trace, earlier)
+        whole = {path.name: path.read_bytes() for path in earlier.iterdir()}
+        real_open = open
+
+        def filling_open(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            write, room = fh.write, [2**16]
+
+            def limited(text):
+                room[0] -= len(text)
+                if room[0] < 0:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return write(text)
+
+            fh.write = limited
+            return fh
+
+        monkeypatch.setattr(sim, "open", filling_open, raising=False)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 1)
+        for directory in (tmp_path / "direct", earlier):
+            with pytest.raises(OSError, match="No space left on device"):
+                export_trace_csv(trace, directory)
+        out = tmp_path / "cli"
+        assert main(["simulate", "--model", str(model_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "No space" in err[0], err
+        # nothing partial and no temporary file; a whole file from before stays
+        for directory in (tmp_path / "direct", out):
+            assert list(directory.iterdir()) == []
+        assert {path.name: path.read_bytes() for path in earlier.iterdir()} == whole
+        assert not forks
