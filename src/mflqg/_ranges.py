@@ -1,44 +1,50 @@
-"""A text file's steps filled in contiguous ranges by forked processes.
+"""Contiguous ranges of work done in forked processes, one child a range.
 
-Imported only by the export path that forks, so that a command that never
-forks does not load it.
+Imported only by the paths that fork (the trace-CSV export and the Monte
+Carlo pass), so that a command that never forks does not load it.
 """
 from __future__ import annotations
 
 import os
-import shutil
 import tempfile
+from contextlib import contextmanager
 
 
-def fill_in_ranges(fh, path, fill, steps: int, processes: int) -> None:
-    """Write steps 0..steps-1 to the text file `fh`, which becomes `path`,
-    as `fill(file, start, stop)` writes steps start..stop-1, split into
-    `processes` contiguous ranges of nearly equal size (one per step, if
-    there are fewer steps).
+@contextmanager
+def forked_ranges(ranges, fill, directory, name):
+    """Yield, in range order and rewound, one unnamed temporary binary file
+    in `directory` (None: the default temporary directory) for each pair
+    (start, stop) of `ranges`, into which a forked child wrote
+    `fill(file, start, stop)`.
 
-    This process fills the first range straight into `fh`. A forked child
-    fills each other range into an unnamed temporary file in `path`'s
-    directory, which this process appends to `fh` in range order. Every
-    child is reaped, and every temporary file closed, whatever happens.
-    Raises OSError, naming `path`, when a child does not exit with status 0.
+    The child leaves through os._exit: 0 once its result is flushed, 1 on
+    any exception. It never returns or raises into the caller's code, and
+    never flushes the stdio buffers it inherits. This process does no
+    range itself; it reaps every child, and closes every file, whatever
+    happens. Raises OSError, `name(start, stop)` followed by how the child
+    ended, when a child does not exit with status 0.
     """
-    bounds = sorted({steps * i // processes for i in range(processes + 1)})
-    ranges = list(zip(bounds, bounds[1:]))
     parts, pids = [], []
     try:
-        for start, stop in ranges[1:]:
-            parts.append(tempfile.TemporaryFile(dir=path.parent))
-            pids.append(_fork_fill(fill, parts[-1], start, stop))
-        fill(fh, *ranges[0])
-        fh.flush()
-        for (start, stop), part, pid in zip(ranges[1:], parts, pids):
+        for start, stop in ranges:
+            parts.append(tempfile.TemporaryFile(dir=directory))
+            pid = os.fork()
+            if not pid:
+                status = 1
+                try:
+                    fill(parts[-1], start, stop)
+                    parts[-1].flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        for (start, stop), part, pid in zip(ranges, parts, pids):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code:
                 cause = f"signal {-code}" if code < 0 else f"exit status {code}"
-                raise OSError(f"{path}: the process writing steps {start + 1}..{stop} "
-                              f"ended with {cause}")
+                raise OSError(f"{name(start, stop)} ended with {cause}")
             part.seek(0)
-            shutil.copyfileobj(part, fh.buffer)
+        yield parts
     finally:
         for pid in pids:
             try:
@@ -47,20 +53,3 @@ def fill_in_ranges(fh, path, fill, steps: int, processes: int) -> None:
                 pass
         for part in parts:
             part.close()
-
-
-def _fork_fill(fill, part, start: int, stop: int) -> int:
-    """Fork a child that fills steps start..stop-1 into the binary file
-    `part` and leaves through os._exit: 0 once they are written, 1 on any
-    exception. It never returns or raises into the caller's code, and never
-    flushes the stdio buffers it inherits. Returns the child's pid."""
-    pid = os.fork()
-    if pid:
-        return pid
-    status = 1
-    try:
-        with open(part.fileno(), "w", newline="", encoding="utf-8", closefd=False) as out:
-            fill(out, start, stop)
-        status = 0
-    finally:
-        os._exit(status)

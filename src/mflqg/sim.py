@@ -13,15 +13,16 @@ divided by n. No digit depends on BLAS, the batch size or the chunking.
 (per-agent deviation from the mean-field, mean-field), of dimension 2*d_x
 (4*d_x if noisy) whatever the population. A closed loop whose cost
 overflows, or a simulation that records or exports a non-finite value,
-raises `NumericalFailure`. `export_trace_csv` fills a large file's steps
-in ranges, one per usable CPU, all but the first in forked children
-(`mflqg._ranges`), with the bytes of one process, each file renamed
-into place once whole.
+raises `NumericalFailure`. `monte_carlo_cost` and `export_trace_csv` split
+large work into contiguous ranges, each done by a forked child while the
+caller waits (`mflqg._ranges`), with the digits and bytes of one process;
+each file is renamed into place once whole.
 """
 from __future__ import annotations
 
 import math
 import os
+import shutil
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,8 +135,8 @@ def _closed_loop(
     is set, a dict keyed by `SimulationTrace` field of arrays with a leading
     run axis, written as the loop steps. The state moves to A x + (B u +
     D z) + w, the estimate to A xhat + (B u + D z) + Kf e, where the
-    innovation e is Cx (x - xhat) + v. Raises `NumericalFailure` when a
-    total, or a recorded value, is not finite.
+    innovation e is Cx (x - xhat) + v. When `record` is set, raises
+    `NumericalFailure` when a total, or a recorded value, is not finite.
     """
     T, n, d_x, d_u, d_y = model.horizon, model.n_agents, model.d_x, model.d_u, model.d_y
     noisy = model.observation_mode == "noisy"
@@ -213,11 +214,11 @@ def _closed_loop(
         x, x_next = x_next, x
 
     totals = totals[:, 0]
+    if not record:
+        return totals, None
     where = f" in runs {first_run}..{first_run + runs - 1}"
     if not np.isfinite(totals).all():
         raise NumericalFailure(f"closed-loop cost is not finite{where}")
-    if not record:
-        return totals, None
     _check_steps("closed-loop", where, {name: None if values is None else values.swapaxes(0, 1)
                                         for name, values in out.items()})
     return totals, out
@@ -405,28 +406,11 @@ def _mc_plan(model: LqMeanFieldModel, runs: int, workers: int | None) -> tuple[i
     return min(workers, -(-runs // chunk)), chunk
 
 
-# the (model, policy, seed) of the Monte Carlo job a forked worker process
-# steps chunks of; set when it starts. Inherited at the fork, not pickled
-# with each chunk, which took up to 28% of a chunk's time
-_worker_job = None
-
-
-def _start_worker(*job) -> None:
-    global _worker_job
-    _worker_job = job
-
-
 def _can_fork() -> bool:
     """Whether children may be forked from this process: the platform has
     `fork`, and this process runs one thread, since a lock that another
     thread holds at the fork would stay held in the child."""
     return threading.active_count() == 1 and hasattr(os, "fork")
-
-
-def _worker_costs(start: int, count: int) -> np.ndarray:
-    """Realized costs of runs start..start+count-1 of the worker's job."""
-    model, policy, seed = _worker_job
-    return _closed_loop(model, policy, seed, start, count)[0]
 
 
 def monte_carlo_cost(
@@ -437,14 +421,16 @@ def monte_carlo_cost(
     independent closed-loop runs (run indices 0..runs-1, so run r is
     simulate(model, policy, seed, run=r) exactly).
 
-    Chunks of runs are stepped in `workers` processes forked from this one
-    (`_mc_plan`, by default one per usable CPU). Each worker inherits the
-    job, noise factors included, when it is forked, and only each chunk's
-    costs travel back. With one worker or one chunk, where the platform
-    cannot fork, or when this process runs more than one thread, the chunks
-    are stepped in this process. No reported digit depends on the chunking.
-    Raises `NumericalFailure`, with its run range, when a run's cost is not
-    finite, whichever process stepped the run.
+    Chunks of runs (`_mc_plan`) are stepped in `workers` children forked
+    from this process (by default one per usable CPU), each a contiguous
+    range of whole chunks, while this process waits; a child inherits the
+    job, noise factors included, and writes only its costs, to an unnamed
+    temporary file. With one worker or one chunk, where the platform cannot
+    fork, or when this process runs more than one thread, the chunks are
+    stepped in this process. No reported digit depends on the chunking.
+    Raises `NumericalFailure`, with its chunk's runs, when a run's cost is
+    not finite, whichever process stepped the run, and OSError, with a
+    child's runs, when a child does not exit with status 0.
     """
     policy = _check_policy(model, policy)
     runs = _whole(runs, "runs")
@@ -457,22 +443,32 @@ def monte_carlo_cost(
     # allocated first: a run count that cannot be held fails before any work
     costs = _empty(runs)
     processes, chunk = _mc_plan(model, runs, workers)
-    starts = range(0, runs, chunk)
-    counts = (min(chunk, runs - start) for start in starts)
-    if processes > 1 and _can_fork():
-        # imported here, not at module level: the pool's modules cost an
-        # import that only this branch needs
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_start_worker,
-                                 initargs=(model, policy, seed)) as pool:
-            for start, part in zip(starts, pool.map(_worker_costs, starts, counts)):
-                costs[start:start + part.size] = part
+    def step(start: int, stop: int):
+        """The costs of runs start..stop-1, a chunk at a time."""
+        for first in range(start, stop, chunk):
+            yield _closed_loop(model, policy, seed, first, min(chunk, stop - first))[0]
+
+    starts = range(0, runs, chunk)
+    if processes > 1 and _can_fork():
+        from ._ranges import forked_ranges
+
+        # each process's runs, as nearly equal counts of whole chunks
+        bounds = [min(runs, chunk * (len(starts) * i // processes))
+                  for i in range(processes + 1)]
+        ranges = list(zip(bounds, bounds[1:]))
+        with forked_ranges(ranges, lambda out, start, stop: out.writelines(step(start, stop)),
+                           None, lambda start, stop: f"the process stepping runs "
+                                                     f"{start}..{stop - 1}") as parts:
+            for (start, stop), part in zip(ranges, parts):
+                costs[start:stop] = np.frombuffer(part.read())
     else:
-        for start, count in zip(starts, counts):
-            costs[start:start + count] = _closed_loop(model, policy, seed, start, count)[0]
+        for start, part in zip(starts, step(0, runs)):
+            costs[start:start + part.size] = part
+    for start in starts:
+        if not np.isfinite(costs[start:start + chunk]).all():
+            raise NumericalFailure(f"closed-loop cost is not finite in runs "
+                                   f"{start}..{min(start + chunk, runs) - 1}")
 
     # the moments are taken of the costs divided by a power of two near
     # their largest: the scaling is exact, so every digit that did not
@@ -506,8 +502,9 @@ def _csv_writer(header: list[str], index_columns: int, rows, steps: int):
     differently) at every step; they are formatted once, into a template
     of one step's rows that each step fills in one format call. With at
     least _FORK_FIELDS fields left to fill, and children that may be
-    forked, the steps are filled in one contiguous range per usable CPU.
-    The file is renamed into place once whole; a failed write leaves none."""
+    forked, the steps are filled in one contiguous range per usable CPU,
+    each by a forked child, and appended in range order. The file is
+    renamed into place once whole; a failed write leaves none."""
     first = rows(0).copy()
     fixed = np.ones(first.shape[1], bool)
     for k in range(1, steps):
@@ -521,18 +518,24 @@ def _csv_writer(header: list[str], index_columns: int, rows, steps: int):
 
     def fill(fh, start: int, stop: int) -> None:
         for k in range(start, stop):
-            fh.write(template % tuple(rows(k)[:, free].ravel().tolist()))
+            fh.write((template % tuple(rows(k)[:, free].ravel().tolist())).encode())
 
     def write(path: Path) -> Path:
         part = path.with_name(f".{path.name}.{os.getpid()}.part")
         try:
-            with open(part, "w", newline="", encoding="utf-8") as fh:
-                fh.write(",".join(header) + "\r\n")
+            with open(part, "wb") as fh:
+                fh.write((",".join(header) + "\r\n").encode())
                 processes = _usable_cpus() if fields >= _FORK_FIELDS else 1
                 if processes > 1 and _can_fork():
-                    from ._ranges import fill_in_ranges
+                    from ._ranges import forked_ranges
 
-                    fill_in_ranges(fh, path, fill, steps, processes)
+                    # a range of steps a process, a step each if there are fewer
+                    bounds = sorted({steps * i // processes for i in range(processes + 1)})
+                    with forked_ranges(list(zip(bounds, bounds[1:])), fill, path.parent,
+                                       lambda start, stop: f"{path}: the process writing steps "
+                                                           f"{start + 1}..{stop}") as parts:
+                        for range_file in parts:
+                            shutil.copyfileobj(range_file, fh)
                 else:
                     fill(fh, 0, steps)
             os.replace(part, path)

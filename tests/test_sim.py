@@ -1301,8 +1301,8 @@ class TestForkedExport:
         model = EXPORT_MODELS[case]()
         trace = simulate(model, optimal_strategy(model), seed=8)
         assert (trace.observations is not None) == (case == "noisy")
-        # a child per range but the first, for each of the two files
-        children = 2 * (min(processes, model.horizon) - 1)
+        # a child per range, for each of the two files
+        children = 2 * min(processes, model.horizon)
         # the last action column holds a signed zero that flips at one step
         candidates = [trace, with_signed_zeros(trace, 0.0), with_signed_zeros(trace, -0.0)]
         for i, candidate in enumerate(candidates):
@@ -1316,7 +1316,7 @@ class TestForkedExport:
             assert sorted(path.name for path in (tmp_path / f"forked{i}").iterdir()) == [
                 "trace_agents.csv", "trace_meanfield.csv"]
 
-    @pytest.mark.parametrize("n_agents, children", [(30, 0), (242, 0), (243, 1)])
+    @pytest.mark.parametrize("n_agents, children", [(30, 0), (242, 0), (243, 2)])
     def test_fields_left_to_fill_set_the_threshold(self, n_agents, children, tmp_path,
                                                    monkeypatch, forks):
         # the heater's agent rows vary in t, x_0 and u_0 only: 90 * n * 3
@@ -1344,7 +1344,7 @@ class TestForkedExport:
             thread.join()
         assert not forks
         forked = export_with(2, trace, tmp_path / "forked", monkeypatch)
-        assert len(forks) == 2
+        assert len(forks) == 4
         for paths in zip(one_cpu, two_threads, forked):
             assert len({path.read_bytes() for path in paths}) == 1
 
@@ -1368,7 +1368,7 @@ class TestForkedExport:
         model_path = tmp_path / "model.json"
         save_model(heater_model(), model_path)
         trace = simulate(heater_model(), optimal_strategy(heater_model()), seed=0)
-        with pytest.raises(OSError, match=rf"steps 31\.\.60 ended with {cause}$"):
+        with pytest.raises(OSError, match=rf"steps 1\.\.30 ended with {cause}$"):
             export_trace_csv(trace, tmp_path / "direct")
         out = tmp_path / "cli"
         assert main(["simulate", "--model", str(model_path), "--out", str(out)]) == 1
@@ -1378,7 +1378,7 @@ class TestForkedExport:
         for directory in (tmp_path / "direct", out):
             assert list(directory.iterdir()) == []
         # every child was reaped
-        assert len(forks) == 4
+        assert len(forks) == 6
         for pid in forks:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
