@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import MeanFieldLqgError, ModelFormatError, NumericalFailure
-from .model import LqMeanFieldModel, load_model, save_model
+from .model import LqMeanFieldModel, _renamed_into_place, load_model, save_model
 from .oracle import check_equivalence
 from .presets import heater_model
 from .sim import (
@@ -98,13 +98,14 @@ def _load(args: argparse.Namespace) -> LqMeanFieldModel:
 def _write_json(data: dict, path: Path) -> None:
     """Write `data` as indented JSON. It is serialized before any directory
     or file is made, and a NaN or infinite number in it raises
-    `NumericalFailure`: no output holds one, and none is left half written."""
+    `NumericalFailure`: no output holds one. The file is renamed into place
+    once whole, so none is left half written."""
     try:
         text = json.dumps(data, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NumericalFailure(f"{path.name} not written: {exc}") from None
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _renamed_into_place(path) as part, open(part, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     print(f"wrote {path}")
 

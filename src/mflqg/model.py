@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -283,8 +286,24 @@ def model_from_dict(data: dict) -> LqMeanFieldModel:
     return model
 
 
+@contextmanager
+def _renamed_into_place(path):
+    """Yield a temporary name in `path`'s directory, `.<name>.<pid>.part`,
+    for the caller to write; rename it to `path` once the block ends, or
+    remove it when the block raises, so that `path` is never left partly
+    written and a whole file from before stays when a write fails."""
+    path = Path(path)
+    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    try:
+        yield part
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def save_model(model: LqMeanFieldModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _renamed_into_place(path) as part, open(part, "w", encoding="utf-8") as fh:
         json.dump(model_to_dict(model), fh, indent=2)
         fh.write("\n")
 

@@ -32,7 +32,7 @@ import numpy as np
 from .control import GainSchedule
 from .errors import IncompatibleStrategy, NumericalFailure, ValidationError
 from .linalg import _matvec, _quadratic, symmetrize
-from .model import LqMeanFieldModel, _count, _whole
+from .model import LqMeanFieldModel, _count, _renamed_into_place, _whole
 from .noise import RNG_SCHEME, _draw_noise, _noise_factors, _stream_word
 from .riccati import solve_control_riccati, solve_filter_riccati
 
@@ -521,27 +521,21 @@ def _csv_writer(header: list[str], index_columns: int, rows, steps: int):
             fh.write((template % tuple(rows(k)[:, free].ravel().tolist())).encode())
 
     def write(path: Path) -> Path:
-        part = path.with_name(f".{path.name}.{os.getpid()}.part")
-        try:
-            with open(part, "wb") as fh:
-                fh.write((",".join(header) + "\r\n").encode())
-                processes = _usable_cpus() if fields >= _FORK_FIELDS else 1
-                if processes > 1 and _can_fork():
-                    from ._ranges import forked_ranges
+        with _renamed_into_place(path) as part, open(part, "wb") as fh:
+            fh.write((",".join(header) + "\r\n").encode())
+            processes = _usable_cpus() if fields >= _FORK_FIELDS else 1
+            if processes > 1 and _can_fork():
+                from ._ranges import forked_ranges
 
-                    # a range of steps a process, a step each if there are fewer
-                    bounds = sorted({steps * i // processes for i in range(processes + 1)})
-                    with forked_ranges(list(zip(bounds, bounds[1:])), fill, path.parent,
-                                       lambda start, stop: f"{path}: the process writing steps "
-                                                           f"{start + 1}..{stop}") as parts:
-                        for range_file in parts:
-                            shutil.copyfileobj(range_file, fh)
-                else:
-                    fill(fh, 0, steps)
-            os.replace(part, path)
-        except BaseException:
-            part.unlink(missing_ok=True)
-            raise
+                # a range of steps a process, a step each if there are fewer
+                bounds = sorted({steps * i // processes for i in range(processes + 1)})
+                with forked_ranges(list(zip(bounds, bounds[1:])), fill, path.parent,
+                                   lambda start, stop: f"{path}: the process writing steps "
+                                                       f"{start + 1}..{stop}") as parts:
+                    for range_file in parts:
+                        shutil.copyfileobj(range_file, fh)
+            else:
+                fill(fh, 0, steps)
         return path
 
     return write

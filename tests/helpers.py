@@ -2,6 +2,8 @@
 the deviation / mean-field split on recorded traces and snapshots."""
 from __future__ import annotations
 
+import errno
+import os
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -101,6 +103,26 @@ def closed_form_cost(model: LqMeanFieldModel) -> float:
 
     cost = float(mu @ Mz[0] @ mu + noise(0, model.Sigma_X))
     return cost + sum(noise(k, model.Sigma_W) for k in range(1, model.horizon))
+
+
+def filling_open(room: int):
+    """An `open` for a disk that fills: each file it opens takes `room`
+    characters (bytes, in binary mode), and a write past them raises
+    ENOSPC."""
+    def limited_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write, left = fh.write, [room]
+
+        def limited(text):
+            left[0] -= len(text)
+            if left[0] < 0:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(text)
+
+        fh.write = limited
+        return fh
+
+    return limited_open
 
 
 def rel_err(value: float, reference: float) -> float:

@@ -18,7 +18,7 @@ import mflqg
 from mflqg import (RNG_SCHEME, ModelFormatError, build_model, heater_model, load_model, oracle,
                    save_model)
 from mflqg.cli import build_parser, main
-from helpers import nan_solving_numpy, random_model
+from helpers import filling_open, nan_solving_numpy, random_model
 
 
 def test_cli_import_does_not_load_scipy():
@@ -525,6 +525,28 @@ class TestPresetHeater:
         assert main(["preset-heater", "--n", "5", "--out", str(out)]) == 0
         save_model(replace(heater_model(), n_agents=5), tmp_path / "saved.json")
         assert (out / "model.json").read_bytes() == (tmp_path / "saved.json").read_bytes()
+
+    def test_disk_full_mid_write_keeps_the_earlier_json(self, tmp_path, monkeypatch, capsys):
+        # on a disk that fills after 1,000 bytes, gains.json (about 24 kB)
+        # and model.json fail part way: the whole files of an earlier run
+        # stay, and no temporary file is left
+        out = tmp_path / "heater"
+        assert main(["preset-heater", "--out", str(out)]) == 0
+        whole = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(whole["gains.json"]) > 20_000
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr("mflqg.cli.open", filling_open(1000), raising=False)
+            assert main(["solve", "--model", str(out / "model.json"), "--out", str(out)]) == 1
+        with monkeypatch.context() as patch:
+            patch.setattr("mflqg.model.open", filling_open(1000), raising=False)
+            with pytest.raises(OSError, match="No space left on device"):
+                save_model(heater_model(), out / "model.json")
+            assert main(["preset-heater", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2, err
+        assert all(line.startswith("error: ") and "No space" in line for line in err), err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == whole
 
     def test_artifacts_and_round_trip(self, tmp_path):
         out = tmp_path / "heater"

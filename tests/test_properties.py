@@ -4,8 +4,8 @@ construction, the stacked oracle on full-observation models, and the exact
 policy cost against Monte Carlo in both modes and, under noisy observation,
 against the filter recursion. The stacked oracle's Kronecker operators
 reproduce the np.kron-built matrices and, on small integers, their
-products exactly, and its cost equals the closed form from the d_x-sized
-value matrices. Also: a re-pointed noise generator draws its fresh
+products exactly, and its cost, like the exact evaluator's optimal cost,
+equals the closed form from the d_x-sized value matrices. Also: a re-pointed noise generator draws its fresh
 substream, and full-rank noise draws the normals of RNG_SCHEME v1 where
 v3 promises them, mapped by v3's declared sum."""
 import json
@@ -162,6 +162,14 @@ def test_stacked_cost_is_the_closed_form(inputs):
     stacked = build_stacked_model(model)
     central = solve_stacked_riccati(stacked, solve_control_riccati(model))
     assert rel_err(centralized_cost(stacked, central), closed_form_cost(model)) <= 1e-13
+
+
+@SWEEP
+@given(models(noisy=False))
+def test_exact_optimal_cost_is_the_closed_form(inputs):
+    model = build_model(**inputs[0])
+    total = sim.exact_policy_cost(model, sim.optimal_strategy(model)).total
+    assert rel_err(total, closed_form_cost(model)) <= 1e-13
 
 
 @SWEEP

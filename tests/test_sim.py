@@ -1,6 +1,5 @@
 import ast
 import csv
-import errno
 import inspect
 import os
 import signal
@@ -35,12 +34,15 @@ from mflqg.cli import main
 from mflqg.linalg import symmetrize
 from helpers import (
     SMALL_NOISY_MODEL,
+    closed_form_cost,
     cost_identity_check,
     decompose_auxiliary,
+    filling_open,
     mean_over_agents,
     rand_pd,
     rand_psd,
     random_model,
+    rel_err,
     repeated_horizon,
     run_noise,
     step_cost,
@@ -296,6 +298,14 @@ class TestExactPolicyCost:
             2 * ev2.meanfield_noise_costs, 5 * ev5.meanfield_noise_costs, rtol=1e-12
         )
         assert np.array_equal(ev2.meanfield_mean_costs, ev5.meanfield_mean_costs)
+
+    @pytest.mark.parametrize("n", [1, 2, 30, 2000])
+    def test_optimal_cost_is_the_closed_form(self, n):
+        # ROADMAP item 8's J* from the value matrices Mx and Mz alone, also
+        # past the stacked oracle's cap of n * d_x = 400
+        model = replace(heater_model(), n_agents=n)
+        total = exact_policy_cost(model, optimal_strategy(model)).total
+        assert rel_err(total, closed_form_cost(model)) <= 1e-13
 
     def test_policy_without_filter_gains_rejected(self):
         rng = np.random.default_rng(42)
@@ -664,6 +674,72 @@ class TestMonteCarlo:
         assert sim._mc_plan(model, 4, 2) == (2, 2)
         with pytest.raises(NumericalFailure, match=r"not finite in runs 0\.\.1$"):
             monte_carlo_cost(model, policy, runs=4, seed=0, workers=2)
+
+    def test_killed_child_is_an_error_that_names_its_runs(self, tmp_path, monkeypatch, forks,
+                                                         capsys):
+        # the child stepping the second range of runs is killed by SIGKILL,
+        # as the OOM killer would: an OSError, exit 1 with one error line
+        model = heater_model()
+        policy = optimal_strategy(model)
+        monkeypatch.setattr(sim, "_MC_CHUNK_BYTES", 2 * (UFUNC_BYTES + 100 * mc_run_bytes(model)))
+        assert sim._mc_plan(model, 600, 2) == (2, 100)
+        parent, kernel = os.getpid(), sim._closed_loop
+
+        def killed_past_run_299(model, policy, seed, first_run, runs, record=False):
+            if os.getpid() != parent and first_run >= 300:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return kernel(model, policy, seed, first_run, runs, record)
+
+        monkeypatch.setattr(sim, "_closed_loop", killed_past_run_299)
+        with pytest.raises(OSError, match=r"stepping runs 300\.\.599 ended with signal 9$"):
+            monte_carlo_cost(model, policy, runs=600, seed=7, workers=2)
+        assert len(forks) == 2
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        out = tmp_path / "out"
+        assert main(["evaluate", "--model", str(model_path), "--runs", "600",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "signal 9" in err[0], err
+        assert not out.exists()
+        # every child was reaped
+        assert len(forks) == 4
+        for pid in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_non_finite_cost_in_a_later_child_names_its_chunk(self, tmp_path, monkeypatch,
+                                                              forks, capsys):
+        # five chunks of 100 runs, two to the first child and three to the
+        # second, each stepped as a whole; run 450's cost alone is made
+        # infinite, in the second child, and the caller names its chunk
+        model = heater_model()
+        policy = optimal_strategy(model)
+        monkeypatch.setattr(sim, "_MC_CHUNK_BYTES", 2 * (UFUNC_BYTES + 100 * mc_run_bytes(model)))
+        assert sim._mc_plan(model, 500, 2) == (2, 100)
+        parent, kernel = os.getpid(), sim._closed_loop
+
+        def infinite_run_450(model, policy, seed, first_run, runs, record=False):
+            assert os.getpid() != parent and first_run % 100 == 0 and runs == 100
+            totals, recorded = kernel(model, policy, seed, first_run, runs, record)
+            if first_run == 400:
+                totals[50] = np.inf
+            return totals, recorded
+
+        monkeypatch.setattr(sim, "_closed_loop", infinite_run_450)
+        with pytest.raises(NumericalFailure, match=r"not finite in runs 400\.\.499$"):
+            monte_carlo_cost(model, policy, runs=500, seed=7, workers=2)
+        assert len(forks) == 2
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        assert main(["evaluate", "--model", str(model_path), "--runs", "500",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: NumericalFailure: closed-loop cost is not finite in runs "
+                       "400..499"], err
+        assert len(forks) == 4
 
 
     def test_caller_with_threads_steps_in_process(self, monkeypatch):
@@ -1392,22 +1468,7 @@ class TestForkedExport:
         earlier = tmp_path / "earlier"
         export_trace_csv(trace, earlier)
         whole = {path.name: path.read_bytes() for path in earlier.iterdir()}
-        real_open = open
-
-        def filling_open(*args, **kwargs):
-            fh = real_open(*args, **kwargs)
-            write, room = fh.write, [2**16]
-
-            def limited(text):
-                room[0] -= len(text)
-                if room[0] < 0:
-                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-                return write(text)
-
-            fh.write = limited
-            return fh
-
-        monkeypatch.setattr(sim, "open", filling_open, raising=False)
+        monkeypatch.setattr(sim, "open", filling_open(2**16), raising=False)
         monkeypatch.setattr(sim, "_usable_cpus", lambda: 1)
         for directory in (tmp_path / "direct", earlier):
             with pytest.raises(OSError, match="No space left on device"):
