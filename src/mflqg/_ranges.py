@@ -10,8 +10,16 @@ import tempfile
 from contextlib import contextmanager
 
 
+def split(count: int, parts: int, unit: int = 1) -> list:
+    """Contiguous ranges (start, stop) that cover 0..count-1 in at most
+    `parts` nearly equal numbers of whole `unit`s, none of them empty."""
+    units = -(-count // unit)
+    bounds = sorted({min(count, unit * (units * i // parts)) for i in range(parts + 1)})
+    return list(zip(bounds, bounds[1:]))
+
+
 @contextmanager
-def forked_ranges(ranges, fill, directory, name):
+def forked_ranges(ranges, fill, directory, what: str, first: int):
     """Yield, in range order and rewound, one unnamed temporary binary file
     in `directory` (None: the default temporary directory) for each pair
     (start, stop) of `ranges`, into which a forked child wrote
@@ -21,8 +29,8 @@ def forked_ranges(ranges, fill, directory, name):
     any exception. It never returns or raises into the caller's code, and
     never flushes the stdio buffers it inherits. This process does no
     range itself; it reaps every child, and closes every file, whatever
-    happens. Raises OSError, `name(start, stop)` followed by how the child
-    ended, when a child does not exit with status 0.
+    happens. Raises OSError when a child does not exit with status 0,
+    naming its range as `what` and the range's items counted from `first`.
     """
     parts, pids = [], []
     try:
@@ -42,7 +50,7 @@ def forked_ranges(ranges, fill, directory, name):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code:
                 cause = f"signal {-code}" if code < 0 else f"exit status {code}"
-                raise OSError(f"{name(start, stop)} ended with {cause}")
+                raise OSError(f"{what} {start + first}..{stop - 1 + first} ended with {cause}")
             part.seek(0)
         yield parts
     finally:

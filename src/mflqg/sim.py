@@ -444,28 +444,24 @@ def monte_carlo_cost(
     costs = _empty(runs)
     processes, chunk = _mc_plan(model, runs, workers)
 
-    def step(start: int, stop: int):
-        """The costs of runs start..stop-1, a chunk at a time."""
+    def fill(start: int, stop: int) -> np.ndarray:
+        """Step runs start..stop-1 into their costs, a chunk at a time."""
         for first in range(start, stop, chunk):
-            yield _closed_loop(model, policy, seed, first, min(chunk, stop - first))[0]
+            costs[first:min(first + chunk, stop)] = _closed_loop(
+                model, policy, seed, first, min(chunk, stop - first))[0]
+        return costs[start:stop]
 
-    starts = range(0, runs, chunk)
     if processes > 1 and _can_fork():
-        from ._ranges import forked_ranges
+        from ._ranges import forked_ranges, split
 
-        # each process's runs, as nearly equal counts of whole chunks
-        bounds = [min(runs, chunk * (len(starts) * i // processes))
-                  for i in range(processes + 1)]
-        ranges = list(zip(bounds, bounds[1:]))
-        with forked_ranges(ranges, lambda out, start, stop: out.writelines(step(start, stop)),
-                           None, lambda start, stop: f"the process stepping runs "
-                                                     f"{start}..{stop - 1}") as parts:
+        ranges = split(runs, processes, chunk)
+        with forked_ranges(ranges, lambda out, *run_range: out.write(fill(*run_range)), None,
+                           "the process stepping runs", 0) as parts:
             for (start, stop), part in zip(ranges, parts):
-                costs[start:stop] = np.frombuffer(part.read())
+                part.readinto(costs[start:stop])
     else:
-        for start, part in zip(starts, step(0, runs)):
-            costs[start:start + part.size] = part
-    for start in starts:
+        fill(0, runs)
+    for start in range(0, runs, chunk):
         if not np.isfinite(costs[start:start + chunk]).all():
             raise NumericalFailure(f"closed-loop cost is not finite in runs "
                                    f"{start}..{min(start + chunk, runs) - 1}")
@@ -525,13 +521,10 @@ def _csv_writer(header: list[str], index_columns: int, rows, steps: int):
             fh.write((",".join(header) + "\r\n").encode())
             processes = _usable_cpus() if fields >= _FORK_FIELDS else 1
             if processes > 1 and _can_fork():
-                from ._ranges import forked_ranges
+                from ._ranges import forked_ranges, split
 
-                # a range of steps a process, a step each if there are fewer
-                bounds = sorted({steps * i // processes for i in range(processes + 1)})
-                with forked_ranges(list(zip(bounds, bounds[1:])), fill, path.parent,
-                                   lambda start, stop: f"{path}: the process writing steps "
-                                                       f"{start + 1}..{stop}") as parts:
+                with forked_ranges(split(steps, processes), fill, path.parent,
+                                   f"{path}: the process writing steps", 1) as parts:
                     for range_file in parts:
                         shutil.copyfileobj(range_file, fh)
             else:

@@ -5,9 +5,10 @@ policy cost against Monte Carlo in both modes and, under noisy observation,
 against the filter recursion. The stacked oracle's Kronecker operators
 reproduce the np.kron-built matrices and, on small integers, their
 products exactly, and its cost, like the exact evaluator's optimal cost,
-equals the closed form from the d_x-sized value matrices. Also: a re-pointed noise generator draws its fresh
-substream, and full-rank noise draws the normals of RNG_SCHEME v1 where
-v3 promises them, mapped by v3's declared sum."""
+equals the closed form from the d_x-sized value matrices. Also: a
+re-pointed noise generator draws its fresh substream, and full-rank noise
+draws the normals of RNG_SCHEME v1 where v3 promises them, mapped by v3's
+declared sum."""
 import json
 from dataclasses import replace
 
