@@ -455,7 +455,7 @@ def monte_carlo_cost(
         from ._ranges import forked_ranges, split
 
         ranges = split(runs, processes, chunk)
-        with forked_ranges(ranges, lambda out, *run_range: out.write(fill(*run_range)), None,
+        with forked_ranges(ranges, lambda out, start, stop: out.write(fill(start, stop)), None,
                            "the process stepping runs", 0) as parts:
             for (start, stop), part in zip(ranges, parts):
                 part.readinto(costs[start:stop])
