@@ -14,8 +14,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import MeanFieldLqgError, ModelFormatError, NumericalFailure
+from .errors import MeanFieldLqgError, ModelFormatError, NumericalFailure, ValidationError
 from .model import LqMeanFieldModel, _renamed_into_place, load_model, save_model
+from .noise import _stream_word
 from .oracle import check_equivalence
 from .presets import heater_model
 from .sim import (
@@ -40,12 +41,10 @@ DEFAULT_RUNS = 10_000
 
 def _seed_type(text: str) -> int:
     try:
-        value = int(text)
-        if 0 <= value < 2**64:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit integer, got {text}")
+        return _stream_word(int(text), "seed")
+    except (ValueError, ValidationError):
+        raise argparse.ArgumentTypeError(
+            f"seed must be an unsigned 64-bit integer, got {text}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,8 +6,9 @@ or, under noisy observation, a local estimate from a Kalman predictor with
 known inputs. That predictor starts at the population mean and does not
 condition on z, so it is not the conditional mean in general, and the noisy
 law is not claimed team-optimal. The controller keeps no other history.
-`GainSchedule` holds one such law; the per-agent functions here are the
-specification the vectorized closed loop in `sim` is tested against.
+`GainSchedule` holds one such law and `_check_policy` its fit to a model;
+the per-agent functions here are the specification the vectorized closed
+loop in `sim` is tested against.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfOrderUpdate, ValidationError
+from .errors import DimensionMismatch, IncompatibleStrategy, OutOfOrderUpdate, ValidationError
 from .model import LqMeanFieldModel
 
 
@@ -95,6 +96,29 @@ class GainSchedule:
         if self.d_y is not None:
             out["d_y"] = self.d_y
         return out
+
+
+def _check_policy(model: LqMeanFieldModel, policy) -> GainSchedule:
+    """`policy` if it is a GainSchedule that fits `model`; else IncompatibleStrategy."""
+    if not isinstance(policy, GainSchedule):
+        raise IncompatibleStrategy(f"policy must be a GainSchedule, got {type(policy).__name__}")
+    if (policy.horizon, policy.d_x, policy.d_u) != (model.horizon, model.d_x, model.d_u):
+        raise IncompatibleStrategy(
+            f"policy (T={policy.horizon}, d_x={policy.d_x}, d_u={policy.d_u}) does not "
+            f"match model (T={model.horizon}, d_x={model.d_x}, d_u={model.d_u})"
+        )
+    noisy = model.observation_mode == "noisy"
+    if noisy != (policy.Kf is not None):
+        raise IncompatibleStrategy(
+            "filter gains are required under noisy observation and only there; "
+            f"model is {model.observation_mode}, policy has "
+            f"{'no ' if policy.Kf is None else ''}filter gains"
+        )
+    if noisy and policy.d_y != model.d_y:
+        raise IncompatibleStrategy(
+            f"policy d_y={policy.d_y} does not match model d_y={model.d_y}"
+        )
+    return policy
 
 
 @dataclass(frozen=True, eq=False)

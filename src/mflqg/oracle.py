@@ -121,11 +121,6 @@ def _block_trace(M: np.ndarray, covariance: np.ndarray) -> float:
     return float(np.add.reduce(np.diagonal(products, axis1=1, axis2=2).reshape(-1)))
 
 
-def _noise_trace(M: np.ndarray, stacked: StackedModel) -> float:
-    """trace(M kron(I, Sigma_W)), the process-noise term of one step."""
-    return _block_trace(M, stacked.model.Sigma_W)
-
-
 def solve_stacked_riccati(stacked: StackedModel, policy: GainSchedule) -> StackedRiccatiSolution:
     """Textbook finite-horizon backward recursion on the stacked problem.
 
@@ -145,7 +140,7 @@ def solve_stacked_riccati(stacked: StackedModel, policy: GainSchedule) -> Stacke
     M = (M + M.T) / 2.0
     for k in range(T - 1, -1, -1):
         if k < T - 1:  # the terminal step solves nothing: its gain is zero
-            noise_traces[k] = _noise_trace(M, stacked)
+            noise_traces[k] = _block_trace(M, stacked.model.Sigma_W)
             A, B, Q, R = stacked.blocks(k)
             # M is exactly symmetric: MB = (B'M)', G = B'MA = (A'MB)' and
             # A'MA = A'(A'M)'

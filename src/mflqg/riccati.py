@@ -1,11 +1,12 @@
 """Backward control recursions and the forward filter recursion.
 
-The optimal population controller needs two value recursions of state size
-d_x instead of one of size n*d_x: one in deviation-from-mean coordinates
-(weight Q_t, dynamics A_t) and one in mean-field coordinates (weight
-Q_t + P_t, dynamics A_t + D_t). Neither depends on the population size or
-on any noise covariance. The filter recursion, the same step run forward on
-the dual (A_t', Cx_t', Sigma_W, Sigma_V), yields the local filter gains.
+The optimal population controller needs two decoupled value recursions of
+state size d_x instead of one of size n*d_x, both one backward pass
+(`_backward`): on A_t and Q_t in deviation-from-mean coordinates, on
+A_t + D_t and Q_t + P_t in mean-field coordinates. Neither depends on the
+population size or on any noise covariance. The filter recursion, the same
+step run forward on the dual (A_t', Cx_t', Sigma_W, Sigma_V), yields the
+local filter gains.
 """
 from __future__ import annotations
 
@@ -50,36 +51,33 @@ class FilterRiccatiSolution:
 def solve_control_riccati(model: LqMeanFieldModel) -> ControlRiccatiSolution:
     """Run both backward recursions and return the full solution.
 
-    Terminal values are Mx_T = Q_T and Mz_T = Q_T + P_T with zero terminal
-    gains. Interior steps use a symmetric factorization of
-    (B' M B + R) and every iterate is re-symmetrized. The output is
-    independent of n_agents and of every noise covariance. A value matrix
-    that overflows to inf or NaN raises NumericalFailure naming its step,
-    with no floating-point warning printed.
+    The deviation recursion is `_backward` on (A_t, Q_t), the mean-field
+    one on (A_t + D_t, Q_t + P_t); the deviation recursion runs first.
+    The output is independent of n_agents and of every noise covariance.
     """
-    T, d_x, d_u = model.horizon, model.d_x, model.d_u
+    Mx, Kx = _backward(model, model.A, model.Q, "x", "Q_T")
+    Mz, Kz = _backward(model, model.A + model.D, model.Q + model.P, "z", "Q_T + P_T")
+    return ControlRiccatiSolution(Mx=Mx, Mz=Mz, Kx=Kx, Kz=Kz)
 
-    Mx = np.zeros((T, d_x, d_x))
-    Mz = np.zeros((T, d_x, d_x))
-    Kx = np.zeros((T, d_u, d_x))
-    Kz = np.zeros((T, d_u, d_x))
-    Abar = model.A[: T - 1] + model.D[: T - 1]
 
-    Mx[T - 1] = model.Q[T - 1]
-    Mz[T - 1] = symmetrize(model.Q[T - 1] + model.P[T - 1], "Q_T + P_T")
+def _backward(model: LqMeanFieldModel, A, Qeff, coords: str, terminal: str):
+    """Values M and gains K of one backward recursion on (A_t, B_t, Qeff_t,
+    R_t) from M_T = Qeff_T, symmetrized as `terminal`, and a zero terminal
+    gain. Each step factors the symmetric B'MB + R and re-symmetrizes M. An
+    overflow to inf or NaN raises NumericalFailure naming its step and
+    M<coords>, with no floating-point warning printed."""
+    T = model.horizon
+    M = np.zeros((T, model.d_x, model.d_x))
+    K = np.zeros((T, model.d_u, model.d_x))
+    M[T - 1] = symmetrize(Qeff[T - 1], terminal)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(T - 2, -1, -1):
-            Kx[k], Mx[k] = _riccati_step(
-                model.A[k], model.B[k], model.Q[k], model.R[k], Mx[k + 1]
-            )
-            Kz[k], Mz[k] = _riccati_step(
-                Abar[k], model.B[k], model.Q[k] + model.P[k], model.R[k], Mz[k + 1]
-            )
-            _check_finite(f"control recursion at step {k + 1}", Mx=Mx[k], Mz=Mz[k])
+            K[k], M[k] = _riccati_step(A[k], model.B[k], Qeff[k], model.R[k], M[k + 1])
+            _check_finite(f"control recursion at step {k + 1}", **{f"M{coords}": M[k]})
 
-    _check_finite("control recursion", Mx=Mx, Mz=Mz, Kx=Kx, Kz=Kz)
-    return ControlRiccatiSolution(Mx=Mx, Mz=Mz, Kx=Kx, Kz=Kz)
+    _check_finite("control recursion", **{f"M{coords}": M, f"K{coords}": K})
+    return M, K
 
 
 def _riccati_step(A, B, Qeff, R, M_next, names=("control recursion", "B'MB + R", "value matrix")):

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import GainSchedule
+from .control import GainSchedule, _check_policy
 from .errors import IncompatibleStrategy, NumericalFailure, ValidationError
 from .linalg import _matvec, _quadratic, symmetrize
 from .model import LqMeanFieldModel, _count, _renamed_into_place, _whole
@@ -76,28 +76,6 @@ def optimal_strategy(model: LqMeanFieldModel) -> GainSchedule:
     filter recursion) and package the team-optimal policy."""
     filter_solution = solve_filter_riccati(model) if model.observation_mode == "noisy" else None
     return solve_control_riccati(model).gain_schedule(filter_solution)
-
-
-def _check_policy(model: LqMeanFieldModel, policy) -> GainSchedule:
-    if not isinstance(policy, GainSchedule):
-        raise IncompatibleStrategy(f"policy must be a GainSchedule, got {type(policy).__name__}")
-    if (policy.horizon, policy.d_x, policy.d_u) != (model.horizon, model.d_x, model.d_u):
-        raise IncompatibleStrategy(
-            f"policy (T={policy.horizon}, d_x={policy.d_x}, d_u={policy.d_u}) does not "
-            f"match model (T={model.horizon}, d_x={model.d_x}, d_u={model.d_u})"
-        )
-    noisy = model.observation_mode == "noisy"
-    if noisy != (policy.Kf is not None):
-        raise IncompatibleStrategy(
-            "filter gains are required under noisy observation and only there; "
-            f"model is {model.observation_mode}, policy has "
-            f"{'no ' if policy.Kf is None else ''}filter gains"
-        )
-    if noisy and policy.d_y != model.d_y:
-        raise IncompatibleStrategy(
-            f"policy d_y={policy.d_y} does not match model d_y={model.d_y}"
-        )
-    return policy
 
 
 # ---------------------------------------------------------------------------

@@ -237,14 +237,14 @@ class TestEquivalence:
     def test_non_finite_cost_names_its_step(self, small_model, step, monkeypatch):
         # noise_traces[k], solved for k = T-2 down to 0, is the noise that
         # enters step k + 2: call c solves the term of step T + 1 - c
-        noise_trace, calls = oracle._noise_trace, []
+        block_trace, calls = oracle._block_trace, []
 
-        def poisoned(M, stacked):
+        def poisoned(M, covariance):
             calls.append(None)
             poison = small_model.horizon + 1 - len(calls) == step
-            return np.inf if poison else noise_trace(M, stacked)
+            return np.inf if poison else block_trace(M, covariance)
 
-        monkeypatch.setattr(oracle, "_noise_trace", poisoned)
+        monkeypatch.setattr(oracle, "_block_trace", poisoned)
         with pytest.raises(NumericalFailure, match=rf"^centralized cost is not finite at step "
                                                    rf"{step}$"):
             check_equivalence(small_model)
