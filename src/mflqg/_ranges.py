@@ -26,11 +26,12 @@ def forked_ranges(ranges, fill, directory, what: str, first: int):
     `fill(file, start, stop)`.
 
     The child leaves through os._exit: 0 once its result is flushed, 1 on
-    any exception. It never returns or raises into the caller's code, and
-    never flushes the stdio buffers it inherits. This process does no
-    range itself; it reaps every child, and closes every file, whatever
-    happens. Raises OSError when a child does not exit with status 0,
-    naming its range as `what` and the range's items counted from `first`.
+    any exception, whose type and message then replace the file's content.
+    It never returns or raises into the caller's code, and never flushes
+    the stdio buffers it inherits. This process does no range itself; it
+    reaps every child, and closes every file, whatever happens. A child
+    that does not exit with status 0 raises OSError naming its range as
+    `what`, the range's items counted from `first`, and any such message.
     """
     parts, pids = [], []
     try:
@@ -38,19 +39,23 @@ def forked_ranges(ranges, fill, directory, what: str, first: int):
             parts.append(tempfile.TemporaryFile(dir=directory))
             pid = os.fork()
             if not pid:
-                status = 1
                 try:
                     fill(parts[-1], start, stop)
                     parts[-1].flush()
-                    status = 0
+                    os._exit(0)
+                except Exception as exc:
+                    os.ftruncate(parts[-1].fileno(), 0)
+                    os.pwrite(parts[-1].fileno(), f"{type(exc).__name__}: {exc}".encode()[:500], 0)
                 finally:
-                    os._exit(status)
+                    os._exit(1)
             pids.append(pid)
         for (start, stop), part, pid in zip(ranges, parts, pids):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code:
                 cause = f"signal {-code}" if code < 0 else f"exit status {code}"
-                raise OSError(f"{what} {start + first}..{stop - 1 + first} ended with {cause}")
+                why = os.pread(part.fileno(), 500, 0).decode(errors="replace") if code == 1 else ""
+                raise OSError(f"{what} {start + first}..{stop - 1 + first} ended with {cause}"
+                              + (f" ({why})" if why else ""))
             part.seek(0)
         yield parts
     finally:

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from mflqg import LqMeanFieldModel, SimulationTrace, build_model
+from mflqg import LqMeanFieldModel, SimulationTrace, build_model, sim
 from mflqg.linalg import FACTOR_CLIP, _matvec
 from mflqg.noise import _draw_noise, _noise_factors
 from mflqg.riccati import solve_control_riccati
@@ -105,12 +105,41 @@ def closed_form_cost(model: LqMeanFieldModel) -> float:
     return cost + sum(noise(k, model.Sigma_W) for k in range(1, model.horizon))
 
 
-def filling_open(room: int):
-    """An `open` for a disk that fills: each file it opens takes `room`
-    characters (bytes, in binary mode), and a write past them raises
-    ENOSPC."""
+def curvatures(model: LqMeanFieldModel):
+    """Hx_t = B_t' Mx_{t+1} B_t + R_t and Hz_t = B_t' Mz_{t+1} B_t + R_t for
+    t < T, and Hx_T = Hz_T = R_T (ROADMAP item 8), with the Riccati solution."""
+    values = solve_control_riccati(model)
+    Bt = np.swapaxes(model.B[:-1], 1, 2)
+    Hx, Hz = model.R.copy(), model.R.copy()
+    Hx[:-1] += Bt @ values.Mx[1:] @ model.B[:-1]
+    Hz[:-1] += Bt @ values.Mz[1:] @ model.B[:-1]
+    return values, Hx, Hz
+
+
+def cost_excess(model: LqMeanFieldModel, policy) -> float:
+    """The excess of a full-observation linear `policy` over the optimal
+    cost by the cost-difference identity:
+    sum_t [tr(dKx' Hx_t dKx Sdev_t) + mu_t' dKz' Hz_t dKz mu_t
+           + tr(dKz' Hz_t dKz Smf_t)],
+    with dK the policy's gain less the Riccati gain at step t and the
+    deviation covariance Sdev_t and mean-field moments mu_t, Smf_t of the
+    policy's closed loop (`sim._moments`)."""
+    values, Hx, Hz = curvatures(model)
+    dKx, dKz = policy.Kx - values.Kx, policy.Kz - values.Kz
+    total = 0.0
+    for k, (_, cov_dev, _, mean, cov_mf) in enumerate(sim._moments(model, policy)):
+        Wx = dKx[k].T @ Hx[k] @ dKx[k]
+        Wz = dKz[k].T @ Hz[k] @ dKz[k]
+        total += np.trace(Wx @ cov_dev) + mean @ Wz @ mean + np.trace(Wz @ cov_mf)
+    return float(total)
+
+
+def filling_open(room: int, opener=open):
+    """An `open` (or another `opener`) for a disk that fills: each file it
+    opens takes `room` characters (bytes, in binary mode), and a write past
+    them raises ENOSPC."""
     def limited_open(*args, **kwargs):
-        fh = open(*args, **kwargs)
+        fh = opener(*args, **kwargs)
         write, left = fh.write, [room]
 
         def limited(text):

@@ -5,10 +5,12 @@ policy cost against Monte Carlo in both modes and, under noisy observation,
 against the filter recursion. The stacked oracle's Kronecker operators
 reproduce the np.kron-built matrices and, on small integers, their
 products exactly, and its cost, like the exact evaluator's optimal cost,
-equals the closed form from the d_x-sized value matrices. Also: a
-re-pointed noise generator draws its fresh substream, and full-rank noise
-draws the normals of RNG_SCHEME v1 where v3 promises them, mapped by v3's
-declared sum."""
+equals the closed form from the d_x-sized value matrices. A perturbed
+law's excess over that cost is the cost-difference identity's sum, and the
+mean-field recursion is, bit for bit, the deviation recursion on A + D and
+Q + P. Also: a re-pointed noise generator draws its fresh substream, and
+full-rank noise draws the normals of RNG_SCHEME v1 where v3 promises
+them, mapped by v3's declared sum."""
 import json
 from dataclasses import replace
 
@@ -18,11 +20,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from mflqg import (build_model, build_stacked_model, centralized_cost, check_equivalence,
-                   model_from_dict, model_to_dict, solve_control_riccati, solve_stacked_riccati)
+from mflqg import (GainSchedule, build_model, build_stacked_model, centralized_cost,
+                   check_equivalence, model_from_dict, model_to_dict, solve_control_riccati,
+                   solve_stacked_riccati)
 from mflqg import noise, oracle, sim
-from helpers import (V1_KEY_SALT, closed_form_cost, declared_map, random_model, rel_err,
-                     run_noise, v1_factor, v1_run_normals)
+from helpers import (V1_KEY_SALT, closed_form_cost, cost_excess, curvatures, declared_map,
+                     random_model, rel_err, run_noise, v1_factor, v1_run_normals)
 from test_oracle import dense_build_stacked_model
 
 ARRAYS = ("A", "B", "D", "Q", "R", "P", "Sigma_X", "Sigma_W", "mu_X", "Cx", "Cz", "Sigma_V",
@@ -171,6 +174,33 @@ def test_exact_optimal_cost_is_the_closed_form(inputs):
     model = build_model(**inputs[0])
     total = sim.exact_policy_cost(model, sim.optimal_strategy(model)).total
     assert rel_err(total, closed_form_cost(model)) <= 1e-13
+
+
+@SWEEP
+@given(models(noisy=False), st.floats(1e-4, 1e-1), st.integers(0, 2**32 - 1))
+def test_excess_over_the_optimum_is_the_cost_difference_identity(inputs, size, seed):
+    model = build_model(**inputs[0])
+    values, Hx, Hz = curvatures(model)
+    assert min(np.linalg.eigvalsh(H).min() for H in (*Hx, *Hz)) > 0.0
+    rng = np.random.default_rng(seed)
+    policy = GainSchedule(Kx=values.Kx + size * rng.normal(size=values.Kx.shape),
+                          Kz=values.Kz + size * rng.normal(size=values.Kz.shape))
+    total = sim.exact_policy_cost(model, policy).total
+    excess = cost_excess(model, policy)
+    assert excess >= 0.0
+    assert abs(total - closed_form_cost(model) - excess) <= 1e-13 * total
+
+
+@SWEEP
+@given(models())
+def test_meanfield_recursion_is_the_deviation_recursion_of_the_coupled_model(inputs):
+    # bit for bit: the two control recursions are one recursion
+    model = build_model(**inputs[1])
+    hypothesis.assume(np.any(model.D) and np.any(model.P))
+    coupled = solve_control_riccati(replace(model, A=model.A + model.D, D=None,
+                                            Q=model.Q + model.P, P=None))
+    values = solve_control_riccati(model)
+    assert np.array_equal(coupled.Mx, values.Mz) and np.array_equal(coupled.Kx, values.Kz)
 
 
 @SWEEP

@@ -70,6 +70,17 @@ class TestControlRecursion:
         assert np.max(np.abs(solution.Kx - solution.Kz)) <= 1e-12
         assert np.max(np.abs(solution.Mx - solution.Mz)) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_meanfield_recursion_is_the_deviation_recursion_of_the_coupled_model(self, seed):
+        # bit for bit, on the heater (P != 0) and on random models with
+        # D, P != 0: the two control recursions are one recursion
+        model = heater_model() if seed is None else random_model(np.random.default_rng(seed))
+        assert np.any(model.P) and (seed is None or np.any(model.D))
+        coupled = solve_control_riccati(replace(model, A=model.A + model.D, D=None,
+                                                Q=model.Q + model.P, P=None))
+        values = solve_control_riccati(model)
+        assert np.array_equal(coupled.Mx, values.Mz) and np.array_equal(coupled.Kx, values.Kz)
+
     def test_output_independent_of_population_and_noise(self):
         rng = np.random.default_rng(5)
         model = random_model(rng, mode="noisy")

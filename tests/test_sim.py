@@ -2,6 +2,7 @@ import ast
 import csv
 import inspect
 import os
+import re
 import signal
 import threading
 import tracemalloc
@@ -29,13 +30,15 @@ from mflqg import (
     solve_control_riccati,
     solve_filter_riccati,
 )
-from mflqg import linalg, noise, save_model, sim
+from mflqg import _ranges, linalg, noise, save_model, sim
 from mflqg.cli import main
 from mflqg.linalg import symmetrize
 from helpers import (
     SMALL_NOISY_MODEL,
     closed_form_cost,
+    cost_excess,
     cost_identity_check,
+    curvatures,
     decompose_auxiliary,
     filling_open,
     mean_over_agents,
@@ -306,6 +309,30 @@ class TestExactPolicyCost:
         model = replace(heater_model(), n_agents=n)
         total = exact_policy_cost(model, optimal_strategy(model)).total
         assert rel_err(total, closed_form_cost(model)) <= 1e-13
+
+    @pytest.mark.parametrize("case", ["heater-1", "heater-3", "heater-30", "heater-2000",
+                                      "random-0", "random-1", "random-2", "random-3"])
+    def test_excess_over_the_optimum_is_the_cost_difference_identity(self, case):
+        # ROADMAP item 8: a perturbed law's cost less J* is the sum of the
+        # gain errors weighted by the positive definite curvatures H_t, so
+        # the optimal law is the unique one
+        kind, number = case.split("-")
+        rng = np.random.default_rng(int(number))
+        if kind == "heater":
+            model = replace(heater_model(), n_agents=int(number))
+        else:
+            model = random_model(rng, horizon=8, n_agents=4, d_x=3, d_u=2)
+        values, Hx, Hz = curvatures(model)
+        assert min(np.linalg.eigvalsh(H).min() for H in (*Hx, *Hz)) > 0.0
+        optimum = closed_form_cost(model)
+        for size in (1e-4, 1e-3, 1e-2, 1e-1):
+            for _ in range(3):
+                policy = GainSchedule(Kx=values.Kx + size * rng.normal(size=values.Kx.shape),
+                                      Kz=values.Kz + size * rng.normal(size=values.Kz.shape))
+                total = exact_policy_cost(model, policy).total
+                excess = cost_excess(model, policy)
+                assert excess > 0.0 and total > optimum
+                assert abs(total - optimum - excess) <= 1e-13 * total
 
     def test_policy_without_filter_gains_rejected(self):
         rng = np.random.default_rng(42)
@@ -704,6 +731,40 @@ class TestMonteCarlo:
         assert len(err) == 1 and err[0].startswith("error: ") and "signal 9" in err[0], err
         assert not out.exists()
         # every child was reaped
+        assert len(forks) == 4
+        for pid in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_exception_in_a_child_is_named_with_its_runs(self, tmp_path, monkeypatch, forks,
+                                                         capsys):
+        # the child stepping the second range of runs raises: the OSError
+        # ends with the exception's type and message, exit 1 with one line
+        model = heater_model()
+        policy = optimal_strategy(model)
+        monkeypatch.setattr(sim, "_MC_CHUNK_BYTES", 2 * (UFUNC_BYTES + 100 * mc_run_bytes(model)))
+        assert sim._mc_plan(model, 600, 2) == (2, 100)
+        parent, kernel = os.getpid(), sim._closed_loop
+
+        def failing_past_run_299(model, policy, seed, first_run, runs, record=False):
+            if os.getpid() != parent and first_run >= 300:
+                raise ValueError("a failing child")
+            return kernel(model, policy, seed, first_run, runs, record)
+
+        monkeypatch.setattr(sim, "_closed_loop", failing_past_run_299)
+        cause = (r"stepping runs 300\.\.599 ended with exit status 1 "
+                 r"\(ValueError: a failing child\)$")
+        with pytest.raises(OSError, match=cause):
+            monte_carlo_cost(model, policy, runs=600, seed=7, workers=2)
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        out = tmp_path / "out"
+        assert main(["evaluate", "--model", str(model_path), "--runs", "600",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.match("error: .*" + cause, err[0]), err
+        assert not out.exists()
         assert len(forks) == 4
         for pid in forks:
             with pytest.raises(ChildProcessError):
@@ -1428,7 +1489,10 @@ class TestForkedExport:
     def test_failed_child_is_an_error_that_leaves_no_temporary_file(
             self, how, cause, tmp_path, monkeypatch, forks, capsys):
         # every check of an exported step fails in a child: raising there,
-        # or killed there by SIGKILL
+        # named by the exception's type and message, or killed there by
+        # SIGKILL
+        if how == "raise":
+            cause += " (ValueError: a failing child)"
         parent, check = os.getpid(), sim._check_steps
 
         def check_in_parent_only(*args):
@@ -1444,13 +1508,41 @@ class TestForkedExport:
         model_path = tmp_path / "model.json"
         save_model(heater_model(), model_path)
         trace = simulate(heater_model(), optimal_strategy(heater_model()), seed=0)
-        with pytest.raises(OSError, match=rf"steps 1\.\.30 ended with {cause}$"):
+        with pytest.raises(OSError, match=rf"steps 1\.\.30 ended with {re.escape(cause)}$"):
             export_trace_csv(trace, tmp_path / "direct")
         out = tmp_path / "cli"
         assert main(["simulate", "--model", str(model_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and cause in err[0], err
         # no partial trace_agents.csv and no temporary file is left
+        for directory in (tmp_path / "direct", out):
+            assert list(directory.iterdir()) == []
+        # every child was reaped
+        assert len(forks) == 6
+        for pid in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_disk_full_in_the_children_names_its_cause(self, tmp_path, monkeypatch, forks,
+                                                       capsys):
+        # three CPUs, so the agent file is filled in three forked step
+        # ranges, each into a temporary file on a disk that fills after 4 kB
+        model_path = tmp_path / "model.json"
+        save_model(heater_model(), model_path)
+        trace = simulate(heater_model(), optimal_strategy(heater_model()), seed=0)
+        monkeypatch.setattr(_ranges.tempfile, "TemporaryFile",
+                            filling_open(2**12, _ranges.tempfile.TemporaryFile))
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(sim, "_FORK_FIELDS", 1)
+        cause = r"exit status 1 \(OSError: \[Errno 28\] No space left on device\)$"
+        with pytest.raises(OSError, match=r"steps 1\.\.30 ended with " + cause):
+            export_trace_csv(trace, tmp_path / "direct")
+        out = tmp_path / "cli"
+        assert main(["simulate", "--model", str(model_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.match(r"error: .*steps 1\.\.30 ended with " + cause,
+                                          err[0]), err
+        # no partial file and no temporary file is left
         for directory in (tmp_path / "direct", out):
             assert list(directory.iterdir()) == []
         # every child was reaped
