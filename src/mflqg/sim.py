@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .control import GainSchedule, _check_policy
-from .errors import IncompatibleStrategy, NumericalFailure, ValidationError
+from .errors import NumericalFailure, ValidationError
 from .linalg import _matvec, _quadratic, symmetrize
 from .model import LqMeanFieldModel, _count, _renamed_into_place, _whole
 from .noise import RNG_SCHEME, _draw_noise, _noise_factors, _stream_word

@@ -1526,12 +1526,13 @@ class TestForkedExport:
     def test_disk_full_in_the_children_names_its_cause(self, tmp_path, monkeypatch, forks,
                                                        capsys):
         # three CPUs, so the agent file is filled in three forked step
-        # ranges, each into a temporary file on a disk that fills after 4 kB
+        # ranges, each into a temporary file on a disk that fills after
+        # 16 kB, past the write buffer: part of the range is on disk
         model_path = tmp_path / "model.json"
         save_model(heater_model(), model_path)
         trace = simulate(heater_model(), optimal_strategy(heater_model()), seed=0)
         monkeypatch.setattr(_ranges.tempfile, "TemporaryFile",
-                            filling_open(2**12, _ranges.tempfile.TemporaryFile))
+                            filling_open(2**14, _ranges.tempfile.TemporaryFile))
         monkeypatch.setattr(sim, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(sim, "_FORK_FIELDS", 1)
         cause = r"exit status 1 \(OSError: \[Errno 28\] No space left on device\)$"
