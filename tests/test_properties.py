@@ -197,10 +197,10 @@ def test_meanfield_recursion_is_the_deviation_recursion_of_the_coupled_model(inp
     # bit for bit: the two control recursions are one recursion
     model = build_model(**inputs[1])
     hypothesis.assume(np.any(model.D) and np.any(model.P))
-    coupled = solve_control_riccati(replace(model, A=model.A + model.D, D=None,
-                                            Q=model.Q + model.P, P=None))
+    folded = solve_control_riccati(replace(model, A=model.A + model.D, D=None,
+                                           Q=model.Q + model.P, P=None))
     values = solve_control_riccati(model)
-    assert np.array_equal(coupled.Mx, values.Mz) and np.array_equal(coupled.Kx, values.Kz)
+    assert np.array_equal(folded.Mx, values.Mz) and np.array_equal(folded.Kx, values.Kz)
 
 
 @SWEEP

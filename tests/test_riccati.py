@@ -76,10 +76,10 @@ class TestControlRecursion:
         # D, P != 0: the two control recursions are one recursion
         model = heater_model() if seed is None else random_model(np.random.default_rng(seed))
         assert np.any(model.P) and (seed is None or np.any(model.D))
-        coupled = solve_control_riccati(replace(model, A=model.A + model.D, D=None,
-                                                Q=model.Q + model.P, P=None))
+        folded = solve_control_riccati(replace(model, A=model.A + model.D, D=None,
+                                               Q=model.Q + model.P, P=None))
         values = solve_control_riccati(model)
-        assert np.array_equal(coupled.Mx, values.Mz) and np.array_equal(coupled.Kx, values.Kz)
+        assert np.array_equal(folded.Mx, values.Mz) and np.array_equal(folded.Kx, values.Kz)
 
     def test_output_independent_of_population_and_noise(self):
         rng = np.random.default_rng(5)
