@@ -9,9 +9,9 @@ product M v is, per component i, the left-to-right sum of the rounded
 products M[i, j] * v[j], in numpy elementwise operations, which never
 fuse; an agent mean is np.add.reduce along the contiguous agent axis
 divided by n. No digit depends on BLAS, the batch size or the chunking.
-`exact_policy_cost` propagates means and covariances of the pair
-(per-agent deviation from the mean-field, mean-field), of dimension 2*d_x
-(4*d_x if noisy) whatever the population. A closed loop whose cost
+`exact_policy_cost` propagates two blocks, the per-agent deviation from
+the mean-field and the mean-field, each of size d_x plus, if noisy, d_x of
+estimation error, whatever the population. A closed loop whose cost
 overflows, or a simulation that records or exports a non-finite value,
 raises `NumericalFailure`. `monte_carlo_cost` and `export_trace_csv` split
 large work into contiguous ranges, each done by a forked child while the
@@ -275,54 +275,46 @@ class PolicyEvaluation:
     meanfield_noise_costs: np.ndarray # (T,)
 
 
-def _blocks(model: LqMeanFieldModel, policy: GainSchedule, k: int):
-    """Step k on the deviation and the mean-field block: their cost weights,
-    their transitions to step k + 1, and the noise that drives both.
-
-    Under full observation the blocks are x - z and z; under noisy
-    observation (x - z, xhat - zhat) and (z, zhat), zhat the mean estimate.
-    """
-    Kx, Kz, Q, R = policy.Kx[k], policy.Kz[k], model.Q[k], model.R[k]
-    A, B, D = model.A[k], model.B[k], model.D[k]
-    if model.observation_mode == "full":
-        return (Q + Kx.T @ R @ Kx, Q + model.P[k] + Kz.T @ R @ Kz,
-                A + B @ Kx, A + D + B @ Kz, model.Sigma_W)
-    # the last step moves nothing and has no filter gain
-    Kf = policy.Kf[k] if k + 1 < model.horizon else np.zeros((model.d_x, model.d_y))
-    L = np.hstack([Kz - Kx, Kx])
-    w_mf = L.T @ R @ L
-    w_mf[:model.d_x, :model.d_x] += Q + model.P[k]
-    BKx, BF, KfCx = B @ Kx, B @ (Kz - Kx), Kf @ model.Cx[k]
-    estimate = A + BKx - KfCx
-    return (_diag(Q, Kx.T @ R @ Kx), w_mf,
-            np.block([[A, BKx], [KfCx, estimate]]),
-            np.block([[A + D + BF, BKx], [BF + D + KfCx, estimate]]),
-            _diag(model.Sigma_W, Kf @ model.Sigma_V @ Kf.T))
-
-
-def _diag(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    zeros = np.zeros((len(upper), len(lower)))
-    return np.block([[upper, zeros], [zeros.T, lower]])
+def _block(model: LqMeanFieldModel, policy: GainSchedule, A, K, Q, share, mean, name: str):
+    """Per step: one block's cost weight, mean and covariance. Its state
+    part s moves under (A_t, B_t) with cost weight Q_t; under noisy
+    observation it carries its part of the error e = x - xhat (size 0
+    otherwise), which starts as the state less mu_X, where every estimate
+    starts, and moves to (A_t - Kf_t Cx_t) e + w - Kf_t v. Every control is
+    u = K_t s - Kx_t e. `share` scales a per-agent covariance to the block's."""
+    d = model.d_x
+    parts = 2 if model.observation_mode == "noisy" else 1  # state, then error
+    cov = share(np.tile(model.Sigma_X, (parts, parts)))
+    mean = np.concatenate([mean, np.zeros((parts - 1) * d)])
+    for k in range(model.horizon):
+        gain = np.hstack([K[k], -policy.Kx[k]][:parts])
+        weight = gain.T @ model.R[k] @ gain
+        weight[:d, :d] += Q[k]
+        yield weight, mean, cov
+        if k + 1 == model.horizon:
+            return
+        closed = np.zeros_like(weight)
+        closed[:d, :d] = A[k]
+        closed[:d] += model.B[k] @ gain
+        noise = np.tile(model.Sigma_W, (parts, parts))
+        if parts > 1:  # the error part
+            Kf = policy.Kf[k]
+            closed[d:, d:] = model.A[k] - Kf @ model.Cx[k]
+            noise[d:, d:] += Kf @ model.Sigma_V @ Kf.T
+        cov = symmetrize(closed @ cov @ closed.T + share(noise), name)
+        mean = closed @ mean
 
 
 def _moments(model: LqMeanFieldModel, policy: GainSchedule):
-    """Per step: the deviation block's weight and covariance, and the
-    mean-field block's weight, mean and covariance (`_blocks`)."""
+    """Per step, `_block`'s output for the deviation x - z, under (A, Kx, Q)
+    with 1 - 1/n of each per-agent covariance and mean 0, and for the
+    mean-field z, under (A + D, Kz, Q + P) with 1/n of it and mean mu_X."""
     n = model.n_agents
     dev_frac = 1.0 - 1.0 / n
-    start, mean = model.Sigma_X, model.mu_X
-    if model.observation_mode == "noisy":  # every estimate starts at mu_X
-        start, mean = _diag(start, np.zeros_like(start)), np.concatenate([mean, mean])
-    cov_dev, mf_mean, mf_cov = dev_frac * start, mean, start / n
-    for k in range(model.horizon):
-        w_dev, w_mf, closed_dev, closed_mf, noise = _blocks(model, policy, k)
-        yield w_dev, cov_dev, w_mf, mf_mean, mf_cov
-        if k + 1 < model.horizon:
-            cov_dev = symmetrize(closed_dev @ cov_dev @ closed_dev.T + dev_frac * noise,
-                                 "deviation covariance")
-            mf_mean = closed_mf @ mf_mean
-            mf_cov = symmetrize(closed_mf @ mf_cov @ closed_mf.T + noise / n,
-                                "mean-field covariance")
+    return zip(_block(model, policy, model.A, policy.Kx, model.Q, lambda m: dev_frac * m,
+                      np.zeros(model.d_x), "deviation covariance"),
+               _block(model, policy, model.A + model.D, policy.Kz, model.Q + model.P,
+                      lambda m: m / n, model.mu_X, "mean-field covariance"))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -333,14 +325,14 @@ def exact_policy_cost(model: LqMeanFieldModel, policy: GainSchedule) -> PolicyEv
     and covariance through the closed loop (`_moments`). Every agent has
     the same deviation covariance, and the deviation/mean-field
     cross-covariance is identically zero by exchangeability, so blocks of
-    dimension d_x (2*d_x under noisy observation, where each carries its
-    part of the estimates) are exact. Splitting i.i.d. noise into per-agent
-    deviation and population average gives the deviation (1 - 1/n) times
-    its covariance and the mean-field 1/n times it.
+    a state part of size d_x and an estimation-error part (of size d_x
+    under noisy observation, 0 under full) are exact. Splitting i.i.d.
+    noise into per-agent deviation and population average gives the
+    deviation (1 - 1/n) times its covariance and the mean-field 1/n times it.
     """
     policy = _check_policy(model, policy)
     dev_costs, mf_mean_costs, mf_noise_costs = np.zeros((3, model.horizon))
-    for k, (w_dev, cov_dev, w_mf, mf_mean, mf_cov) in enumerate(_moments(model, policy)):
+    for k, ((w_dev, _, cov_dev), (w_mf, mf_mean, mf_cov)) in enumerate(_moments(model, policy)):
         dev_costs[k] = float(np.trace(w_dev @ cov_dev))
         mf_mean_costs[k] = float(mf_mean @ w_mf @ mf_mean)
         mf_noise_costs[k] = float(np.trace(w_mf @ mf_cov))

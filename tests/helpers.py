@@ -127,7 +127,7 @@ def cost_excess(model: LqMeanFieldModel, policy) -> float:
     values, Hx, Hz = curvatures(model)
     dKx, dKz = policy.Kx - values.Kx, policy.Kz - values.Kz
     total = 0.0
-    for k, (_, cov_dev, _, mean, cov_mf) in enumerate(sim._moments(model, policy)):
+    for k, ((_, _, cov_dev), (_, mean, cov_mf)) in enumerate(sim._moments(model, policy)):
         Wx = dKx[k].T @ Hx[k] @ dKx[k]
         Wz = dKz[k].T @ Hz[k] @ dKz[k]
         total += np.trace(Wx @ cov_dev) + mean @ Wz @ mean + np.trace(Wz @ cov_mf)
