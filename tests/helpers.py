@@ -134,6 +134,21 @@ def cost_excess(model: LqMeanFieldModel, policy) -> float:
     return float(total)
 
 
+def estimation_penalty(model: LqMeanFieldModel, policy) -> float:
+    """What a noisy law with the Riccati control gains pays over the
+    full-information optimum, by the cost-difference identity: its control
+    is K* s - Kx e in both blocks, so the penalty is
+    sum_t [tr(Kx' Hx_t Kx Sdev_e_t) + tr(Kx' Hz_t Kx Smf_e_t)], with
+    Sdev_e_t and Smf_e_t the error parts of the blocks' covariances
+    (`sim._moments`), whose means are zero."""
+    _, Hx, Hz = curvatures(model)
+    d, Kx, total = model.d_x, policy.Kx, 0.0
+    for k, ((_, _, cov_dev), (_, _, cov_mf)) in enumerate(sim._moments(model, policy)):
+        total += (np.trace(Kx[k].T @ Hx[k] @ Kx[k] @ cov_dev[d:, d:])
+                  + np.trace(Kx[k].T @ Hz[k] @ Kx[k] @ cov_mf[d:, d:]))
+    return float(total)
+
+
 def filling_open(room: int, opener=open):
     """An `open` (or another `opener`) for a disk that fills: each file it
     opens takes `room` characters (bytes, in binary mode), and a write past

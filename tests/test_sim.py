@@ -40,6 +40,7 @@ from helpers import (
     cost_identity_check,
     curvatures,
     decompose_auxiliary,
+    estimation_penalty,
     filling_open,
     mean_over_agents,
     rand_pd,
@@ -387,6 +388,26 @@ class TestNoisyExactCost:
             got = cov_dev[d:, d:] + mf_cov[d:, d:]
             assert np.max(np.abs(got - want[k])) <= 1e-12 * np.max(np.abs(want[k])), k
             assert not mf_mean[d:].any(), k
+
+    PENALTY = {1: 20.590, 2: 16.264, 5: 13.669, 20: 12.371, 100: 12.025}
+
+    @pytest.mark.parametrize("n", sorted(PENALTY))
+    def test_cost_is_the_full_information_optimum_plus_the_estimation_penalty(self, n):
+        model, policy = self.model_and_policy(n)
+        total = exact_policy_cost(model, policy).total
+        penalty = estimation_penalty(model, policy)
+        assert abs(total - closed_form_cost(model) - penalty) <= 1e-13 * total
+        assert abs(penalty - self.PENALTY[n]) <= 1e-3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_model_splits_into_optimum_and_penalty(self, seed):
+        model = random_model(np.random.default_rng(60 + seed), mode="noisy", n_agents=1 + 7 * seed,
+                             horizon=8, d_x=3, d_u=2, d_y=2)
+        policy = optimal_strategy(model)
+        total = exact_policy_cost(model, policy).total
+        penalty = estimation_penalty(model, policy)
+        assert penalty > 0.0
+        assert abs(total - closed_form_cost(model) - penalty) <= 1e-13 * total
 
 
 # ---------------------------------------------------------------------------
