@@ -25,18 +25,20 @@ FACTOR_CLIP = 1e-12
 
 
 def symmetrize(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Return (M + M.T)/2 after checking M is symmetric to tolerance."""
+    """Return (M + M.T)/2, as M/2 + M.T/2 so that no finite M overflows,
+    after checking M is symmetric to tolerance."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise NotSymmetric(f"{name} is not square: shape {mat.shape}")
+    half = mat / 2.0
     scale = max(1.0, float(np.max(np.abs(mat))))
-    asym = float(np.max(np.abs(mat - mat.T)))
+    asym = 2.0 * float(np.max(np.abs(half - half.T)))
     if asym > SYMMETRY_TOL * scale:
         raise NotSymmetric(
             f"{name} is asymmetric: max |M - M.T| = {asym:.3e} "
             f"exceeds {SYMMETRY_TOL:.0e} * max(1, |M|)"
         )
-    return (mat + mat.T) / 2.0
+    return half + half.T
 
 
 def assert_psd(mat: np.ndarray, name: str = "matrix") -> None:

@@ -48,12 +48,14 @@ class FilterRiccatiSolution:
     Kf: np.ndarray       # (T-1, d_x, d_y)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_control_riccati(model: LqMeanFieldModel) -> ControlRiccatiSolution:
     """Run both backward recursions and return the full solution.
 
     The deviation recursion is `_backward` on (A_t, Q_t), the mean-field
     one on (A_t + D_t, Q_t + P_t); the deviation recursion runs first.
     The output is independent of n_agents and of every noise covariance.
+    An overflow raises NumericalFailure, with no floating-point warning.
     """
     Mx, Kx = _backward(model, model.A, model.Q, "x", "Q_T")
     Mz, Kz = _backward(model, model.A + model.D, model.Q + model.P, "z", "Q_T + P_T")
@@ -65,16 +67,15 @@ def _backward(model: LqMeanFieldModel, A, Qeff, coords: str, terminal: str):
     R_t) from M_T = Qeff_T, symmetrized as `terminal`, and a zero terminal
     gain. Each step factors the symmetric B'MB + R and re-symmetrizes M. An
     overflow to inf or NaN raises NumericalFailure naming its step and
-    M<coords>, with no floating-point warning printed."""
+    M<coords>."""
     T = model.horizon
     M = np.zeros((T, model.d_x, model.d_x))
     K = np.zeros((T, model.d_u, model.d_x))
     M[T - 1] = symmetrize(Qeff[T - 1], terminal)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(T - 2, -1, -1):
-            K[k], M[k] = _riccati_step(A[k], model.B[k], Qeff[k], model.R[k], M[k + 1])
-            _check_finite(f"control recursion at step {k + 1}", **{f"M{coords}": M[k]})
+    for k in range(T - 2, -1, -1):
+        K[k], M[k] = _riccati_step(A[k], model.B[k], Qeff[k], model.R[k], M[k + 1])
+        _check_finite(f"control recursion at step {k + 1}", **{f"M{coords}": M[k]})
 
     _check_finite("control recursion", **{f"M{coords}": M, f"K{coords}": K})
     return M, K

@@ -467,6 +467,28 @@ def test_overflowing_recursion_exits_2_with_one_line(tmp_path):
     assert_one_error_line(*run_cli_on(model, "solve", tmp_path), "control recursion at step ")
 
 
+# Q_T + P_T = 1.6e308 is finite, and symmetrized without overflow; the
+# first backward step from it overflows Mz
+NEAR_FLOAT_LIMIT = dict(n_agents=2, A=1.0, B=1.0, Q=8e307, P=8e307, R=1.0)
+
+
+@pytest.mark.parametrize("command, extra", [("solve", ()), ("simulate", ()),
+                                            ("evaluate", ("--runs", "4")), ("verify", ())])
+def test_finite_weights_that_overflow_the_recursion_exit_2_with_one_line(command, extra,
+                                                                         tmp_path):
+    result, out = run_cli_on(build_model(horizon=3, **NEAR_FLOAT_LIMIT), command, tmp_path,
+                             *extra)
+    assert_one_error_line(result, out,
+                          "control recursion at step 2: Mz has a non-finite entry (overflow)\n")
+
+
+def test_finite_weights_near_the_float_limit_solve_at_one_step(tmp_path):
+    # at T = 1 the recursion takes no step: Mz_1 = Q_1 + P_1 is the solution
+    result, out = run_cli_on(build_model(horizon=1, **NEAR_FLOAT_LIMIT), "solve", tmp_path)
+    assert result.returncode == 0 and result.stderr == ""
+    assert json.loads((out / "gains.json").read_text())["gains"]["1"]["Kz"] == [[0.0]]
+
+
 # Cx = 1e8 on a state that grows tenfold per step: the last observation
 # overflows, and no cost reads it (Q = P = 0, zero gains)
 OBSERVATION_OVERFLOW = dict(horizon=302, n_agents=2, A=10.0, B=1.0, Q=0.0, R=1.0, P=0.0,

@@ -52,6 +52,12 @@ class TestValidation:
         model = build_model(horizon=2, n_agents=2, A=np.eye(2), B=np.eye(2), Q=Q, R=np.eye(2))
         assert np.array_equal(model.Q[0], model.Q[0].T)
 
+    @pytest.mark.parametrize("field", ["Q", "P", "Sigma_X"])
+    def test_finite_entry_near_the_float_limit_accepted(self, field):
+        # symmetrized as M/2 + M.T/2, so 1e308 + 1e308 never overflows
+        model = scalar_model(**{field: 1e308})
+        assert getattr(model, field).flat[0] == 1e308
+
     def test_relatively_singular_r_rejected(self):
         # each pivot is positive, but the squared ratio 1e-13 is below PIVOT_TOL
         with pytest.raises(NotPositiveDefinite, match="^R_1 is numerically singular"):

@@ -6,11 +6,13 @@ against the filter recursion. The stacked oracle's Kronecker operators
 reproduce the np.kron-built matrices and, on small integers, their
 products exactly, and its cost, like the exact evaluator's optimal cost,
 equals the closed form from the d_x-sized value matrices. A perturbed
-law's excess over that cost is the cost-difference identity's sum, and the
-mean-field recursion is, bit for bit, the deviation recursion on A + D and
-Q + P. Also: a re-pointed noise generator draws its fresh substream, and
-full-rank noise draws the normals of RNG_SCHEME v1 where v3 promises
-them, mapped by v3's declared sum."""
+law's excess over that cost is the cost-difference identity's sum, a noisy
+law's cost is that optimum plus the estimation penalty read off the error
+parts, and the mean-field recursion is, bit for bit, the deviation
+recursion on A + D and Q + P. Also: `symmetrize` is the half sum (M + M')/2
+bit for bit away from subnormals, a re-pointed noise generator draws its
+fresh substream, and full-rank noise draws the normals of RNG_SCHEME v1
+where v3 promises them, mapped by v3's declared sum."""
 import json
 from dataclasses import replace
 
@@ -19,13 +21,16 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mflqg import (GainSchedule, build_model, build_stacked_model, centralized_cost,
                    check_equivalence, model_from_dict, model_to_dict, solve_control_riccati,
                    solve_stacked_riccati)
 from mflqg import noise, oracle, sim
+from mflqg.linalg import symmetrize
 from helpers import (V1_KEY_SALT, closed_form_cost, cost_excess, curvatures, declared_map,
-                     random_model, rel_err, run_noise, v1_factor, v1_run_normals)
+                     estimation_penalty, random_model, rel_err, run_noise, v1_factor,
+                     v1_run_normals)
 from test_oracle import dense_build_stacked_model
 
 ARRAYS = ("A", "B", "D", "Q", "R", "P", "Sigma_X", "Sigma_W", "mu_X", "Cx", "Cz", "Sigma_V",
@@ -268,6 +273,34 @@ def test_exact_blocks_carry_the_filter_error_covariance(inputs):
     for k, ((_, _, cov_dev), (_, _, mf_cov)) in enumerate(moments):
         got = cov_dev[d:, d:] + mf_cov[d:, d:]
         assert np.max(np.abs(got - want[k])) <= 1e-10 * max(1.0, np.max(np.abs(want[k]))), k
+
+
+# 0, or a magnitude whose half and whose halves' sums are never subnormal
+ENTRIES = st.just(0.0) | st.builds(lambda sign, magnitude: sign * magnitude,
+                                   st.sampled_from([1.0, -1.0]), st.floats(2.0**-1000, 2.0**1000))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(arrays(float, (d, d), elements=ENTRIES),
+                                                     arrays(bool, (d, d)))))
+def test_symmetrize_is_the_half_sum(case):
+    upper, nudge = case
+    mat = np.triu(upper) + np.triu(upper, 1).T
+    # nearly symmetric: some entries below the diagonal one ulp nearer zero
+    nudge = np.tril(nudge, -1) & (np.abs(mat) > 2.0**-1000)
+    mat = np.where(nudge, np.nextafter(mat, 0.0), mat)
+    assert np.array_equal(symmetrize(mat), (mat + mat.T) / 2)
+
+
+@SWEEP
+@given(models(noisy=True))
+def test_noisy_cost_is_the_optimum_plus_the_estimation_penalty(inputs):
+    model = build_model(**inputs[0])
+    policy = sim.optimal_strategy(model)
+    total = sim.exact_policy_cost(model, policy).total
+    penalty = estimation_penalty(model, policy)
+    assert penalty >= 0.0
+    assert abs(total - closed_form_cost(model) - penalty) <= 1e-13 * total
 
 
 U64 = st.integers(0, 2**64 - 1)
