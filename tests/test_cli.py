@@ -489,6 +489,13 @@ def test_finite_weights_near_the_float_limit_solve_at_one_step(tmp_path):
     assert json.loads((out / "gains.json").read_text())["gains"]["1"]["Kz"] == [[0.0]]
 
 
+def test_weights_whose_sum_overflows_exit_2_with_one_line(tmp_path):
+    # Q_1 + P_1 = 2e308 overflows before the recursion takes a step
+    model = build_model(horizon=1, **{**NEAR_FLOAT_LIMIT, "Q": 1e308, "P": 1e308})
+    assert_one_error_line(*run_cli_on(model, "solve", tmp_path),
+                          "control recursion: Mz has a non-finite entry (overflow)\n")
+
+
 # Cx = 1e8 on a state that grows tenfold per step: the last observation
 # overflows, and no cost reads it (Q = P = 0, zero gains)
 OBSERVATION_OVERFLOW = dict(horizon=302, n_agents=2, A=10.0, B=1.0, Q=0.0, R=1.0, P=0.0,
