@@ -77,29 +77,21 @@ def _noise_factors(model: LqMeanFieldModel):
 
 
 def _draw_noise(model: LqMeanFieldModel, seed: int, first_run: int, Lx, x, w, v, scratch,
-                tmp) -> None:
-    """Fill the planes x with the initial states of runs first_run.., and w
-    (and v), (rank, runs, steps, n), with the raw normals of their process
-    (and observation) noise, drawn in (step, agent, direction) order into
-    `tmp` (at least one step of a run) and moved into place. The initial
-    normals are drawn into `scratch`, mapped, and shifted by mu_X."""
+                tmp):
+    """Fill the planes x with the initial states of runs first_run.., and the
+    run-major blocks w, (runs, T-1, n, rank), and v, (runs, T, n, rank) or
+    None, with the raw normals of their process and observation noise. Run
+    i's slice of a block is its stream's (step, agent, direction) order, so
+    one fill per (run, kind) draws it in place. The initial normals are
+    drawn into `scratch`, mapped, and shifted by mu_X. Returns the blocks'
+    component-first views, (rank, runs, steps, n), or None."""
     runs, n = x.shape[1:]
     substream = _reusable_substream(seed)
     normals = scratch.reshape(-1)[:runs * n * Lx.shape[1]].reshape(runs, n, -1)
     for i in range(runs):
-        substream(first_run + i, _KIND_INIT).standard_normal(out=normals[i])
-        for kind, planes in ((_KIND_PROCESS, w), (_KIND_OBS, v)):
-            if planes is None:
-                continue
-            generator = substream(first_run + i, kind)
-            rank, steps = planes.shape[0], planes.shape[2]
-            # as many steps as tmp holds at a time: drawn in pieces, a
-            # stream gives the same normals as in one draw
-            piece = max(1, tmp.size // (n * rank or 1))
-            for k in range(0, steps, piece):
-                count = min(piece, steps - k)
-                drawn = tmp.reshape(-1)[:count * n * rank].reshape(count, n, rank)
-                generator.standard_normal(out=drawn)
-                planes[:, i, k:k + count] = drawn.transpose(2, 0, 1)
+        for kind, block in ((_KIND_INIT, normals), (_KIND_PROCESS, w), (_KIND_OBS, v)):
+            if block is not None:
+                substream(first_run + i, kind).standard_normal(out=block[i])
     _matvec(x, Lx, np.moveaxis(normals, -1, 0), tmp)
     x += model.mu_X[:, None, None]
+    return tuple(None if block is None else np.moveaxis(block, -1, 0) for block in (w, v))

@@ -83,13 +83,14 @@ def optimal_strategy(model: LqMeanFieldModel) -> GainSchedule:
 
 def _chunk_shapes(model: LqMeanFieldModel, runs: int) -> list:
     """The shape of every array `_closed_loop` holds for `runs` runs, each
-    with a run axis, in the order it unpacks them (false where none)."""
+    with a run axis, in the order it unpacks them (false where none): the
+    noise normals run-major, as `_draw_noise` fills them, then the planes."""
     T, n, d_x, d_u, d_y = model.horizon, model.n_agents, model.d_x, model.d_u, model.d_y
     _, Lw, Lv = _noise_factors(model)
     noisy = Lv is not None
     wide = max(d_x, d_u, d_y if noisy else 0)
     planes = (d_x, d_x, noisy and d_x, noisy and d_x, d_u, noisy and d_y, wide, wide)
-    return ([(Lw.shape[1], runs, T - 1, n), noisy and (Lv.shape[1], runs, T, n)]
+    return ([(runs, T - 1, n, Lw.shape[1]), noisy and (runs, T, n, Lv.shape[1])]
             + [d and (d, runs, n) for d in planes] + [(runs, n), (d_x, runs, 1)]
             + [(wide, runs, 1)] * 3 + [(runs, 1)] * 3)
 
@@ -122,7 +123,7 @@ def _closed_loop(
     Lx, Lw, Lv = _noise_factors(model)
     (w, v, x, x_next, xhat, xhat_next, u, innovation, h, tmp, q, z, zf, h_z, tmp_z, cost, zq,
      totals) = (_empty(shape) if shape else None for shape in _chunk_shapes(model, runs))
-    _draw_noise(model, seed, first_run, Lx, x, w, v, x_next, h)
+    w, v = _draw_noise(model, seed, first_run, Lx, x, w, v, x_next, h)
     if noisy:
         xhat[...] = model.mu_X[:, None, None]
     if record:

@@ -229,11 +229,10 @@ def run_noise(model: LqMeanFieldModel, seed: int, run: int):
     `linalg._matvec`."""
     T, n = model.horizon, model.n_agents
     Lx, Lw, Lv = _noise_factors(model)
-    wide = max(model.d_x, model.d_y)
-    w, v = (None if L is None else np.empty((L.shape[1], 1, steps, n))
+    w, v = (None if L is None else np.empty((1, steps, n, L.shape[1]))
             for L, steps in ((Lw, T - 1), (Lv, T)))
-    _draw_noise(model, seed, run, Lx, np.empty((model.d_x, 1, n)), w, v,
-                np.empty((model.d_x, 1, n)), np.empty((wide, 1, n)))
+    x, scratch, tmp = np.empty((3, model.d_x, 1, n))
+    w, v = _draw_noise(model, seed, run, Lx, x, w, v, scratch, tmp)
 
     def mapped(normals, L):
         out = np.empty((L.shape[0], *normals.shape[2:]))
