@@ -1038,24 +1038,26 @@ class TestKernelMatchesParentReference:
 
 class CountingGenerator:
     """A generator that adds the size of every standard_normal draw to
-    `counts[(run, kind)]`."""
+    `counts[(run, kind)]`, and 1 to `calls[(run, kind)]`."""
 
-    def __init__(self, generator, key, counts):
-        self.generator, self.key, self.counts = generator, key, counts
+    def __init__(self, generator, key, counts, calls):
+        self.generator, self.key, self.counts, self.calls = generator, key, counts, calls
 
     def standard_normal(self, *args, **kwargs):
         drawn = self.generator.standard_normal(*args, **kwargs)
         self.counts[self.key] = self.counts.get(self.key, 0) + drawn.size
+        self.calls[self.key] = self.calls.get(self.key, 0) + 1
         return drawn
 
 
-def count_normals(monkeypatch):
+def count_normals(monkeypatch, calls=None):
     counts = {}
+    calls = {} if calls is None else calls
     reusable = noise._reusable_substream
 
     def spy(seed):
         point = reusable(seed)
-        return lambda run, kind: CountingGenerator(point(run, kind), (run, kind), counts)
+        return lambda run, kind: CountingGenerator(point(run, kind), (run, kind), counts, calls)
 
     monkeypatch.setattr(noise, "_reusable_substream", spy)
     return counts
@@ -1088,6 +1090,22 @@ class TestRankSizedDraws:
                           (9, noise._KIND_OBS): 3 * 4 * 1}
         obs_noise = run_noise(model, 5, 9)[1]
         assert not np.any(obs_noise[..., 0]) and np.all(obs_noise[..., 1])
+
+    def test_one_draw_per_run_and_kind(self, monkeypatch):
+        # the benchmark's noisy-mc model (T=50, n=100), at batch one and in
+        # a Monte Carlo chunk: each (run, kind) is filled by one call,
+        # whatever the horizon
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+        from perfbench.workloads import noisy_model
+
+        model = noisy_model(7)
+        policy = optimal_strategy(model)
+        calls = {}
+        count_normals(monkeypatch, calls)
+        simulate(model, policy, seed=7, run=3)
+        monte_carlo_cost(model, policy, runs=2, seed=7, workers=1)
+        assert calls == {(run, kind): 1 for run in (0, 1, 3)
+                         for kind in (noise._KIND_INIT, noise._KIND_PROCESS, noise._KIND_OBS)}
 
     def test_zero_covariance_draws_nothing(self, monkeypatch):
         model = KERNEL_MODELS["zero_noise"]()
