@@ -253,12 +253,26 @@ def model_to_dict(model: LqMeanFieldModel) -> dict:
     }
 
 
+def _numbers(value, name: str) -> None:
+    """Raise ModelFormatError unless `value` is a number or nested lists of
+    numbers as JSON reads them: int or float leaves, not bool or str."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ModelFormatError(f"model document is malformed: {name} has an entry "
+                                   f"of type {type(item).__name__}, not a number")
+
+
 def model_from_dict(data: dict) -> LqMeanFieldModel:
     """Parse the dict form back into a validated model.
 
-    Structural problems (missing keys, wrong types, values that are not
-    numbers or not rectangular) raise ModelFormatError; semantic problems
-    (shapes, non-finite entries, definiteness) raise validation errors.
+    Structural problems (missing keys, wrong types, matrix or vector
+    entries that are not JSON numbers, or not rectangular) raise
+    ModelFormatError; semantic problems (counts, shapes, non-finite
+    entries, definiteness) raise validation errors.
     """
     try:
         dims = data["dims"]
@@ -267,12 +281,15 @@ def model_from_dict(data: dict) -> LqMeanFieldModel:
         for key in _REQUIRED:
             if matrices[key] is None:
                 raise KeyError(key)
+        vectors = {key: data.get(key) for key in ("initial_mean", "state_offset")}
+        for key, value in {**matrices, **vectors}.items():
+            if value is not None:
+                _numbers(value, key)
         model = build_model(
             horizon=data["horizon"],
             n_agents=data["n_agents"],
-            initial_mean=data.get("initial_mean"),
             observation_mode=data.get("observation_mode", "full"),
-            state_offset=data.get("state_offset"),
+            **vectors,
             **matrices,
         )
         declared = tuple(_whole(dims[key], f"dims.{key}") for key in ("d_x", "d_u", "d_y"))

@@ -195,23 +195,53 @@ class TestSolve:
     @pytest.mark.parametrize("key, value", [("horizon", float("nan")),
                                             ("A", [[[1.0]], [[1.0, 2.0]]]),
                                             ("horizon", float("inf")),
-                                            ("n_agents", float("nan"))])
+                                            ("n_agents", float("nan")),
+                                            ("A", "0.9"),
+                                            ("A", [[["0.9"]], [["0.9"]]]),
+                                            ("A", True),
+                                            ("Q", [[[True]], [[True]]]),
+                                            ("initial_mean", ["1.5"])])
     def test_unparseable_entry_exits_1(self, scalar_model_path, tmp_path, key, value):
         data = json.loads(scalar_model_path.read_text())
-        (data["dynamics"] if key == "A" else data)[key] = value
+        section = {"A": "dynamics", "Q": "cost"}.get(key)
+        (data[section] if section else data)[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert main(["solve", "--model", str(path), "--out", str(tmp_path)]) == 1
 
     @pytest.mark.parametrize("key, value, code", [("n_agents", 2.5, 2), ("horizon", 2.7, 2),
                                                   ("horizon", 2.0, 0), ("n_agents", 5.0, 0),
-                                                  ("horizon", True, 2), ("n_agents", True, 2)])
+                                                  ("horizon", True, 2), ("n_agents", True, 2),
+                                                  ("n_agents", "3", 2)])
     def test_counts_must_be_whole(self, scalar_model_path, tmp_path, key, value, code):
         data = json.loads(scalar_model_path.read_text())
         data[key] = value
         path = tmp_path / "count.json"
         path.write_text(json.dumps(data))
         assert main(["solve", "--model", str(path), "--out", str(tmp_path)]) == code
+
+    @pytest.mark.parametrize("key, value", [("A", "0.9"), ("Q", [[[True]], [[1.0]]]),
+                                            ("initial_mean", ["1.5"]), ("state_offset", [None])])
+    def test_entry_that_is_not_a_number_names_its_key(self, scalar_model_path, tmp_path, key,
+                                                      value, capsys):
+        data = json.loads(scalar_model_path.read_text())
+        section = {"A": "dynamics", "Q": "cost"}.get(key)
+        (data[section] if section else data)[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--model", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: model document is malformed: {key} has an entry")
+        assert err.count("\n") == 1
+
+    def test_integer_entry_above_2_63_loads(self, scalar_model_path, tmp_path):
+        # an int too large for int64 gives np.asarray an object array
+        data = json.loads(scalar_model_path.read_text())
+        data["cost"]["Q"] = [[[2**64]], [[1]]]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        assert load_model(path).Q[0, 0, 0] == 2.0**64
+        assert main(["solve", "--model", str(path), "--out", str(tmp_path)]) == 0
 
     def test_non_utf8_file_exits_1(self, tmp_path):
         path = tmp_path / "utf16.json"
