@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IncompatibleStrategy, OutOfOrderUpdate, ValidationError
-from .model import LqMeanFieldModel
+from .model import LqMeanFieldModel, _whole
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,14 +134,17 @@ def init_filter_state(model: LqMeanFieldModel) -> LocalFilterState:
     return LocalFilterState(x_hat=np.asarray(model.mu_X, dtype=float).copy(), time=1)
 
 
-def _check_step(gains: GainSchedule, t: int) -> None:
-    if not 1 <= t <= gains.horizon:
-        raise ValidationError(f"step {t} outside 1..{gains.horizon}")
+def _check_step(t: int, last: int) -> int:
+    """The step t, a whole number in 1..last, as an int."""
+    t = _whole(t, "step")
+    if not 1 <= t <= last:
+        raise ValidationError(f"step {t} outside 1..{last}")
+    return t
 
 
 def full_obs_action(gains: GainSchedule, x: np.ndarray, z: np.ndarray, t: int) -> np.ndarray:
     """Control under full observation: Kx_t x + (Kz_t - Kx_t) z."""
-    _check_step(gains, t)
+    t = _check_step(t, gains.horizon)
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     if x.shape != (gains.d_x,) or z.shape != (gains.d_x,):
@@ -171,8 +174,7 @@ def filter_update(
         raise ValidationError("filter updates require observation_mode = noisy")
     if gains.Kf is None:
         raise ValidationError("gain schedule has no filter gains")
-    if not 1 <= t <= gains.horizon - 1:
-        raise ValidationError(f"filter update defined for steps 1..{gains.horizon - 1}, got {t}")
+    t = _check_step(t, gains.horizon - 1)
     if state.time != t:
         raise OutOfOrderUpdate(f"filter state is at step {state.time}, update requested for {t}")
     y = np.asarray(y, dtype=float)
@@ -197,6 +199,7 @@ def noisy_obs_action(
     gains: GainSchedule, state: LocalFilterState, z: np.ndarray, t: int
 ) -> np.ndarray:
     """Control under noisy observation: the full-observation law on the estimate."""
+    t = _check_step(t, gains.horizon)
     if state.time != t:
         raise OutOfOrderUpdate(f"filter state is at step {state.time}, action requested for {t}")
     return full_obs_action(gains, state.x_hat, z, t)

@@ -73,9 +73,15 @@ class TestFullObsAction:
         with pytest.raises(DimensionMismatch):
             full_obs_action(scalar_gains(), [1.0, 2.0], [0.0], 1)
 
-    def test_step_out_of_range(self):
+    @pytest.mark.parametrize("t", [3, 1.5, "1", True])
+    def test_step_out_of_range(self, t):
         with pytest.raises(ValidationError):
-            full_obs_action(scalar_gains(), [1.0], [0.0], 3)
+            full_obs_action(scalar_gains(), [1.0], [0.0], t)
+
+    def test_whole_float_step_is_that_step(self):
+        gains = scalar_gains()
+        assert np.array_equal(full_obs_action(gains, [2.0], [1.0], 1.0),
+                              full_obs_action(gains, [2.0], [1.0], 1))
 
 
 def filter_fixture():
@@ -138,6 +144,21 @@ class TestFilterUpdate:
         with pytest.raises(ValidationError):
             filter_update(model, state, gains, [0.0], [0.0], [0.0], t=3)
 
+    @pytest.mark.parametrize("t", [1.5, "1", True])
+    def test_step_that_is_not_whole_rejected(self, t):
+        model, gains = filter_fixture()
+        state = LocalFilterState(x_hat=np.array([0.0]), time=1)
+        with pytest.raises(ValidationError, match="step must be a whole number"):
+            filter_update(model, state, gains, [0.0], [0.0], [0.0], t=t)
+
+    def test_whole_float_step_is_that_step(self):
+        model, gains = filter_fixture()
+        state = LocalFilterState(x_hat=np.array([0.0]), time=1)
+        new = filter_update(model, state, gains, y=[2.0], z=[0.0], u_prev=[0.0], t=1.0)
+        want = filter_update(model, state, gains, y=[2.0], z=[0.0], u_prev=[0.0], t=1)
+        assert new.time == want.time == 2 and type(new.time) is int
+        assert np.array_equal(new.x_hat, want.x_hat)
+
     def test_wrong_observation_shape(self):
         model, gains = filter_fixture()
         state = LocalFilterState(x_hat=np.array([0.0]), time=1)
@@ -182,6 +203,13 @@ class TestNoisyObsAction:
         model, gains = filter_fixture()
         state = LocalFilterState(x_hat=np.array([5.0]), time=3)
         assert np.array_equal(noisy_obs_action(gains, state, [1.0], 3), [0.0])
+
+    @pytest.mark.parametrize("t", [1.5, "1", True])
+    def test_step_that_is_not_whole_rejected(self, t):
+        _, gains = filter_fixture()
+        state = LocalFilterState(x_hat=np.array([0.0]), time=1)
+        with pytest.raises(ValidationError, match="step must be a whole number"):
+            noisy_obs_action(gains, state, [0.0], t)
 
     def test_time_mismatch_rejected(self):
         model, gains = filter_fixture()
