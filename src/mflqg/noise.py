@@ -12,7 +12,8 @@ The normals are mapped through the r kept columns of the covariance's
 `psd_factor` by `linalg._matvec`'s declared left-to-right sum (v3; v2
 mapped them by a BLAS product), the process and observation noise one step
 at a time as the closed loop adds them. A chunk of runs re-points one
-generator at each (run, kind), which draws what a new generator would.
+generator at each (run, kind), which draws what a new generator would,
+and fills each (run, kind) with one draw.
 """
 from __future__ import annotations
 
