@@ -255,7 +255,7 @@ def model_to_dict(model: LqMeanFieldModel) -> dict:
 
 def _numbers(value, name: str) -> None:
     """Raise ModelFormatError unless `value` is a number or nested lists of
-    numbers as JSON reads them: int or float leaves, not bool or str."""
+    numbers as JSON reads them: int or float leaves, not bool, str or null."""
     pending = [value]
     while pending:
         item = pending.pop()
